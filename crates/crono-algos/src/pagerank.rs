@@ -174,8 +174,8 @@ pub fn parallel_cas<M: Machine>(
 ///
 /// Each thread owns a static chunk of vertices and gathers
 /// `PR(v)/degree(v)` from its in-neighbors into a private accumulator:
-/// no locks, no CAS, and — because [`CsrGraph::from_edges`] sorts
-/// adjacency lists — the floating-point additions for a vertex happen in
+/// no locks, no CAS, and — because [`CsrGraph::transpose`] sorts every
+/// in-list by source — the floating-point additions for a vertex happen in
 /// ascending in-neighbor order, which is exactly the order the
 /// push-mode [`reference`] applies them in. The ranks are therefore
 /// **bitwise identical** to `reference(graph, iterations)` at every
@@ -219,10 +219,7 @@ pub fn try_parallel_pull<M: Machine>(
 ) -> Result<AlgoOutcome<PageRankOutput>, RunError> {
     assert!(iterations > 0, "need at least one iteration");
     let n = graph.num_vertices();
-    let transpose_edges: Vec<(VertexId, VertexId, u32)> = (0..n as VertexId)
-        .flat_map(|v| graph.neighbors(v).map(move |(u, w)| (u, v, w)))
-        .collect();
-    let transpose = CsrGraph::from_edges(n, transpose_edges);
+    let transpose = graph.transpose();
     let shared_t = SharedGraph::new(&transpose);
     let degrees: Vec<u32> = (0..n as VertexId).map(|v| graph.degree(v) as u32).collect();
     let degrees = ReadArray::new(&degrees);

@@ -414,25 +414,6 @@ pub fn pick_delta(graph: &CsrGraph) -> u32 {
     }
 }
 
-/// Splits `graph` into its light (`w <= delta`) and heavy (`w > delta`)
-/// edge sub-CSRs. Built outside the timed region, like the transpose the
-/// pull kernels precompute.
-fn split_by_weight(graph: &CsrGraph, delta: u32) -> (CsrGraph, CsrGraph) {
-    let n = graph.num_vertices();
-    let mut light = Vec::new();
-    let mut heavy = Vec::new();
-    for v in 0..n as VertexId {
-        for (u, w) in graph.neighbors(v) {
-            if w <= delta {
-                light.push((v, u, w));
-            } else {
-                heavy.push((v, u, w));
-            }
-        }
-    }
-    (CsrGraph::from_edges(n, light), CsrGraph::from_edges(n, heavy))
-}
-
 /// Parallel SSSP by *delta-stepping* (Meyer & Sanders; the GAP-style
 /// `delta_sssp` ablation) over [`SlidingQueue`] bucket frontiers.
 ///
@@ -464,7 +445,9 @@ pub fn parallel_delta<M: Machine>(
     assert!((source as usize) < n, "source vertex out of range");
     let m = graph.num_directed_edges();
     let delta = pick_delta(graph);
-    let (light, heavy) = split_by_weight(graph, delta);
+    // Built outside the timed region, like the transpose the pull kernels
+    // precompute.
+    let (light, heavy) = graph.split_by_weight(delta);
     let light = SharedGraph::new(&light);
     let heavy = SharedGraph::new(&heavy);
     let dist = SharedU32s::filled(n, UNREACHABLE);
@@ -1057,6 +1040,35 @@ mod tests {
         let out = parallel_delta(&NativeMachine::new(4), &g, 0);
         assert_eq!(out.output.dist, reference(&g, 0));
         assert!(out.output.rounds >= 2, "got {} buckets", out.output.rounds);
+    }
+
+    #[test]
+    fn weight_split_matches_filtered_from_edges() {
+        // Directed, with parallel edges on both sides of the mean weight,
+        // a duplicate, a self-loop and an isolated vertex (4).
+        let edges = vec![
+            (0, 1, 9),
+            (0, 1, 2),
+            (0, 2, 5),
+            (1, 0, 5),
+            (1, 3, 7),
+            (2, 2, 1),
+            (3, 1, 3),
+            (3, 1, 3),
+            (3, 0, 12),
+        ];
+        let g = CsrGraph::from_edges(5, edges.clone());
+        let filtered = |keep: &dyn Fn(u32) -> bool| {
+            let kept = edges.iter().copied().filter(|&(_, _, w)| keep(w));
+            CsrGraph::from_edges(5, kept.collect())
+        };
+        for delta in [0, pick_delta(&g), u32::MAX] {
+            let (light, heavy) = g.split_by_weight(delta);
+            assert_eq!(light, filtered(&|w| w <= delta), "delta={delta}");
+            assert_eq!(heavy, filtered(&|w| w > delta), "delta={delta}");
+        }
+        assert_eq!(g.split_by_weight(0).1, g, "delta 0: all heavy");
+        assert_eq!(g.split_by_weight(u32::MAX).0, g, "u32::MAX: all light");
     }
 
     #[test]

@@ -165,14 +165,61 @@ impl CsrGraph {
 
     /// Returns the transpose (all edges reversed). For symmetric
     /// (undirected) graphs this is structurally equal to the input.
+    ///
+    /// Ordering contract: every in-list is ascending by source, then by
+    /// weight. A counting sort on destination scatters sources in
+    /// ascending order, and parallel edges keep their out-list order,
+    /// which [`Self::from_edges`] (behind every reader and generator) and
+    /// the sorted-stream packers put in ascending weight. The result then
+    /// equals `from_edges` over the reversed triples, and transposing
+    /// twice restores the input. O(n + m).
     pub fn transpose(&self) -> CsrGraph {
-        let mut edges = Vec::with_capacity(self.num_directed_edges());
-        for v in 0..self.num_vertices() as VertexId {
-            for (n, w) in self.neighbors(v) {
-                edges.push((n, v, w));
+        let n = self.num_vertices();
+        let mut offsets = vec![0u32; n + 1];
+        for &d in &self.neighbors {
+            offsets[d as usize + 1] += 1;
+        }
+        for i in 0..n {
+            offsets[i + 1] += offsets[i];
+        }
+        let mut next = offsets[..n].to_vec();
+        let mut neighbors = vec![0; self.neighbors.len()];
+        let mut weights = vec![0; self.weights.len()];
+        for src in 0..n as VertexId {
+            for (dst, w) in self.neighbors(src) {
+                let slot = &mut next[dst as usize];
+                neighbors[*slot as usize] = src;
+                weights[*slot as usize] = w;
+                *slot += 1;
             }
         }
-        CsrGraph::from_edges(self.num_vertices(), edges)
+        CsrGraph::from_raw_parts(offsets, neighbors, weights)
+    }
+
+    /// Splits the edges into a *light* graph (`w <= delta`) and a *heavy*
+    /// graph (`w > delta`) over the same vertices, as delta-stepping
+    /// relaxes them. Each adjacency list keeps its order, so both halves
+    /// equal [`Self::from_edges`] over the filtered triples. O(n + m).
+    pub fn split_by_weight(&self, delta: Weight) -> (CsrGraph, CsrGraph) {
+        (
+            self.filter_by_weight(|w| w <= delta),
+            self.filter_by_weight(|w| w > delta),
+        )
+    }
+
+    fn filter_by_weight(&self, keep: impl Fn(Weight) -> bool) -> CsrGraph {
+        let mut offsets = Vec::with_capacity(self.offsets.len());
+        let mut neighbors = Vec::new();
+        let mut weights = Vec::new();
+        offsets.push(0);
+        for v in 0..self.num_vertices() as VertexId {
+            for (dst, w) in self.neighbors(v).filter(|&(_, w)| keep(w)) {
+                neighbors.push(dst);
+                weights.push(w);
+            }
+            offsets.push(neighbors.len() as u32);
+        }
+        CsrGraph::from_raw_parts(offsets, neighbors, weights)
     }
 
     /// Total weight of all directed edges, as `u64` to avoid overflow.

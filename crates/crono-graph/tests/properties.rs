@@ -55,12 +55,27 @@ fn csr_degrees_sum_to_edge_count() {
     }
 }
 
+/// The transpose's oracle: `from_edges` over `edges` reversed.
+fn reversed(n: usize, edges: impl IntoIterator<Item = (u32, u32, u32)>) -> CsrGraph {
+    CsrGraph::from_edges(n, edges.into_iter().map(|(s, d, w)| (d, s, w)).collect())
+}
+
 #[test]
 fn transpose_is_involutive() {
     for case in 0..CASES {
         let mut rng = SmallRng::seed_from_u64(0x33CC + case);
         let (n, edges) = arb_edges(&mut rng, 32, 128);
-        let g = CsrGraph::from_edges(n, edges);
+        let g = CsrGraph::from_edges(n, edges.clone());
+        assert_eq!(g.transpose(), reversed(n, edges));
+        assert_eq!(g.transpose().transpose(), g);
+    }
+    for g in [
+        rmat(10, 8 << 10, 255, RmatParams::default(), 3),
+        road_network(12, 9, 8, 0.2, 0.05, 5),
+    ] {
+        let n = g.num_vertices();
+        let edges = (0..n as u32).flat_map(|v| g.neighbors(v).map(move |(u, w)| (v, u, w)));
+        assert_eq!(g.transpose(), reversed(n, edges));
         assert_eq!(g.transpose().transpose(), g);
     }
 }
