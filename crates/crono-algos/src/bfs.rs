@@ -631,94 +631,6 @@ pub fn parallel_dirop_traced<M: Machine>(
     )
 }
 
-/// Parallel BFS with *inner-loop* parallelization — the paper's §III-4
-/// alternative: "each thread picks a vertex and searches its neighbors
-/// ... the neighbors are statically divided amongst threads ... a
-/// barrier is required in inner loop based parallelism to hop to the
-/// next vertex in each iteration". Every thread walks the same frontier
-/// sequence; one barrier per frontier vertex.
-///
-/// # Panics
-///
-/// Panics if `source` is out of range.
-pub fn parallel_inner<M: Machine>(
-    machine: &M,
-    graph: &CsrGraph,
-    source: VertexId,
-) -> AlgoOutcome<BfsOutput> {
-    let n = graph.num_vertices();
-    assert!((source as usize) < n, "source vertex out of range");
-    let shared = SharedGraph::new(graph);
-    let level = SharedU32s::filled(n, UNVISITED);
-    level.set_plain(source as usize, 0);
-    let visited = SharedFlags::new(n);
-    visited.set_plain(source as usize, true);
-    let fronts = [SharedFlags::new(n), SharedFlags::new(n)];
-    fronts[0].set_plain(source as usize, true);
-    let activations = SharedU64s::new(3);
-    let locks = LockSet::new(n.min(4096));
-
-    let outcome = machine.run(|ctx| {
-        let tid = ctx.thread_id();
-        let nthreads = ctx.num_threads();
-        let mut depth = 0u32;
-        let mut processed: Vec<usize> = Vec::new();
-        loop {
-            if ctx.cancelled() {
-                break;
-            }
-            let cur = &fronts[(depth as usize) % 2];
-            let next = &fronts[(depth as usize + 1) % 2];
-            activations.set(ctx, (depth as usize + 2) % 3, 0);
-            let mut activated = 0u64;
-            processed.clear();
-            for v in 0..n {
-                if !cur.get(ctx, v) {
-                    continue;
-                }
-                processed.push(v);
-                ctx.compute(costs::VISIT);
-                ctx.record_active(1);
-                let range = shared.edge_range(ctx, v as VertexId);
-                for (k, e) in range.enumerate() {
-                    if k % nthreads != tid {
-                        continue;
-                    }
-                    let u = shared.neighbor(ctx, e) as usize;
-                    if !visited.get(ctx, u) {
-                        ctx.lock_for(&locks, u);
-                        if !visited.get(ctx, u) {
-                            visited.set(ctx, u, true);
-                            level.set(ctx, u, depth + 1);
-                            next.set(ctx, u, true);
-                            activated += 1;
-                        }
-                        ctx.unlock_for(&locks, u);
-                    }
-                }
-                ctx.barrier();
-            }
-            for &v in &processed {
-                if v % nthreads == tid {
-                    cur.set(ctx, v, false);
-                }
-            }
-            if activated > 0 {
-                activations.fetch_add(ctx, (depth as usize + 1) % 3, activated);
-            }
-            ctx.barrier();
-            if activations.get(ctx, (depth as usize + 1) % 3) == 0 {
-                break;
-            }
-            depth += 1;
-        }
-    });
-    AlgoOutcome {
-        output: summarize(level.to_vec()),
-        report: outcome.report,
-    }
-}
-
 fn summarize(level: Vec<u32>) -> BfsOutput {
     let reachable = level.iter().filter(|&&l| l != UNVISITED).count();
     let levels = level
@@ -784,16 +696,6 @@ mod tests {
         for threads in [1, 2, 4, 8] {
             let par = parallel_bitmap(&NativeMachine::new(threads), &g, 3);
             assert_eq!(par.output.level, seq.output.level, "threads={threads}");
-        }
-    }
-
-    #[test]
-    fn inner_loop_variant_matches_outer_loop() {
-        let g = uniform_random(128, 512, 4, 11);
-        let outer = parallel(&NativeMachine::new(4), &g, 0);
-        for threads in [1, 3, 4] {
-            let inner = parallel_inner(&NativeMachine::new(threads), &g, 0);
-            assert_eq!(inner.output.level, outer.output.level, "threads={threads}");
         }
     }
 

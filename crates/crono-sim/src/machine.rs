@@ -720,7 +720,9 @@ impl SimCtx {
                     *slot = Some((self.tid, e.to_string()));
                 }
                 drop(slot);
-                panic!("{e}");
+                // `resume_unwind` skips the panic hook: the run reports
+                // this as a typed error, so nothing goes to stderr.
+                std::panic::resume_unwind(Box::new(e.to_string()));
             }
         };
         self.note_traffic(t.flit_hops);
@@ -1214,11 +1216,12 @@ impl ThreadCtx for SimCtx {
         if self.dying {
             // A dead core cannot rendezvous again: leave the gate's
             // population permanently — survivors' barriers re-size to
-            // the survivor count — then unwind out of the kernel.
+            // the survivor count — then unwind out of the kernel, past
+            // the panic hook, since departing is not a failure.
             // `finish()` runs on the way out and completes any pending
             // sequencer rejoin, so nobody is left parked.
             self.shared.gate.depart();
-            std::panic::panic_any(CoreDeparted);
+            std::panic::resume_unwind(Box::new(CoreDeparted));
         }
         self.sync_turn();
         self.instructions += 1;

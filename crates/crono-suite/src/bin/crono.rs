@@ -15,39 +15,117 @@ use crono_suite::serve::Mix;
 use crono_suite::trace::{run_traced_ablated, TraceBackend};
 use crono_suite::{Scale, Table};
 use crono_trace::{CounterSummary, TraceConfig, TraceDiff};
+use std::collections::BTreeMap;
 use std::path::PathBuf;
 use std::process::ExitCode;
+use std::str::FromStr;
 
-const USAGE: &str = "\
-crono — regenerate the CRONO (IISWC 2015) tables and figures
+/// Every flag the CLI accepts, with its value placeholder: empty for a
+/// switch, the valid names for a choice (`a|b`).
+const FLAGS: &[(&str, &str)] = &[
+    ("--scale", "test|small|paper"),
+    ("--paper-scale", ""),
+    ("--out", "PATH"),
+    ("--trace", "DIR"),
+    ("--resume", ""),
+    ("--quiet", ""),
+    ("--backend", "sim|native"),
+    ("--ablation", "NAME"),
+    ("--bench", "NAME"),
+    ("--threads", "N"),
+    ("--capacity", "N"),
+    ("--tolerance", "F"),
+    ("--quick", ""),
+    ("--degraded", ""),
+    ("--routing", "xy|o1turn"),
+    ("--slo-p99-us", "F"),
+    ("--seed", "N"),
+    ("--queries", "N"),
+    ("--clients", "N"),
+    ("--workload", "FILE"),
+    ("--mix", "default|sssp-heavy"),
+    ("--ms-sssp-width", "N"),
+    ("--timeout-ms", "N"),
+    ("--graph", "rmat|uniform"),
+    ("--graph-scale", "N"),
+    ("--degree", "N"),
+    ("--shards", "N"),
+    ("--partition", "1d|2d"),
+    ("--repr", "compressed|plain"),
+    ("--mirror", ""),
+    ("--sort-buffer", "EDGES"),
+    ("--spill", "DIR"),
+    ("--iters", "N"),
+    ("--chunk", "N"),
+];
 
-USAGE: crono <COMMAND> [--scale test|small|paper] [--paper-scale]
-             [--out DIR] [--trace DIR] [--resume] [--quiet]
-       crono ablation [--backend sim|native] [--ablation NAME]
-             [--scale test|small|paper] [--out DIR] [--resume] [--quiet]
-       crono trace --bench <NAME> [--threads N] [--scale test|small|paper]
-             [--backend sim|native] [--ablation NAME] [--out FILE]
-             [--capacity N] [--quiet]
-       crono trace-diff <A.json> <B.json> [--tolerance F] [--quiet]
-       crono heatmap <TRACE.json> [--out FILE] [--quiet]
-       crono faults [--quick] [--scale test|small|paper] [--seed N]
-             [--threads N] [--out DIR] [--resume] [--quiet]
-       crono faults --degraded [--routing xy|o1turn] [--slo-p99-us F]
-             [--queries N] [--clients N] [--seed N] [--threads N]
-             [--out DIR] [--quiet]
-       crono serve --workload FILE [--scale test|small|paper]
-             [--threads N] [--timeout-ms N] [--out DIR] [--quiet]
-       crono bombard [--queries N] [--clients N] [--seed N]
-             [--mix default|sssp-heavy] [--ms-sssp-width N]
-             [--scale test|small|paper] [--threads N] [--timeout-ms N]
-             [--out DIR] [--quiet]
-       crono scale [--graph rmat|uniform] [--graph-scale N] [--degree N]
-             [--shards N] [--partition 1d|2d] [--repr compressed|plain]
-             [--mirror] [--threads N] [--seed N] [--sort-buffer EDGES]
-             [--spill DIR] [--iters N] [--out DIR] [--resume] [--quiet]
-       crono gen [--graph rmat|uniform] [--graph-scale N] [--degree N]
-             [--seed N] [--mirror] [--chunk N] [--out FILE] [--quiet]
+/// One synopsis line: its commands, their positional arguments (empty
+/// when they take none) and exactly the flags they read, all
+/// space-separated.
+struct Signature {
+    commands: &'static str,
+    args: &'static str,
+    flags: &'static str,
+}
 
+const SIGNATURES: &[Signature] = &[
+    Signature {
+        commands: "table1 table2 table3 table4 fig1 fig2 fig3 fig4 fig5 fig6 fig7 fig8 fig9 \
+                   compare all",
+        args: "",
+        flags: "--scale --paper-scale --out --trace --quiet",
+    },
+    Signature {
+        commands: "ablation",
+        args: "",
+        flags: "--backend --ablation --scale --paper-scale --out --trace --resume --quiet",
+    },
+    Signature {
+        commands: "trace",
+        args: "",
+        flags: "--bench --threads --scale --backend --ablation --out --capacity --quiet",
+    },
+    Signature {
+        commands: "trace-diff",
+        args: "<A.json> <B.json>",
+        flags: "--tolerance --quiet",
+    },
+    Signature {
+        commands: "heatmap",
+        args: "<TRACE.json>",
+        flags: "--out --quiet",
+    },
+    Signature {
+        commands: "faults",
+        args: "",
+        flags: "--quick --degraded --routing --slo-p99-us --queries --clients --scale --seed \
+                --threads --out --resume --quiet",
+    },
+    Signature {
+        commands: "serve",
+        args: "",
+        flags: "--workload --scale --threads --ms-sssp-width --timeout-ms --out --quiet",
+    },
+    Signature {
+        commands: "bombard",
+        args: "",
+        flags: "--queries --clients --seed --mix --ms-sssp-width --scale --threads --timeout-ms \
+                --out --quiet",
+    },
+    Signature {
+        commands: "scale",
+        args: "",
+        flags: "--graph --graph-scale --degree --shards --partition --repr --mirror --threads \
+                --seed --sort-buffer --spill --iters --out --resume --quiet",
+    },
+    Signature {
+        commands: "gen",
+        args: "",
+        flags: "--graph --graph-scale --degree --seed --mirror --chunk --out --quiet",
+    },
+];
+
+const COMMANDS: &str = "
 COMMANDS:
   table1   Benchmarks and parallelizations
   table2   Graphite architectural parameters
@@ -69,7 +147,8 @@ COMMANDS:
            wall-clock + MTEPS on the real machine
   compare  Paper-vs-measured best speedups + qualitative claims
   all      Everything above (shares simulator sweeps)
-  trace    One traced run -> Chrome trace JSON (Perfetto-loadable)
+  trace    One traced run of --bench NAME -> Chrome trace JSON
+           (Perfetto-loadable)
   trace-diff  Compare two traces' counter summaries; exits nonzero if
            the second regressed (count/arg_sum grew beyond --tolerance,
            a relative fraction, default 0)
@@ -85,15 +164,14 @@ COMMANDS:
            healthy-vs-degraded routing heatmap pair with --out; with
            --routing xy the dead link is unroutable and the command
            exits nonzero with the typed route error
-  serve    Long-lived query engine: replay a workload file (one query
+  serve    Long-lived query engine: replay a --workload file (one query
            per line: `<bfs|sssp|pagerank|centrality> <vertex>
            [deadline=N]`) against the scale's graph and report per-kind
            p50/p99 modeled latency + QPS (serve.tsv with --out)
   scale    Scale track: seeded streaming graph build into shards with
            an external sort (bounded RAM, spills to --spill), then
            shard-aware BFS/SSSP/PageRank with per-shard modeled MTEPS
-           and simulator placement rows (block vs hashed) -> scale.tsv;
-           --resume replays finished row groups from the checkpoint
+           and simulator placement rows (block vs hashed) -> scale.tsv
   gen      Stream a seeded synthetic edge list to --out in chunks (the
            same text format crono's readers and the scale build accept)
   bombard  Seeded closed-loop load generator against the same engine:
@@ -103,304 +181,193 @@ COMMANDS:
            with one seed are byte-identical (latency is modeled, not
            wall-clock)
 
+`--out` names a directory, except for trace, heatmap and gen, which
+write the one file it names.
 `--trace DIR` re-runs each swept benchmark at its best thread count with
 tracing enabled and writes one trace JSON per benchmark into DIR
 (sweep-based commands only: fig1-fig4, fig6, compare, all).
 `--ablation NAME` traces an optimized kernel variant instead of the
 paper-faithful default (sim or native backend).
-`--resume` (ablation and faults, needs --out) reloads the sweep's
+`--resume` (ablation, faults and scale; needs --out) reloads the sweep's
 checkpoint from DIR and skips the points that already completed; the
 checkpoint is removed once the sweep finishes.
 ";
 
-struct Options {
-    command: String,
-    scale: Scale,
-    out: Option<PathBuf>,
-    trace_dir: Option<PathBuf>,
-    resume: bool,
-    progress: bool,
-    /// `crono ablation --backend native`: compare kernels on the real
-    /// machine (wall-clock + MTEPS) instead of the simulator.
-    native_backend: bool,
-    /// `crono ablation --ablation NAME`: restrict to one group.
-    ablation_filter: Option<Ablation>,
-}
-
-fn unknown_ablation(name: &str) -> String {
-    let names: Vec<&str> = Ablation::ALL.iter().map(|a| a.name()).collect();
-    format!("unknown ablation {name:?} ({})", names.join("|"))
-}
-
-fn parse_args() -> Result<Options, String> {
-    let mut args = std::env::args().skip(1);
-    let command = args.next().ok_or_else(|| USAGE.to_string())?;
-    let mut scale = Scale::small();
-    let mut out = None;
-    let mut trace_dir = None;
-    let mut resume = false;
-    let mut progress = true;
-    let mut native_backend = false;
-    let mut ablation_filter = None;
-    while let Some(flag) = args.next() {
-        match flag.as_str() {
-            "--scale" => {
-                let name = args.next().ok_or("--scale needs a value")?;
-                scale = Scale::by_name(&name)
-                    .ok_or_else(|| format!("unknown scale {name:?} (test|small|paper)"))?;
+/// The usage text: one synopsis line per signature, rendered from
+/// `SIGNATURES` and `FLAGS`, then the command descriptions.
+fn usage() -> String {
+    let mut text = String::from("crono — regenerate the CRONO (IISWC 2015) tables and figures\n\n");
+    for (i, sig) in SIGNATURES.iter().enumerate() {
+        let name = if sig.commands.contains(' ') {
+            "<COMMAND>"
+        } else {
+            sig.commands
+        };
+        let mut line = format!("{}crono {name}", if i == 0 { "USAGE: " } else { "       " });
+        let flags = sig.flags.split_whitespace().map(|f| match placeholder(f) {
+            "" => format!("[{f}]"),
+            p => format!("[{f} {p}]"),
+        });
+        for word in sig.args.split_whitespace().map(String::from).chain(flags) {
+            if line.len() + 1 + word.len() > 72 {
+                text.push_str(&line);
+                text.push('\n');
+                line = " ".repeat(12);
             }
-            "--paper-scale" => scale = Scale::paper(),
-            "--out" => out = Some(PathBuf::from(args.next().ok_or("--out needs a value")?)),
-            "--trace" => {
-                trace_dir = Some(PathBuf::from(args.next().ok_or("--trace needs a value")?));
-            }
-            "--backend" => {
-                let name = args.next().ok_or("--backend needs a value")?;
-                native_backend = match name.as_str() {
-                    "native" => true,
-                    "sim" => false,
-                    _ => return Err(format!("unknown backend {name:?} (sim|native)")),
-                };
-            }
-            "--ablation" => {
-                let name = args.next().ok_or("--ablation needs a value")?;
-                ablation_filter =
-                    Some(Ablation::by_name(&name).ok_or_else(|| unknown_ablation(&name))?);
-            }
-            "--resume" => resume = true,
-            "--quiet" => progress = false,
-            other => return Err(format!("unknown flag {other:?}\n\n{USAGE}")),
+            line.push(' ');
+            line.push_str(&word);
         }
+        text.push_str(&line);
+        text.push('\n');
     }
-    if resume && command != "ablation" {
-        return Err("--resume only applies to `crono ablation` and `crono faults`".to_string());
+    text.push_str(COMMANDS);
+    text
+}
+
+fn placeholder(flag: &str) -> &'static str {
+    FLAGS
+        .iter()
+        .find(|(f, _)| *f == flag)
+        .map(|(_, p)| *p)
+        .expect("signatures and getters name only flags in FLAGS")
+}
+
+fn signature(command: &str) -> Option<&'static Signature> {
+    SIGNATURES
+        .iter()
+        .find(|s| s.commands.split_whitespace().any(|c| c == command))
+}
+
+/// One command line, checked against its command's signature.
+struct Args {
+    /// Flag to value (empty for a switch); a repeated flag keeps its
+    /// last value.
+    values: BTreeMap<&'static str, String>,
+    positional: Vec<PathBuf>,
+}
+
+impl Args {
+    fn parse(command: &str, mut raw: impl Iterator<Item = String>) -> Result<Args, String> {
+        let sig = signature(command)
+            .ok_or_else(|| format!("unknown command {command:?}\n\n{}", usage()))?;
+        let mut args = Args {
+            values: BTreeMap::new(),
+            positional: Vec::new(),
+        };
+        while let Some(arg) = raw.next() {
+            if !arg.starts_with("--") {
+                if sig.args.is_empty() {
+                    return Err(format!("unexpected argument {arg:?} for `crono {command}`"));
+                }
+                args.positional.push(PathBuf::from(arg));
+                continue;
+            }
+            let Some(flag) = sig.flags.split_whitespace().find(|&f| f == arg) else {
+                return Err(format!(
+                    "unknown flag {arg:?} for `crono {command}` (accepts {})",
+                    sig.flags.replace(' ', ", ")
+                ));
+            };
+            let value = match placeholder(flag) {
+                "" => String::new(),
+                _ => raw.next().ok_or_else(|| format!("{flag} needs a value"))?,
+            };
+            args.values.insert(flag, value);
+        }
+        Ok(args)
     }
-    if resume && out.is_none() {
-        return Err("--resume needs --out DIR (the checkpoint lives in the output directory)"
-            .to_string());
+
+    fn get(&self, flag: &str) -> Option<&str> {
+        self.values.get(flag).map(String::as_str)
     }
-    if (native_backend || ablation_filter.is_some()) && command != "ablation" {
-        return Err(
-            "--backend and --ablation only apply to `crono ablation` (and `crono trace`)"
-                .to_string(),
-        );
+
+    fn switch(&self, flag: &str) -> bool {
+        self.get(flag).is_some()
     }
-    Ok(Options {
-        command,
-        scale,
-        out,
-        trace_dir,
-        resume,
-        progress,
-        native_backend,
-        ablation_filter,
+
+    fn path(&self, flag: &str) -> Option<PathBuf> {
+        self.get(flag).map(PathBuf::from)
+    }
+
+    /// `flag`'s value through `parse`, which returns the error for a bad
+    /// one.
+    fn value<T>(
+        &self,
+        flag: &str,
+        parse: impl FnOnce(&str) -> Result<T, String>,
+    ) -> Result<Option<T>, String> {
+        self.get(flag).map(parse).transpose()
+    }
+
+    /// A number that must satisfy `ok`; `what` names it in the error.
+    fn num<T: FromStr>(
+        &self,
+        flag: &str,
+        what: &str,
+        ok: impl Fn(&T) -> bool,
+    ) -> Result<Option<T>, String> {
+        self.value(flag, |v| {
+            v.parse()
+                .ok()
+                .filter(ok)
+                .ok_or_else(|| format!("invalid {what} {v:?}"))
+        })
+    }
+
+    /// A choice looked up `by_name`; the error repeats the valid names
+    /// from the flag's placeholder.
+    fn pick<T>(
+        &self,
+        flag: &str,
+        what: &str,
+        by_name: impl Fn(&str) -> Option<T>,
+    ) -> Result<Option<T>, String> {
+        self.value(flag, |v| {
+            by_name(v).ok_or_else(|| format!("unknown {what} {v:?} ({})", placeholder(flag)))
+        })
+    }
+}
+
+fn positive<T: PartialOrd + Default>(n: &T) -> bool {
+    *n > T::default()
+}
+
+fn ablation_by_name(name: &str) -> Result<Ablation, String> {
+    Ablation::by_name(name).ok_or_else(|| {
+        let names: Vec<&str> = Ablation::ALL.iter().map(|a| a.name()).collect();
+        format!("unknown ablation {name:?} ({})", names.join("|"))
     })
 }
 
-/// Options of the `crono faults` subcommand.
-struct FaultsOptions {
-    scale: Scale,
-    seed: u64,
-    threads: Option<usize>,
-    quick: bool,
-    /// `--degraded`: run the permanent-fault serving sweep instead of
-    /// the transient-fault rate sweep.
-    degraded: bool,
-    routing: RoutingPolicy,
-    slo_p99_us: Option<f64>,
-    queries: Option<usize>,
-    clients: Option<usize>,
-    out: Option<PathBuf>,
-    resume: bool,
-    progress: bool,
-}
-
-/// Parses a `--routing` policy name, listing the valid names on error
-/// (the same shape as [`unknown_ablation`]).
-fn parse_routing(name: &str) -> Result<RoutingPolicy, String> {
-    match name {
-        "xy" => Ok(RoutingPolicy::XyDimensionOrder),
-        "o1turn" => Ok(RoutingPolicy::O1Turn),
-        other => Err(format!("unknown routing policy {other:?} (xy|o1turn)")),
-    }
-}
-
-fn parse_faults_args(mut args: impl Iterator<Item = String>) -> Result<FaultsOptions, String> {
-    let mut scale = Scale::small();
-    let mut seed = 42u64;
-    let mut threads = None;
-    let mut quick = false;
-    let mut degraded = false;
-    let mut routing = RoutingPolicy::O1Turn;
-    let mut slo_p99_us = None;
-    let mut queries = None;
-    let mut clients = None;
-    let mut out = None;
-    let mut resume = false;
-    let mut progress = true;
-    while let Some(flag) = args.next() {
-        match flag.as_str() {
-            "--scale" => {
-                let name = args.next().ok_or("--scale needs a value")?;
-                scale = Scale::by_name(&name)
-                    .ok_or_else(|| format!("unknown scale {name:?} (test|small|paper)"))?;
-            }
-            "--seed" => {
-                let v = args.next().ok_or("--seed needs a value")?;
-                seed = v.parse().map_err(|_| format!("invalid seed {v:?}"))?;
-            }
-            "--threads" => {
-                let v = args.next().ok_or("--threads needs a value")?;
-                threads = Some(
-                    v.parse()
-                        .ok()
-                        .filter(|&t: &usize| t > 0)
-                        .ok_or_else(|| format!("invalid thread count {v:?}"))?,
-                );
-            }
-            "--quick" => quick = true,
-            "--degraded" => degraded = true,
-            "--routing" => {
-                let name = args.next().ok_or("--routing needs a value")?;
-                routing = parse_routing(&name)?;
-            }
-            "--slo-p99-us" => {
-                let v = args.next().ok_or("--slo-p99-us needs a value")?;
-                slo_p99_us = Some(
-                    v.parse()
-                        .ok()
-                        .filter(|s: &f64| s.is_finite() && *s > 0.0)
-                        .ok_or_else(|| format!("invalid SLO {v:?}"))?,
-                );
-            }
-            "--queries" => {
-                let v = args.next().ok_or("--queries needs a value")?;
-                queries = Some(
-                    v.parse()
-                        .ok()
-                        .filter(|&q: &usize| q > 0)
-                        .ok_or_else(|| format!("invalid query count {v:?}"))?,
-                );
-            }
-            "--clients" => {
-                let v = args.next().ok_or("--clients needs a value")?;
-                clients = Some(
-                    v.parse()
-                        .ok()
-                        .filter(|&c: &usize| c > 0)
-                        .ok_or_else(|| format!("invalid client count {v:?}"))?,
-                );
-            }
-            "--out" => out = Some(PathBuf::from(args.next().ok_or("--out needs a value")?)),
-            "--resume" => resume = true,
-            "--quiet" => progress = false,
-            other => return Err(format!("unknown flag {other:?}\n\n{USAGE}")),
+/// Opens `<out>/<name>.resume.tsv` when `--out` is given. A fresh
+/// (non-resumed) sweep must not trust stale points, but still records
+/// its own so a crash can be resumed.
+fn open_checkpoint(a: &Args, name: &str, unit: &str) -> Result<Option<Checkpoint>, String> {
+    let resume = a.switch("--resume");
+    let Some(dir) = a.path("--out") else {
+        if resume {
+            return Err(
+                "--resume needs --out DIR (the checkpoint lives in the output directory)".into(),
+            );
         }
+        return Ok(None);
+    };
+    std::fs::create_dir_all(&dir)
+        .map_err(|e| format!("create output directory {}: {e}", dir.display()))?;
+    let path = dir.join(format!("{name}.resume.tsv"));
+    let mut ck =
+        Checkpoint::open(&path).map_err(|e| format!("open checkpoint {}: {e}", path.display()))?;
+    if !resume {
+        ck.clear()
+            .map_err(|e| format!("reset checkpoint {}: {e}", path.display()))?;
+    } else if !a.switch("--quiet") && !ck.is_empty() {
+        eprintln!("[{name}] resuming: {} {unit} already done", ck.len());
     }
-    if resume && out.is_none() {
-        return Err("--resume needs --out DIR (the checkpoint lives in the output directory)"
-            .to_string());
-    }
-    if resume && degraded {
-        return Err(
-            "--resume does not apply to --degraded (the sweep is short and re-runs whole)"
-                .to_string(),
-        );
-    }
-    if !degraded && (slo_p99_us.is_some() || queries.is_some() || clients.is_some()) {
-        return Err(
-            "--slo-p99-us/--queries/--clients only apply to `crono faults --degraded`".to_string(),
-        );
-    }
-    Ok(FaultsOptions {
-        scale,
-        seed,
-        threads,
-        quick,
-        degraded,
-        routing,
-        slo_p99_us,
-        queries,
-        clients,
-        out,
-        resume,
-        progress,
-    })
+    Ok(Some(ck))
 }
 
-/// `crono faults --degraded`: the permanent-fault serving sweep plus
-/// the healthy-vs-degraded routing heatmap pair.
-fn degraded_command(opts: &FaultsOptions) -> Result<(), String> {
-    let defaults = DegradedConfig::default();
-    let dc = DegradedConfig {
-        seed: opts.seed,
-        threads: opts.threads.unwrap_or(defaults.threads),
-        queries: opts.queries.unwrap_or(defaults.queries),
-        clients: opts.clients.unwrap_or(defaults.clients),
-        slo_p99_us: opts.slo_p99_us.unwrap_or(defaults.slo_p99_us),
-        routing: opts.routing,
-    };
-    let table = degraded::generate(&dc, opts.progress)?;
-    println!("{}", table.render());
-    if let Some(dir) = &opts.out {
-        std::fs::create_dir_all(dir)
-            .map_err(|e| format!("create output directory {}: {e}", dir.display()))?;
-        let path = dir.join(format!("{}.tsv", table.file_stem()));
-        std::fs::write(&path, table.to_tsv())
-            .map_err(|e| format!("write {}: {e}", path.display()))?;
-        eprintln!("[out] wrote {}", path.display());
-        let (healthy, degraded_map) = degraded::heatmap_pair(&dc)?;
-        for (name, tsv) in [("heatmap_healthy", healthy), ("heatmap_degraded", degraded_map)] {
-            let path = dir.join(format!("{name}.tsv"));
-            std::fs::write(&path, tsv).map_err(|e| format!("write {}: {e}", path.display()))?;
-            eprintln!("[out] wrote {}", path.display());
-        }
-    }
-    Ok(())
-}
-
-fn faults_command(args: impl Iterator<Item = String>) -> Result<(), String> {
-    let opts = parse_faults_args(args)?;
-    if opts.degraded {
-        return degraded_command(&opts);
-    }
-    // --quick is the CI smoke configuration: tiny machine, test-scale
-    // inputs, BFS only (see experiments::faults::QUICK_RATES).
-    let (scale, config) = if opts.quick {
-        (Scale::test(), SimConfig::tiny(16))
-    } else {
-        (opts.scale, SimConfig::default())
-    };
-    let fc = FaultsConfig {
-        seed: opts.seed,
-        threads: opts.threads.unwrap_or(if opts.quick { 8 } else { 16 }),
-        quick: opts.quick,
-    };
-    let mut ckpt = None;
-    if let Some(dir) = &opts.out {
-        std::fs::create_dir_all(dir)
-            .map_err(|e| format!("create output directory {}: {e}", dir.display()))?;
-        let path = dir.join("faults.resume.tsv");
-        let mut ck = Checkpoint::open(&path)
-            .map_err(|e| format!("open checkpoint {}: {e}", path.display()))?;
-        if !opts.resume {
-            // A fresh (non-resumed) sweep must not trust stale points,
-            // but still records its own so a crash can be resumed.
-            ck.clear()
-                .map_err(|e| format!("reset checkpoint {}: {e}", path.display()))?;
-        } else if opts.progress && !ck.is_empty() {
-            eprintln!("[faults] resuming: {} point(s) already done", ck.len());
-        }
-        ckpt = Some(ck);
-    }
-    let table = faults::generate(&scale, &config, &fc, opts.progress, ckpt.as_mut());
-    println!("{}", table.render());
-    if let Some(dir) = &opts.out {
-        let path = dir.join(format!("{}.tsv", table.file_stem()));
-        std::fs::write(&path, table.to_tsv())
-            .map_err(|e| format!("write {}: {e}", path.display()))?;
-        eprintln!("[out] wrote {}", path.display());
-    }
+/// Removes a finished sweep's checkpoint.
+fn close_checkpoint(ckpt: Option<Checkpoint>) {
     if let Some(mut ck) = ckpt {
         if let Err(e) = ck.clear() {
             eprintln!(
@@ -409,101 +376,215 @@ fn faults_command(args: impl Iterator<Item = String>) -> Result<(), String> {
             );
         }
     }
-    Ok(())
 }
 
-/// Options of the `crono trace` subcommand.
-struct TraceOptions {
-    bench: Benchmark,
-    threads: usize,
-    scale: Scale,
-    backend: TraceBackend,
-    ablation: Option<Ablation>,
-    out: PathBuf,
-    capacity: usize,
-    progress: bool,
-}
-
-fn parse_trace_args(mut args: impl Iterator<Item = String>) -> Result<TraceOptions, String> {
-    let mut bench = None;
-    let mut threads = 16usize;
-    let mut scale = Scale::test();
-    let mut backend = TraceBackend::Sim;
-    let mut ablation = None;
-    let mut out = PathBuf::from("trace.json");
-    let mut capacity = TraceConfig::default().capacity;
-    let mut progress = true;
-    while let Some(flag) = args.next() {
-        match flag.as_str() {
-            "--ablation" => {
-                let name = args.next().ok_or("--ablation needs a value")?;
-                ablation = Some(Ablation::by_name(&name).ok_or_else(|| unknown_ablation(&name))?);
-            }
-            "--bench" => {
-                let name = args.next().ok_or("--bench needs a value")?;
-                bench = Some(
-                    Benchmark::by_label(&name)
-                        .ok_or_else(|| format!("unknown benchmark {name:?} (e.g. bfs, pagerank)"))?,
-                );
-            }
-            "--threads" => {
-                let v = args.next().ok_or("--threads needs a value")?;
-                threads = v
-                    .parse()
-                    .ok()
-                    .filter(|&t: &usize| t > 0)
-                    .ok_or_else(|| format!("invalid thread count {v:?}"))?;
-            }
-            "--scale" => {
-                let name = args.next().ok_or("--scale needs a value")?;
-                scale = Scale::by_name(&name)
-                    .ok_or_else(|| format!("unknown scale {name:?} (test|small|paper)"))?;
-            }
-            "--backend" => {
-                let name = args.next().ok_or("--backend needs a value")?;
-                backend = TraceBackend::by_name(&name)
-                    .ok_or_else(|| format!("unknown backend {name:?} (sim|native)"))?;
-            }
-            "--out" => out = PathBuf::from(args.next().ok_or("--out needs a value")?),
-            "--capacity" => {
-                let v = args.next().ok_or("--capacity needs a value")?;
-                capacity = v
-                    .parse()
-                    .ok()
-                    .filter(|&c: &usize| c > 0)
-                    .ok_or_else(|| format!("invalid capacity {v:?}"))?;
-            }
-            "--quiet" => progress = false,
-            other => return Err(format!("unknown flag {other:?}\n\n{USAGE}")),
+/// The table, figure and `ablation` commands.
+fn paper_command(command: &str, a: &Args) -> Result<ExitCode, String> {
+    const SWEEPS: [&str; 7] = ["fig1", "fig2", "fig3", "fig4", "fig6", "compare", "all"];
+    let trace_dir = a.path("--trace");
+    if trace_dir.is_some() && !SWEEPS.contains(&command) {
+        return Err(
+            "--trace only applies to sweep-based commands (fig1-fig4, fig6, compare, all)".into(),
+        );
+    }
+    let mut scale = a
+        .pick("--scale", "scale", Scale::by_name)?
+        .unwrap_or_else(Scale::small);
+    if a.switch("--paper-scale") {
+        scale = Scale::paper();
+    }
+    let out = a.path("--out");
+    let progress = !a.switch("--quiet");
+    // `ablation` matches backend names exactly; `trace` folds case.
+    let backend = a
+        .pick("--backend", "backend", |v| match v {
+            "sim" => Some(TraceBackend::Sim),
+            "native" => Some(TraceBackend::Native),
+            _ => None,
+        })?
+        .unwrap_or(TraceBackend::Sim);
+    let filter = a.value("--ablation", ablation_by_name)?;
+    let mut ckpt = match command {
+        "ablation" => open_checkpoint(a, "ablation", "cell(s)")?,
+        _ => None,
+    };
+    let config = SimConfig::default();
+    let energy = EnergyModel::default();
+    let sweep = SWEEPS
+        .contains(&command)
+        .then(|| Sweep::run(&scale, &config, progress));
+    let ooo_sweep = ["fig7", "fig8", "all"]
+        .contains(&command)
+        .then(|| Sweep::run(&scale, &SimConfig::paper_ooo(), progress));
+    let s = || sweep.as_ref().expect("sweep ran");
+    let ooo = || ooo_sweep.as_ref().expect("ooo sweep ran");
+    let names = match command {
+        "all" => &[
+            "table1", "table2", "table3", "fig1", "fig2", "fig3", "fig4", "fig5", "table4", "fig6",
+            "fig7", "fig8", "fig9", "ablation", "compare",
+        ][..],
+        _ => std::slice::from_ref(&command),
+    };
+    for &name in names {
+        let tables = match name {
+            "table1" => vec![tables::table1()],
+            "table2" => vec![tables::table2(&config)],
+            "table3" => vec![tables::table3()],
+            "table4" => vec![table4::generate(&scale, &config, progress)],
+            "fig1" => vec![fig1::generate(s()), fig1::best_speedups(s())],
+            "fig2" => vec![fig2::generate(s())],
+            "fig3" => vec![fig34::fig3(s())],
+            "fig4" => vec![fig34::fig4(s())],
+            "fig5" => fig5::generate(&scale, &config, progress),
+            "fig6" => vec![fig6::generate(s(), &energy)],
+            "fig7" => vec![fig78::fig7(ooo())],
+            "fig8" => vec![fig78::fig8(ooo())],
+            "fig9" => vec![fig9::generate(&scale, 3, progress)],
+            "ablation" => vec![match backend {
+                TraceBackend::Native => {
+                    ablation::generate_native_resumable(&scale, filter, progress, ckpt.as_mut())
+                }
+                TraceBackend::Sim => {
+                    ablation::generate_resumable(&scale, &config, filter, progress, ckpt.as_mut())
+                }
+            }],
+            "compare" => crono_suite::paper::compare(s()),
+            other => unreachable!("{other} is not a paper command"),
+        };
+        // Emit per command so partial results of `all` survive
+        // interruption.
+        emit(&tables, &out)?;
+    }
+    close_checkpoint(ckpt);
+    if let (Some(dir), Some(s)) = (&trace_dir, &sweep) {
+        let paths = s
+            .write_traces(dir, &TraceConfig::default(), progress)
+            .map_err(|e| format!("could not write traces to {}: {e}", dir.display()))?;
+        for p in paths {
+            eprintln!("[trace] wrote {}", p.display());
         }
     }
-    Ok(TraceOptions {
-        bench: bench.ok_or("trace needs --bench <NAME>")?,
-        threads,
-        scale,
-        backend,
-        ablation,
-        out,
-        capacity,
-        progress,
-    })
+    Ok(ExitCode::SUCCESS)
 }
 
-fn trace_command(args: impl Iterator<Item = String>) -> Result<(), String> {
-    let opts = parse_trace_args(args)?;
+fn faults_command(a: &Args) -> Result<ExitCode, String> {
+    let degraded = a.switch("--degraded");
+    let (misplaced, rule) = if degraded {
+        (&["--quick", "--scale", "--resume"][..], "does not apply to")
+    } else {
+        (
+            &["--routing", "--slo-p99-us", "--queries", "--clients"][..],
+            "only applies to",
+        )
+    };
+    if let Some(flag) = misplaced.iter().find(|f| a.switch(f)) {
+        return Err(format!("{flag} {rule} `crono faults --degraded`"));
+    }
+    if degraded {
+        return degraded_command(a);
+    }
+    let quick = a.switch("--quick");
+    let scale = a
+        .pick("--scale", "scale", Scale::by_name)?
+        .unwrap_or_else(Scale::small);
+    let fc = FaultsConfig {
+        seed: a.num("--seed", "seed", |_| true)?.unwrap_or(42),
+        threads: a
+            .num("--threads", "thread count", positive)?
+            .unwrap_or(if quick { 8 } else { 16 }),
+        quick,
+    };
+    let progress = !a.switch("--quiet");
+    let mut ckpt = open_checkpoint(a, "faults", "point(s)")?;
+    // --quick is the CI smoke configuration: tiny machine, test-scale
+    // inputs, BFS only (see experiments::faults::QUICK_RATES).
+    let (scale, config) = if quick {
+        (Scale::test(), SimConfig::tiny(16))
+    } else {
+        (scale, SimConfig::default())
+    };
+    let table = faults::generate(&scale, &config, &fc, progress, ckpt.as_mut());
+    emit(&[table], &a.path("--out"))?;
+    close_checkpoint(ckpt);
+    Ok(ExitCode::SUCCESS)
+}
+
+/// `crono faults --degraded`: the permanent-fault serving sweep plus
+/// the healthy-vs-degraded routing heatmap pair.
+fn degraded_command(a: &Args) -> Result<ExitCode, String> {
+    let d = DegradedConfig::default();
+    let dc = DegradedConfig {
+        seed: a.num("--seed", "seed", |_| true)?.unwrap_or(d.seed),
+        threads: a
+            .num("--threads", "thread count", positive)?
+            .unwrap_or(d.threads),
+        queries: a
+            .num("--queries", "query count", positive)?
+            .unwrap_or(d.queries),
+        clients: a
+            .num("--clients", "client count", positive)?
+            .unwrap_or(d.clients),
+        slo_p99_us: a
+            .num("--slo-p99-us", "SLO", |s: &f64| s.is_finite() && *s > 0.0)?
+            .unwrap_or(d.slo_p99_us),
+        routing: a
+            .pick("--routing", "routing policy", |v| match v {
+                "xy" => Some(RoutingPolicy::XyDimensionOrder),
+                "o1turn" => Some(RoutingPolicy::O1Turn),
+                _ => None,
+            })?
+            .unwrap_or(d.routing),
+    };
+    let out = a.path("--out");
+    let table = degraded::generate(&dc, !a.switch("--quiet"))?;
+    emit(&[table], &out)?;
+    if let Some(dir) = &out {
+        let (healthy, degraded_map) = degraded::heatmap_pair(&dc)?;
+        for (name, tsv) in [
+            ("heatmap_healthy", healthy),
+            ("heatmap_degraded", degraded_map),
+        ] {
+            let path = dir.join(format!("{name}.tsv"));
+            std::fs::write(&path, tsv).map_err(|e| format!("write {}: {e}", path.display()))?;
+            eprintln!("[out] wrote {}", path.display());
+        }
+    }
+    Ok(ExitCode::SUCCESS)
+}
+
+fn trace_command(a: &Args) -> Result<ExitCode, String> {
+    let bench = a
+        .value("--bench", |name| {
+            Benchmark::by_label(name)
+                .ok_or_else(|| format!("unknown benchmark {name:?} (e.g. bfs, pagerank)"))
+        })?
+        .ok_or("trace needs --bench <NAME>")?;
+    let threads = a.num("--threads", "thread count", positive)?.unwrap_or(16);
+    let scale = a
+        .pick("--scale", "scale", Scale::by_name)?
+        .unwrap_or_else(Scale::test);
+    let backend = a
+        .pick("--backend", "backend", TraceBackend::by_name)?
+        .unwrap_or(TraceBackend::Sim);
+    let ablation = a.value("--ablation", ablation_by_name)?;
+    let out = a
+        .path("--out")
+        .unwrap_or_else(|| PathBuf::from("trace.json"));
+    let capacity = a
+        .num("--capacity", "capacity", positive)?
+        .unwrap_or(TraceConfig::default().capacity);
     let sim_config = SimConfig::default();
-    if opts.backend == TraceBackend::Sim && opts.threads > sim_config.num_cores {
+    if backend == TraceBackend::Sim && threads > sim_config.num_cores {
         return Err(format!(
-            "{} threads exceed the simulated machine's {} cores",
-            opts.threads, sim_config.num_cores
+            "{threads} threads exceed the simulated machine's {} cores",
+            sim_config.num_cores
         ));
     }
-    if let Some(a) = opts.ablation {
-        if !a.applies_to(opts.bench) {
+    if let Some(abl) = ablation {
+        if !abl.applies_to(bench) {
             return Err(format!(
-                "ablation {a} does not change {}; it applies to: {}",
-                opts.bench,
-                a.benchmarks()
+                "ablation {abl} does not change {bench}; it applies to: {}",
+                abl.benchmarks()
                     .iter()
                     .map(|b| b.label())
                     .collect::<Vec<_>>()
@@ -511,77 +592,58 @@ fn trace_command(args: impl Iterator<Item = String>) -> Result<(), String> {
             ));
         }
     }
-    if opts.progress {
-        let variant = opts
-            .ablation
-            .map(|a| format!(", ablation {a}"))
+    if !a.switch("--quiet") {
+        let variant = ablation
+            .map(|abl| format!(", ablation {abl}"))
             .unwrap_or_default();
         eprintln!(
-            "[trace] {} on {} ({} threads, scale {}{variant})",
-            opts.bench,
-            opts.backend.name(),
-            opts.threads,
-            opts.scale.name
+            "[trace] {bench} on {} ({threads} threads, scale {}{variant})",
+            backend.name(),
+            scale.name
         );
     }
     let trace = run_traced_ablated(
-        opts.bench,
-        &opts.scale,
-        opts.threads,
-        opts.backend,
+        bench,
+        &scale,
+        threads,
+        backend,
         &sim_config,
         // Explicit single-benchmark traces carry router geometry so
         // `crono heatmap` can aggregate them; sweep traces keep the
         // leaner default stream.
-        &TraceConfig::with_capacity(opts.capacity).noc_geometry(true),
-        opts.ablation,
+        &TraceConfig::with_capacity(capacity).noc_geometry(true),
+        ablation,
     );
-    if let Some(dir) = opts.out.parent().filter(|d| !d.as_os_str().is_empty()) {
+    if let Some(dir) = out.parent().filter(|d| !d.as_os_str().is_empty()) {
         std::fs::create_dir_all(dir).map_err(|e| format!("create {}: {e}", dir.display()))?;
     }
-    std::fs::write(&opts.out, trace.to_chrome_json())
-        .map_err(|e| format!("write {}: {e}", opts.out.display()))?;
+    std::fs::write(&out, trace.to_chrome_json())
+        .map_err(|e| format!("write {}: {e}", out.display()))?;
     print!("{}", trace.summary());
-    println!("wrote {}", opts.out.display());
-    Ok(())
+    println!("wrote {}", out.display());
+    Ok(ExitCode::SUCCESS)
 }
 
-/// `crono trace-diff a.json b.json [--tolerance F] [--quiet]`.
-///
-/// Returns `Ok(true)` when the second trace regressed beyond the
-/// tolerance (the caller exits nonzero).
-fn trace_diff_command(mut args: impl Iterator<Item = String>) -> Result<bool, String> {
-    let mut paths: Vec<PathBuf> = Vec::new();
-    let mut tolerance = 0.0f64;
-    let mut progress = true;
-    while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "--tolerance" => {
-                let v = args.next().ok_or("--tolerance needs a value")?;
-                tolerance = v
-                    .parse()
-                    .ok()
-                    .filter(|t: &f64| t.is_finite() && *t >= 0.0)
-                    .ok_or_else(|| format!("invalid tolerance {v:?} (need a fraction >= 0)"))?;
-            }
-            "--quiet" => progress = false,
-            other if other.starts_with("--") => {
-                return Err(format!("unknown flag {other:?}\n\n{USAGE}"))
-            }
-            path => paths.push(PathBuf::from(path)),
-        }
-    }
-    let [a_path, b_path] = paths.as_slice() else {
-        return Err(format!("trace-diff needs exactly two trace files\n\n{USAGE}"));
+/// `crono trace-diff a.json b.json`: fails when the second trace
+/// regressed beyond the tolerance.
+fn trace_diff_command(a: &Args) -> Result<ExitCode, String> {
+    let [a_path, b_path] = a.positional.as_slice() else {
+        return Err("trace-diff needs exactly two trace files".into());
     };
-    let read = |p: &PathBuf| {
-        std::fs::read_to_string(p).map_err(|e| format!("read {}: {e}", p.display()))
-    };
-    let a = CounterSummary::parse(&read(a_path)?)
-        .map_err(|e| format!("{}: {e}", a_path.display()))?;
-    let b = CounterSummary::parse(&read(b_path)?)
-        .map_err(|e| format!("{}: {e}", b_path.display()))?;
-    let diff = TraceDiff::between(&a, &b);
+    let tolerance = a
+        .num("--tolerance", "tolerance", |t: &f64| {
+            t.is_finite() && *t >= 0.0
+        })
+        .map_err(|e| e + " (need a fraction >= 0)")?
+        .unwrap_or(0.0);
+    let progress = !a.switch("--quiet");
+    let read =
+        |p: &PathBuf| std::fs::read_to_string(p).map_err(|e| format!("read {}: {e}", p.display()));
+    let before =
+        CounterSummary::parse(&read(a_path)?).map_err(|e| format!("{}: {e}", a_path.display()))?;
+    let after =
+        CounterSummary::parse(&read(b_path)?).map_err(|e| format!("{}: {e}", b_path.display()))?;
+    let diff = TraceDiff::between(&before, &after);
     if progress || !diff.is_zero() {
         print!("{}", diff.render());
     }
@@ -590,7 +652,7 @@ fn trace_diff_command(mut args: impl Iterator<Item = String>) -> Result<bool, St
         if progress {
             println!("no regressions (tolerance {tolerance})");
         }
-        Ok(false)
+        Ok(ExitCode::SUCCESS)
     } else {
         let names: Vec<&str> = regressions.iter().map(|r| r.name.as_str()).collect();
         println!(
@@ -598,36 +660,22 @@ fn trace_diff_command(mut args: impl Iterator<Item = String>) -> Result<bool, St
             regressions.len(),
             names.join(", ")
         );
-        Ok(true)
+        Ok(ExitCode::FAILURE)
     }
 }
 
-/// `crono heatmap trace.json [--out heat.tsv] [--quiet]`.
-///
-/// Aggregates a Chrome-JSON simulator trace's `noc_route` instants
-/// (emitted by `crono trace`, which records router geometry) into a
-/// per-router mesh-traffic TSV.
-fn heatmap_command(mut args: impl Iterator<Item = String>) -> Result<(), String> {
-    let mut trace_path: Option<PathBuf> = None;
-    let mut out: Option<PathBuf> = None;
-    let mut progress = true;
-    while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "--out" => out = Some(PathBuf::from(args.next().ok_or("--out needs a value")?)),
-            "--quiet" => progress = false,
-            other if other.starts_with("--") => {
-                return Err(format!("unknown flag {other:?}\n\n{USAGE}"))
-            }
-            path if trace_path.is_none() => trace_path = Some(PathBuf::from(path)),
-            extra => return Err(format!("unexpected argument {extra:?}\n\n{USAGE}")),
-        }
-    }
-    let trace_path = trace_path.ok_or(format!("heatmap needs a trace file\n\n{USAGE}"))?;
-    let json = std::fs::read_to_string(&trace_path)
+/// `crono heatmap trace.json`: aggregates a Chrome-JSON simulator
+/// trace's `noc_route` instants (emitted by `crono trace`, which
+/// records router geometry) into a per-router mesh-traffic TSV.
+fn heatmap_command(a: &Args) -> Result<ExitCode, String> {
+    let [trace_path] = a.positional.as_slice() else {
+        return Err("heatmap needs exactly one trace file".into());
+    };
+    let json = std::fs::read_to_string(trace_path)
         .map_err(|e| format!("read {}: {e}", trace_path.display()))?;
     let heat = crono_trace::Heatmap::from_chrome_json(&json)
         .map_err(|e| format!("{}: {e}", trace_path.display()))?;
-    if progress {
+    if !a.switch("--quiet") {
         eprintln!(
             "[heatmap] {}x{} mesh, {} flit-hops over {} route event(s)",
             heat.rows(),
@@ -636,7 +684,7 @@ fn heatmap_command(mut args: impl Iterator<Item = String>) -> Result<(), String>
             heat.total_events()
         );
     }
-    match out {
+    match a.path("--out") {
         Some(path) => {
             if let Some(dir) = path.parent().filter(|d| !d.as_os_str().is_empty()) {
                 std::fs::create_dir_all(dir)
@@ -648,300 +696,88 @@ fn heatmap_command(mut args: impl Iterator<Item = String>) -> Result<(), String>
         }
         None => print!("{}", heat.to_tsv()),
     }
-    Ok(())
+    Ok(ExitCode::SUCCESS)
 }
 
-/// Options shared by `crono serve` (workload replay) and
-/// `crono bombard` (seeded load generation).
-struct ServeOptions {
-    scale: Scale,
-    threads: usize,
-    workload: Option<PathBuf>,
-    queries: usize,
-    clients: usize,
-    seed: u64,
-    mix: Mix,
-    ms_sssp_width: Option<usize>,
-    timeout_ms: Option<u64>,
-    out: Option<PathBuf>,
-    progress: bool,
-}
-
-fn parse_serve_args(mut args: impl Iterator<Item = String>) -> Result<ServeOptions, String> {
-    let mut scale = Scale::small();
-    let mut threads = 8usize;
-    let mut workload = None;
-    let mut queries = 512usize;
-    let mut clients = 32usize;
-    let mut seed = 7u64;
-    let mut mix = Mix::Default;
-    let mut ms_sssp_width = None;
-    let mut timeout_ms = None;
-    let mut out = None;
-    let mut progress = true;
-    while let Some(flag) = args.next() {
-        match flag.as_str() {
-            "--scale" => {
-                let name = args.next().ok_or("--scale needs a value")?;
-                scale = Scale::by_name(&name)
-                    .ok_or_else(|| format!("unknown scale {name:?} (test|small|paper)"))?;
-            }
-            "--threads" => {
-                let v = args.next().ok_or("--threads needs a value")?;
-                threads = v
-                    .parse()
-                    .ok()
-                    .filter(|&t: &usize| t > 0)
-                    .ok_or_else(|| format!("invalid thread count {v:?}"))?;
-            }
-            "--workload" => {
-                workload = Some(PathBuf::from(args.next().ok_or("--workload needs a value")?));
-            }
-            "--queries" => {
-                let v = args.next().ok_or("--queries needs a value")?;
-                queries = v
-                    .parse()
-                    .ok()
-                    .filter(|&q: &usize| q > 0)
-                    .ok_or_else(|| format!("invalid query count {v:?}"))?;
-            }
-            "--clients" => {
-                let v = args.next().ok_or("--clients needs a value")?;
-                clients = v
-                    .parse()
-                    .ok()
-                    .filter(|&c: &usize| c > 0)
-                    .ok_or_else(|| format!("invalid client count {v:?}"))?;
-            }
-            "--seed" => {
-                let v = args.next().ok_or("--seed needs a value")?;
-                seed = v.parse().map_err(|_| format!("invalid seed {v:?}"))?;
-            }
-            "--mix" => {
-                let name = args.next().ok_or("--mix needs a value")?;
-                mix = Mix::by_name(&name)
-                    .ok_or_else(|| format!("unknown mix {name:?} (default|sssp-heavy)"))?;
-            }
-            "--ms-sssp-width" => {
-                let v = args.next().ok_or("--ms-sssp-width needs a value")?;
-                ms_sssp_width = Some(
-                    v.parse::<usize>()
-                        .ok()
-                        .filter(|&w| w > 0)
-                        .ok_or_else(|| format!("invalid batch width {v:?}"))?,
-                );
-            }
-            "--timeout-ms" => {
-                let v = args.next().ok_or("--timeout-ms needs a value")?;
-                timeout_ms = Some(
-                    v.parse::<u64>()
-                        .ok()
-                        .filter(|&t| t > 0)
-                        .ok_or_else(|| format!("invalid timeout {v:?}"))?,
-                );
-            }
-            "--out" => out = Some(PathBuf::from(args.next().ok_or("--out needs a value")?)),
-            "--quiet" => progress = false,
-            other => return Err(format!("unknown flag {other:?}\n\n{USAGE}")),
-        }
-    }
-    Ok(ServeOptions {
-        scale,
-        threads,
-        workload,
-        queries,
-        clients,
-        seed,
-        mix,
-        ms_sssp_width,
-        timeout_ms,
-        out,
-        progress,
+/// The graph options `crono scale` and `crono gen` share. `gen`'s
+/// signature rejects the build-only flags, so they keep their defaults
+/// there.
+fn track_config(a: &Args) -> Result<ScaleTrackConfig, String> {
+    let d = ScaleTrackConfig::default();
+    Ok(ScaleTrackConfig {
+        graph: a
+            .pick("--graph", "graph", GraphKind::by_name)?
+            .unwrap_or(d.graph),
+        graph_scale: a
+            .num("--graph-scale", "graph scale", |s| (1..=31).contains(s))
+            .map_err(|e| e + " (1..=31)")?
+            .unwrap_or(d.graph_scale),
+        degree: a.num("--degree", "degree", positive)?.unwrap_or(d.degree),
+        blocks: a
+            .num("--shards", "shard count", positive)?
+            .unwrap_or(d.blocks),
+        two_d: a
+            .pick("--partition", "partition", |v| match v {
+                "1d" => Some(false),
+                "2d" => Some(true),
+                _ => None,
+            })?
+            .unwrap_or(d.two_d),
+        compressed: a
+            .pick("--repr", "representation", |v| match v {
+                "compressed" => Some(true),
+                "plain" => Some(false),
+                _ => None,
+            })?
+            .unwrap_or(d.compressed),
+        mirrored: d.mirrored || a.switch("--mirror"),
+        threads: a
+            .num("--threads", "thread count", positive)?
+            .unwrap_or(d.threads),
+        seed: a.num("--seed", "seed", |_| true)?.unwrap_or(d.seed),
+        sort_buffer_edges: a
+            .num("--sort-buffer", "sort buffer", positive)
+            .map_err(|e| e + " (edges)")?
+            .unwrap_or(d.sort_buffer_edges),
+        // Spill next to the output when no explicit directory was given,
+        // so a crashed run's leftovers are easy to find and remove.
+        spill_dir: a
+            .path("--spill")
+            .or_else(|| a.path("--out"))
+            .unwrap_or_else(std::env::temp_dir),
+        pagerank_iters: a
+            .num("--iters", "iteration count", positive)?
+            .unwrap_or(d.pagerank_iters),
     })
 }
 
-/// Options shared by `crono scale` and `crono gen`.
-struct ScaleOptions {
-    config: ScaleTrackConfig,
-    chunk: usize,
-    out: Option<PathBuf>,
-    resume: bool,
-    progress: bool,
+fn scale_command(a: &Args) -> Result<ExitCode, String> {
+    let config = track_config(a)?;
+    let mut ckpt = open_checkpoint(a, "scale", "row group(s)")?;
+    let table = scale_track::generate(&config, !a.switch("--quiet"), ckpt.as_mut())?;
+    emit(&[table], &a.path("--out"))?;
+    close_checkpoint(ckpt);
+    Ok(ExitCode::SUCCESS)
 }
 
-fn parse_scale_args(mut args: impl Iterator<Item = String>) -> Result<ScaleOptions, String> {
-    let mut config = ScaleTrackConfig::default();
-    let mut chunk = 1 << 16;
-    let mut out = None;
-    let mut spill = None;
-    let mut resume = false;
-    let mut progress = true;
-    while let Some(flag) = args.next() {
-        match flag.as_str() {
-            "--graph" => {
-                let name = args.next().ok_or("--graph needs a value")?;
-                config.graph = GraphKind::by_name(&name)
-                    .ok_or_else(|| format!("unknown graph {name:?} (rmat|uniform)"))?;
-            }
-            "--graph-scale" => {
-                let v = args.next().ok_or("--graph-scale needs a value")?;
-                config.graph_scale = v
-                    .parse()
-                    .ok()
-                    .filter(|&s: &u32| (1..=31).contains(&s))
-                    .ok_or_else(|| format!("invalid graph scale {v:?} (1..=31)"))?;
-            }
-            "--degree" => {
-                let v = args.next().ok_or("--degree needs a value")?;
-                config.degree = v
-                    .parse()
-                    .ok()
-                    .filter(|&d: &u64| d > 0)
-                    .ok_or_else(|| format!("invalid degree {v:?}"))?;
-            }
-            "--shards" => {
-                let v = args.next().ok_or("--shards needs a value")?;
-                config.blocks = v
-                    .parse()
-                    .ok()
-                    .filter(|&b: &usize| b > 0)
-                    .ok_or_else(|| format!("invalid shard count {v:?}"))?;
-            }
-            "--partition" => {
-                let v = args.next().ok_or("--partition needs a value")?;
-                config.two_d = match v.as_str() {
-                    "1d" => false,
-                    "2d" => true,
-                    _ => return Err(format!("unknown partition {v:?} (1d|2d)")),
-                };
-            }
-            "--repr" => {
-                let v = args.next().ok_or("--repr needs a value")?;
-                config.compressed = match v.as_str() {
-                    "compressed" => true,
-                    "plain" => false,
-                    _ => return Err(format!("unknown representation {v:?} (compressed|plain)")),
-                };
-            }
-            "--mirror" => config.mirrored = true,
-            "--threads" => {
-                let v = args.next().ok_or("--threads needs a value")?;
-                config.threads = v
-                    .parse()
-                    .ok()
-                    .filter(|&t: &usize| t > 0)
-                    .ok_or_else(|| format!("invalid thread count {v:?}"))?;
-            }
-            "--seed" => {
-                let v = args.next().ok_or("--seed needs a value")?;
-                config.seed = v.parse().map_err(|_| format!("invalid seed {v:?}"))?;
-            }
-            "--sort-buffer" => {
-                let v = args.next().ok_or("--sort-buffer needs a value")?;
-                config.sort_buffer_edges = v
-                    .parse()
-                    .ok()
-                    .filter(|&e: &usize| e > 0)
-                    .ok_or_else(|| format!("invalid sort buffer {v:?} (edges)"))?;
-            }
-            "--spill" => spill = Some(PathBuf::from(args.next().ok_or("--spill needs a value")?)),
-            "--iters" => {
-                let v = args.next().ok_or("--iters needs a value")?;
-                config.pagerank_iters = v
-                    .parse()
-                    .ok()
-                    .filter(|&i: &usize| i > 0)
-                    .ok_or_else(|| format!("invalid iteration count {v:?}"))?;
-            }
-            "--chunk" => {
-                let v = args.next().ok_or("--chunk needs a value")?;
-                chunk = v
-                    .parse()
-                    .ok()
-                    .filter(|&c: &usize| c > 0)
-                    .ok_or_else(|| format!("invalid chunk size {v:?}"))?;
-            }
-            "--out" => out = Some(PathBuf::from(args.next().ok_or("--out needs a value")?)),
-            "--resume" => resume = true,
-            "--quiet" => progress = false,
-            other => return Err(format!("unknown flag {other:?}\n\n{USAGE}")),
-        }
-    }
-    if resume && out.is_none() {
-        return Err("--resume needs --out DIR (the checkpoint lives in the output directory)"
-            .to_string());
-    }
-    // Spill next to the output when no explicit directory was given, so
-    // a crashed run's leftovers are easy to find and remove.
-    config.spill_dir = spill.unwrap_or_else(|| match &out {
-        Some(dir) => dir.clone(),
-        None => std::env::temp_dir(),
-    });
-    Ok(ScaleOptions {
-        config,
-        chunk,
-        out,
-        resume,
-        progress,
-    })
-}
-
-fn scale_command(args: impl Iterator<Item = String>) -> Result<(), String> {
-    let opts = parse_scale_args(args)?;
-    let mut ckpt = None;
-    if let Some(dir) = &opts.out {
-        std::fs::create_dir_all(dir)
-            .map_err(|e| format!("create output directory {}: {e}", dir.display()))?;
-        let path = dir.join("scale.resume.tsv");
-        let mut ck = Checkpoint::open(&path)
-            .map_err(|e| format!("open checkpoint {}: {e}", path.display()))?;
-        if !opts.resume {
-            ck.clear()
-                .map_err(|e| format!("reset checkpoint {}: {e}", path.display()))?;
-        } else if opts.progress && !ck.is_empty() {
-            eprintln!("[scale] resuming: {} row group(s) already done", ck.len());
-        }
-        ckpt = Some(ck);
-    }
-    let table = scale_track::generate(&opts.config, opts.progress, ckpt.as_mut())?;
-    println!("{}", table.render());
-    if let Some(dir) = &opts.out {
-        let path = dir.join(format!("{}.tsv", table.file_stem()));
-        std::fs::write(&path, table.to_tsv())
-            .map_err(|e| format!("write {}: {e}", path.display()))?;
-        eprintln!("[out] wrote {}", path.display());
-    }
-    if let Some(mut ck) = ckpt {
-        if let Err(e) = ck.clear() {
-            eprintln!(
-                "warning: could not remove finished checkpoint {}: {e}",
-                ck.path().display()
-            );
-        }
-    }
-    Ok(())
-}
-
-fn gen_command(args: impl Iterator<Item = String>) -> Result<(), String> {
+fn gen_command(a: &Args) -> Result<ExitCode, String> {
     use crono_graph::io::write_edge_stream;
     use crono_graph::stream::{mirror, RmatStream, UniformStream};
 
-    let opts = parse_scale_args(args)?;
-    if opts.resume {
-        return Err("--resume does not apply to `crono gen`".to_string());
-    }
-    let cfg = &opts.config;
+    let cfg = track_config(a)?;
+    let chunk = a.num("--chunk", "chunk size", positive)?.unwrap_or(1 << 16);
+    let out = a.path("--out");
     let n = 1usize << cfg.graph_scale;
     let draws = n as u64 * cfg.degree;
     let write = |edges: &mut dyn Iterator<Item = (u32, u32, u32)>| -> Result<u64, String> {
-        match &opts.out {
+        match &out {
             Some(path) => {
                 let file = std::fs::File::create(path)
                     .map_err(|e| format!("create {}: {e}", path.display()))?;
-                write_edge_stream(edges, file, opts.chunk)
+                write_edge_stream(edges, file, chunk)
                     .map_err(|e| format!("write {}: {e}", path.display()))
             }
-            None => write_edge_stream(edges, std::io::stdout().lock(), opts.chunk)
+            None => write_edge_stream(edges, std::io::stdout().lock(), chunk)
                 .map_err(|e| format!("write stdout: {e}")),
         }
     };
@@ -971,72 +807,76 @@ fn gen_command(args: impl Iterator<Item = String>) -> Result<(), String> {
             }
         }
     };
-    if opts.progress {
-        match &opts.out {
+    if !a.switch("--quiet") {
+        match &out {
             Some(path) => eprintln!("[gen] wrote {lines} edge line(s) to {}", path.display()),
             None => eprintln!("[gen] wrote {lines} edge line(s)"),
         }
     }
-    Ok(())
+    Ok(ExitCode::SUCCESS)
 }
 
 /// `crono serve` (replay = true requires --workload) and
 /// `crono bombard` (generated stream).
-fn serve_command(args: impl Iterator<Item = String>, replay: bool) -> Result<(), String> {
+fn serve_command(a: &Args, replay: bool) -> Result<ExitCode, String> {
     use crono_suite::engine::{EngineOptions, ServeEngine};
     use crono_suite::serve::{bombard, parse_workload, run_workload, summarize, BombardOptions};
 
-    let opts = parse_serve_args(args)?;
-    let queries = match (&opts.workload, replay) {
-        (Some(path), true) => {
-            let text = std::fs::read_to_string(path)
+    let scale = a
+        .pick("--scale", "scale", Scale::by_name)?
+        .unwrap_or_else(Scale::small);
+    let threads = a.num("--threads", "thread count", positive)?.unwrap_or(8);
+    let d = BombardOptions::default();
+    let stream = BombardOptions {
+        queries: a
+            .num("--queries", "query count", positive)?
+            .unwrap_or(d.queries),
+        clients: a
+            .num("--clients", "client count", positive)?
+            .unwrap_or(d.clients),
+        seed: a.num("--seed", "seed", |_| true)?.unwrap_or(d.seed),
+        mix: a.pick("--mix", "mix", Mix::by_name)?.unwrap_or(d.mix),
+    };
+    let ms_sssp_width = a.num("--ms-sssp-width", "batch width", positive)?;
+    let timeout_ms = a.num("--timeout-ms", "timeout", positive)?;
+    let progress = !a.switch("--quiet");
+    let queries = match a.path("--workload") {
+        Some(path) => {
+            let text = std::fs::read_to_string(&path)
                 .map_err(|e| format!("read {}: {e}", path.display()))?;
             Some(parse_workload(&text).map_err(|e| format!("{}: {e}", path.display()))?)
         }
-        (None, true) => return Err(format!("serve needs --workload FILE\n\n{USAGE}")),
-        (Some(_), false) => {
-            return Err("--workload only applies to `crono serve`; bombard generates \
-                 its own stream"
-                .to_string())
-        }
-        (None, false) => None,
+        None if replay => return Err("serve needs --workload FILE".into()),
+        None => None,
     };
-    if opts.progress {
+    if progress {
         eprintln!(
             "[serve] building scale '{}' graph ({} vertices)",
-            opts.scale.name, opts.scale.sparse_vertices
+            scale.name, scale.sparse_vertices
         );
     }
-    let w = crono_suite::Workload::synthetic(&opts.scale);
+    let w = crono_suite::Workload::synthetic(&scale);
     let defaults = EngineOptions::default();
     let engine_opts = EngineOptions {
         pagerank_iters: w.pagerank_iters,
-        batch_timeout: opts.timeout_ms.map(std::time::Duration::from_millis),
+        batch_timeout: timeout_ms.map(std::time::Duration::from_millis),
         // --ms-sssp-width 1 is the per-query baseline (independent
         // sequential Dijkstra per SSSP miss).
-        ms_sssp_width: opts.ms_sssp_width.unwrap_or(defaults.ms_sssp_width),
+        ms_sssp_width: ms_sssp_width.unwrap_or(defaults.ms_sssp_width),
         ..defaults
     };
     let mut engine = ServeEngine::new(
-        crono_runtime::NativeMachine::new(opts.threads),
+        crono_runtime::NativeMachine::new(threads),
         w.graph,
         engine_opts,
     );
     let wall = std::time::Instant::now();
     let outcomes = match queries {
         Some(qs) => run_workload(&mut engine, &qs),
-        None => bombard(
-            &mut engine,
-            &BombardOptions {
-                queries: opts.queries,
-                clients: opts.clients,
-                seed: opts.seed,
-                mix: opts.mix,
-            },
-        ),
+        None => bombard(&mut engine, &stream),
     };
     let wall = wall.elapsed();
-    if opts.progress {
+    if progress {
         // Wall-clock numbers go to stderr only: serve.tsv reports
         // modeled latency/throughput and must stay byte-identical
         // across runs and hosts.
@@ -1054,8 +894,8 @@ fn serve_command(args: impl Iterator<Item = String>, replay: bool) -> Result<(),
             stats.batches,
         );
     }
-    let table = summarize(&outcomes, opts.threads);
-    emit(&[table], &opts.out)
+    emit(&[summarize(&outcomes, threads)], &a.path("--out"))?;
+    Ok(ExitCode::SUCCESS)
 }
 
 fn emit(tables: &[Table], out: &Option<PathBuf>) -> Result<(), String> {
@@ -1074,228 +914,53 @@ fn emit(tables: &[Table], out: &Option<PathBuf>) -> Result<(), String> {
 }
 
 fn main() -> ExitCode {
-    let mut raw = std::env::args().skip(1).peekable();
-    if raw.peek().map(String::as_str) == Some("trace") {
-        raw.next();
-        return match trace_command(raw) {
-            Ok(()) => ExitCode::SUCCESS,
-            Err(e) => {
-                eprintln!("{e}");
-                ExitCode::FAILURE
-            }
-        };
-    }
-    if raw.peek().map(String::as_str) == Some("trace-diff") {
-        raw.next();
-        return match trace_diff_command(raw) {
-            Ok(false) => ExitCode::SUCCESS,
-            Ok(true) => ExitCode::FAILURE,
-            Err(e) => {
-                eprintln!("{e}");
-                ExitCode::from(2)
-            }
-        };
-    }
-    if raw.peek().map(String::as_str) == Some("heatmap") {
-        raw.next();
-        return match heatmap_command(raw) {
-            Ok(()) => ExitCode::SUCCESS,
-            Err(e) => {
-                eprintln!("{e}");
-                ExitCode::FAILURE
-            }
-        };
-    }
-    if raw.peek().map(String::as_str) == Some("faults") {
-        raw.next();
-        return match faults_command(raw) {
-            Ok(()) => ExitCode::SUCCESS,
-            Err(e) => {
-                eprintln!("{e}");
-                ExitCode::FAILURE
-            }
-        };
-    }
-    if raw.peek().map(String::as_str) == Some("scale") {
-        raw.next();
-        return match scale_command(raw) {
-            Ok(()) => ExitCode::SUCCESS,
-            Err(e) => {
-                eprintln!("{e}");
-                ExitCode::FAILURE
-            }
-        };
-    }
-    if raw.peek().map(String::as_str) == Some("gen") {
-        raw.next();
-        return match gen_command(raw) {
-            Ok(()) => ExitCode::SUCCESS,
-            Err(e) => {
-                eprintln!("{e}");
-                ExitCode::FAILURE
-            }
-        };
-    }
-    if let Some(cmd @ ("serve" | "bombard")) = raw.peek().map(String::as_str) {
-        let replay = cmd == "serve";
-        raw.next();
-        return match serve_command(raw, replay) {
-            Ok(()) => ExitCode::SUCCESS,
-            Err(e) => {
-                eprintln!("{e}");
-                ExitCode::FAILURE
-            }
-        };
-    }
-    let opts = match parse_args() {
-        Ok(o) => o,
-        Err(e) => {
-            eprintln!("{e}");
-            return ExitCode::FAILURE;
-        }
+    let mut raw = std::env::args().skip(1);
+    let Some(command) = raw.next() else {
+        eprintln!("{}", usage());
+        return ExitCode::FAILURE;
     };
-    let config = SimConfig::default();
-    let ooo = SimConfig::paper_ooo();
-    let energy = EnergyModel::default();
-    let needs_sweep = ["fig1", "fig2", "fig3", "fig4", "fig6", "compare", "all"];
-    let sweep = needs_sweep
-        .contains(&opts.command.as_str())
-        .then(|| Sweep::run(&opts.scale, &config, opts.progress));
-    let needs_ooo = ["fig7", "fig8", "all"];
-    let ooo_sweep = needs_ooo
-        .contains(&opts.command.as_str())
-        .then(|| Sweep::run(&opts.scale, &ooo, opts.progress));
+    let result = Args::parse(&command, raw).and_then(|a| match command.as_str() {
+        "trace" => trace_command(&a),
+        "trace-diff" => trace_diff_command(&a),
+        "heatmap" => heatmap_command(&a),
+        "faults" => faults_command(&a),
+        "serve" => serve_command(&a, true),
+        "bombard" => serve_command(&a, false),
+        "scale" => scale_command(&a),
+        "gen" => gen_command(&a),
+        paper => paper_command(paper, &a),
+    });
+    result.unwrap_or_else(|e| {
+        eprintln!("{e}");
+        // Exit 1 from trace-diff means "regressed", so its usage errors
+        // exit 2, as an unknown command does.
+        let usage_error = command == "trace-diff" || signature(&command).is_none();
+        ExitCode::from(if usage_error { 2 } else { 1 })
+    })
+}
 
-    let mut tables: Vec<Table> = Vec::new();
-    let push_cmd = |name: &str, tables: &mut Vec<Table>| match name {
-        "table1" => tables.push(tables::table1()),
-        "table2" => tables.push(tables::table2(&config)),
-        "table3" => tables.push(tables::table3()),
-        "table4" => tables.push(table4::generate(&opts.scale, &config, opts.progress)),
-        "fig1" => {
-            let s = sweep.as_ref().expect("sweep ran");
-            tables.push(fig1::generate(s));
-            tables.push(fig1::best_speedups(s));
-        }
-        "fig2" => tables.push(fig2::generate(sweep.as_ref().expect("sweep ran"))),
-        "fig3" => tables.push(fig34::fig3(sweep.as_ref().expect("sweep ran"))),
-        "fig4" => tables.push(fig34::fig4(sweep.as_ref().expect("sweep ran"))),
-        "fig5" => tables.extend(fig5::generate(&opts.scale, &config, opts.progress)),
-        "fig6" => tables.push(fig6::generate(sweep.as_ref().expect("sweep ran"), &energy)),
-        "fig7" => tables.push(fig78::fig7(ooo_sweep.as_ref().expect("ooo sweep ran"))),
-        "fig8" => tables.push(fig78::fig8(ooo_sweep.as_ref().expect("ooo sweep ran"))),
-        "fig9" => tables.push(fig9::generate(&opts.scale, 3, opts.progress)),
-        "ablation" => {
-            if opts.resume {
-                // parse_args guarantees --resume comes with --out.
-                let dir = opts.out.as_ref().expect("--resume requires --out");
-                let path = dir.join("ablation.resume.tsv");
-                let table = std::fs::create_dir_all(dir)
-                    .map_err(|e| format!("create output directory {}: {e}", dir.display()))
-                    .and_then(|()| {
-                        Checkpoint::open(&path)
-                            .map_err(|e| format!("open checkpoint {}: {e}", path.display()))
-                    })
-                    .map(|mut ck| {
-                        if opts.progress && !ck.is_empty() {
-                            eprintln!("[ablation] resuming: {} cell(s) already done", ck.len());
-                        }
-                        let t = if opts.native_backend {
-                            ablation::generate_native_resumable(
-                                &opts.scale,
-                                opts.ablation_filter,
-                                opts.progress,
-                                Some(&mut ck),
-                            )
-                        } else {
-                            ablation::generate_resumable(
-                                &opts.scale,
-                                &config,
-                                opts.ablation_filter,
-                                opts.progress,
-                                Some(&mut ck),
-                            )
-                        };
-                        if let Err(e) = ck.clear() {
-                            eprintln!(
-                                "warning: could not remove finished checkpoint {}: {e}",
-                                ck.path().display()
-                            );
-                        }
-                        t
-                    });
-                match table {
-                    Ok(t) => tables.push(t),
-                    Err(e) => {
-                        eprintln!("{e}");
-                        std::process::exit(1);
-                    }
-                }
-            } else if opts.native_backend {
-                tables.push(ablation::generate_native(
-                    &opts.scale,
-                    opts.ablation_filter,
-                    opts.progress,
-                ));
-            } else {
-                tables.push(ablation::generate_resumable(
-                    &opts.scale,
-                    &config,
-                    opts.ablation_filter,
-                    opts.progress,
-                    None,
-                ));
-            }
-        }
-        "compare" => {
-            tables.extend(crono_suite::paper::compare(sweep.as_ref().expect("sweep ran")))
-        }
-        other => {
-            eprintln!("unknown command {other:?}\n\n{USAGE}");
-            std::process::exit(2);
-        }
-    };
-    if opts.command == "all" {
-        for name in [
-            "table1", "table2", "table3", "fig1", "fig2", "fig3", "fig4", "fig5", "table4",
-            "fig6", "fig7", "fig8", "fig9", "ablation", "compare",
-        ] {
-            // Emit incrementally so partial results survive interruption.
-            let mut batch = Vec::new();
-            push_cmd(name, &mut batch);
-            if let Err(e) = emit(&batch, &opts.out) {
-                eprintln!("{e}");
-                return ExitCode::FAILURE;
-            }
-            tables.extend(batch);
-        }
-    } else {
-        push_cmd(&opts.command, &mut tables);
-        if let Err(e) = emit(&tables, &opts.out) {
-            eprintln!("{e}");
-            return ExitCode::FAILURE;
-        }
-    }
-    if let Some(dir) = &opts.trace_dir {
-        match &sweep {
-            Some(s) => match s.write_traces(dir, &TraceConfig::default(), opts.progress) {
-                Ok(paths) => {
-                    for p in paths {
-                        eprintln!("[trace] wrote {}", p.display());
-                    }
-                }
-                Err(e) => {
-                    eprintln!("could not write traces to {}: {e}", dir.display());
-                    return ExitCode::FAILURE;
-                }
-            },
-            None => {
-                eprintln!(
-                    "--trace only applies to sweep-based commands (fig1-fig4, fig6, compare, all)"
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn signatures_and_flags_name_the_same_flags() {
+        for sig in SIGNATURES {
+            for flag in sig.flags.split_whitespace() {
+                assert!(
+                    FLAGS.iter().any(|(f, _)| *f == flag),
+                    "{flag} of {:?} is not in FLAGS",
+                    sig.commands
                 );
-                return ExitCode::FAILURE;
             }
         }
+        for (flag, _) in FLAGS {
+            assert!(
+                SIGNATURES
+                    .iter()
+                    .any(|s| s.flags.split_whitespace().any(|f| f == *flag)),
+                "no signature lists {flag}"
+            );
+        }
     }
-    ExitCode::SUCCESS
 }

@@ -655,3 +655,104 @@ fn gen_streams_an_edge_list_the_scale_build_accepts() {
     assert_eq!(text, std::fs::read_to_string(&path2).expect("second list"));
     std::fs::remove_dir_all(&dir).ok();
 }
+
+#[test]
+fn trace_flag_fails_before_any_table_is_written() {
+    let dir = std::env::temp_dir().join(format!("crono-trace-early-{}", std::process::id()));
+    let out = crono()
+        .args(["table1", "--quiet", "--trace"])
+        .arg(dir.join("traces"))
+        .arg("--out")
+        .arg(dir.join("out"))
+        .output()
+        .expect("binary runs");
+    assert_clean_failure(&out);
+    assert!(String::from_utf8_lossy(&out.stderr).contains("sweep-based"));
+    assert!(
+        !dir.join("out").exists(),
+        "table written before --trace was rejected"
+    );
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn degraded_xy_routing_fails_with_the_typed_route_error_only() {
+    let out = crono()
+        .args(["faults", "--degraded", "--routing", "xy", "--quiet"])
+        .output()
+        .expect("binary runs");
+    assert_clean_failure(&out);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("dead east link"), "{stderr}");
+    assert_eq!(stderr.lines().count(), 1, "{stderr}");
+}
+
+#[test]
+fn degraded_sweep_keeps_departing_cores_off_stderr() {
+    let out = crono()
+        .args(["faults", "--degraded", "--quiet"])
+        .output()
+        .expect("binary runs");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(out.status.success(), "stderr: {stderr}");
+    assert!(!stderr.contains("panicked"), "{stderr}");
+}
+
+/// Every command reads only the flags its signature lists: anything
+/// else is a one-line error that names the command.
+#[test]
+fn every_command_rejects_flags_it_does_not_read() {
+    let commands = "table1 table2 table3 table4 fig1 fig2 fig3 fig4 fig5 fig6 fig7 fig8 fig9 \
+                    compare all ablation trace trace-diff heatmap faults serve bombard scale gen";
+    for command in commands.split_whitespace() {
+        let out = crono()
+            .args([command, "--frobnicate"])
+            .output()
+            .expect("binary runs");
+        assert_clean_failure(&out);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(stderr.lines().count(), 1, "{command}: {stderr}");
+        assert!(stderr.contains(&format!("`crono {command}`")), "{stderr}");
+    }
+
+    let dir = std::env::temp_dir().join(format!("crono-flag-table-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    let wl = dir.join("workload.txt");
+    std::fs::write(&wl, "bfs 1\n").expect("write workload");
+    let wl = wl.to_str().expect("utf8 temp path");
+    let gen = ["gen", "--graph", "uniform", "--graph-scale", "6", "--quiet"];
+    let serve = ["serve", "--scale", "test", "--quiet", "--workload", wl];
+    let cases: Vec<(&[&str], &[&str])> = vec![
+        (&gen, &["--shards", "9"]),
+        (&gen, &["--partition", "2d"]),
+        (&gen, &["--repr", "plain"]),
+        (&gen, &["--threads", "2"]),
+        (&gen, &["--sort-buffer", "64"]),
+        (&gen, &["--spill", "/tmp"]),
+        (&gen, &["--iters", "3"]),
+        (
+            &["scale", "--graph-scale", "6", "--quiet"],
+            &["--chunk", "8"],
+        ),
+        (&serve, &["--queries", "5"]),
+        (&serve, &["--clients", "2"]),
+        (&serve, &["--seed", "3"]),
+        (&serve, &["--mix", "sssp-heavy"]),
+        (&["faults", "--quick", "--quiet"], &["--routing", "xy"]),
+        (&["faults", "--degraded", "--quiet"], &["--scale", "test"]),
+        (&["faults", "--degraded", "--quiet"], &["--quick"]),
+    ];
+    for (base, flag) in cases {
+        let out = crono().args(base).args(flag).output().expect("binary runs");
+        assert_clean_failure(&out);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(stderr.contains(flag[0]), "{base:?} {flag:?}: {stderr}");
+    }
+    std::fs::remove_dir_all(&dir).ok();
+
+    let out = crono().output().expect("binary runs");
+    assert_eq!(out.status.code(), Some(1));
+    assert!(String::from_utf8_lossy(&out.stderr).contains("USAGE"));
+    let out = crono().arg("fig99").output().expect("binary runs");
+    assert_eq!(out.status.code(), Some(2));
+}

@@ -20,6 +20,11 @@ cargo build --release --offline --workspace --bins --benches
 echo "==> cargo test -q --offline"
 cargo test -q --offline --workspace
 
+echo "==> benchmark crate: cargo test --release (perfbench/ is its own workspace)"
+# Neither step above builds perfbench/, so a library change that breaks
+# it would otherwise surface only at the next benchmark run.
+cargo test -q --release --offline --manifest-path perfbench/Cargo.toml
+
 echo "==> dependency audit: workspace path crates only"
 # Every node in the resolved graph must be a local path crate, which
 # `cargo tree` renders with the crate's absolute path in parentheses.
@@ -318,7 +323,12 @@ if timeout 120 ./target/release/crono faults --degraded --routing xy \
   exit 1
 fi
 grep -q 'dead east link' "$trace_out/xy.err"
-echo "XY typed-error OK: unroutable link reported, no hang"
+if grep -q 'panicked' "$trace_out/xy.err"; then
+  echo "ERROR: --routing xy leaked panic messages to stderr:" >&2
+  cat "$trace_out/xy.err" >&2
+  exit 1
+fi
+echo "XY typed-error OK: unroutable link reported, no hang, no panic text"
 
 echo "==> armed-but-inactive permanent-fault gate"
 # A plan declaring a dead link, core, and DRAM controller armed at
