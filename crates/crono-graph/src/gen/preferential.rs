@@ -57,19 +57,18 @@ pub fn preferential_attachment(
         }
     }
 
+    let mut chosen: Vec<VertexId> = Vec::with_capacity(edges_per_vertex);
     for v in seed_n as VertexId..n as VertexId {
-        let mut chosen = std::collections::HashSet::new();
+        chosen.clear();
         while chosen.len() < edges_per_vertex {
             let t = endpoints[rng.random_range(0..endpoints.len())];
-            if t != v {
-                chosen.insert(t);
+            if t != v && !chosen.contains(&t) {
+                chosen.push(t);
             }
         }
-        // Sort for determinism: HashSet iteration order would otherwise
-        // leak the process's randomized hasher into the endpoint list.
-        let mut chosen: Vec<VertexId> = chosen.into_iter().collect();
+        // Attach in ascending target order, not draw order.
         chosen.sort_unstable();
-        for t in chosen {
+        for &t in &chosen {
             el.push_undirected(v, t, rng.random_range(1..=max_weight))
                 .expect("attachment in range");
             endpoints.push(v);

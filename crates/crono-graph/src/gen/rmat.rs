@@ -1,5 +1,6 @@
-use crate::{CsrGraph, EdgeList, VertexId, Weight};
+use crate::pair_set::PairSet;
 use crate::rng::SmallRng;
+use crate::{CsrGraph, EdgeList, VertexId, Weight};
 
 /// Quadrant probabilities for the recursive-matrix (R-MAT) generator.
 ///
@@ -62,6 +63,35 @@ impl RmatParams {
         );
         assert!((0.0..1.0).contains(&self.noise), "noise must be in [0, 1)");
     }
+
+    /// Draws one cell `(row, col)` of the `2^scale`-square adjacency
+    /// matrix, one quadrant per level from the top bit down. Each level
+    /// takes five `f64` draws: the noise on `a`, `b`, `c` and `d`, then the
+    /// pick. [`rmat`] and [`crate::stream::RmatStream`] both descend here.
+    pub(crate) fn descend(&self, scale: u32, rng: &mut SmallRng) -> (VertexId, VertexId) {
+        let d = self.d();
+        // Per-level multiplicative noise, re-normalized.
+        let jitter = |p: f64, rng: &mut SmallRng| {
+            p * (1.0 - self.noise + 2.0 * self.noise * rng.random::<f64>())
+        };
+        let (mut row, mut col) = (0, 0);
+        for level in (0..scale).rev() {
+            let a = jitter(self.a, rng);
+            let b = jitter(self.b, rng);
+            let c = jitter(self.c, rng);
+            let d = jitter(d, rng);
+            let total = a + b + c + d;
+            let x = rng.random::<f64>() * total;
+            // Quadrant q = 0..=3 (a, b, c, d) sets row bit `q >> 1` and
+            // column bit `q & 1`. The thresholds ascend, so counting the
+            // ones `x` has passed picks the quadrant an if-chain would,
+            // with no branch to mispredict.
+            let q = (x >= a) as VertexId + (x >= a + b) as VertexId + (x >= a + b + c) as VertexId;
+            row |= (q >> 1) << level;
+            col |= (q & 1) << level;
+        }
+        (row, col)
+    }
 }
 
 /// R-MAT power-law random graph with `2^scale` vertices and `num_edges`
@@ -69,7 +99,10 @@ impl RmatParams {
 ///
 /// Duplicate edges and self-loops are dropped rather than redrawn — the
 /// standard R-MAT/Graph500 convention — so the realized edge count is
-/// slightly below `num_edges` for dense corners of the matrix.
+/// slightly below `num_edges` for dense corners of the matrix. Duplicates
+/// are caught by a flat pair set sized for `min(num_edges, n(n-1)/2)`
+/// pairs (8 bytes a slot, at most half full), which is freed before the
+/// edge list is packed into CSR.
 ///
 /// # Panics
 ///
@@ -98,55 +131,17 @@ pub fn rmat(
     params.validate();
     let n = 1usize << scale;
     let mut rng = SmallRng::seed_from_u64(seed);
-    let mut el = EdgeList::with_capacity(n, 2 * num_edges);
-    let mut seen = std::collections::HashSet::with_capacity(2 * num_edges);
-
+    let max_pairs = num_edges.min(n * (n - 1) / 2);
+    let mut el = EdgeList::with_capacity(n, 2 * max_pairs);
+    let mut seen = PairSet::with_capacity(max_pairs);
     for _ in 0..num_edges {
-        let (mut lo_r, mut hi_r) = (0usize, n);
-        let (mut lo_c, mut hi_c) = (0usize, n);
-        for _ in 0..scale {
-            // Per-level multiplicative noise, re-normalized.
-            let jitter = |p: f64, rng: &mut SmallRng| {
-                p * (1.0 - params.noise + 2.0 * params.noise * rng.random::<f64>())
-            };
-            let a = jitter(params.a, &mut rng);
-            let b = jitter(params.b, &mut rng);
-            let c = jitter(params.c, &mut rng);
-            let d = jitter(params.d(), &mut rng);
-            let total = a + b + c + d;
-            let x = rng.random::<f64>() * total;
-            let (row_hi, col_hi) = if x < a {
-                (false, false)
-            } else if x < a + b {
-                (false, true)
-            } else if x < a + b + c {
-                (true, false)
-            } else {
-                (true, true)
-            };
-            let mid_r = (lo_r + hi_r) / 2;
-            let mid_c = (lo_c + hi_c) / 2;
-            if row_hi {
-                lo_r = mid_r;
-            } else {
-                hi_r = mid_r;
-            }
-            if col_hi {
-                lo_c = mid_c;
-            } else {
-                hi_c = mid_c;
-            }
-        }
-        let (src, dst) = (lo_r as VertexId, lo_c as VertexId);
-        if src == dst {
-            continue;
-        }
-        let key = (src.min(dst), src.max(dst));
-        if seen.insert(key) {
-            el.push_undirected(key.0, key.1, rng.random_range(1..=max_weight))
+        let (src, dst) = params.descend(scale, &mut rng);
+        if src != dst && seen.insert(src, dst) {
+            el.push_undirected(src, dst, rng.random_range(1..=max_weight))
                 .expect("r-mat endpoints in range");
         }
     }
+    drop(seen);
     el.into_csr()
 }
 

@@ -1,5 +1,6 @@
-use crate::{CsrGraph, EdgeList, VertexId, Weight};
+use crate::pair_set::PairSet;
 use crate::rng::SmallRng;
+use crate::{CsrGraph, EdgeList, VertexId, Weight};
 
 /// GTgraph-style uniform sparse random graph.
 ///
@@ -13,11 +14,14 @@ use crate::rng::SmallRng;
 /// To guarantee the frontier-based benchmarks have work from any source
 /// vertex, the generator first threads a random Hamiltonian backbone
 /// through all vertices (a common GTgraph configuration), then fills the
-/// remaining edge budget with uniform picks.
+/// remaining edge budget with uniform picks. Duplicates are caught by a
+/// flat pair set sized for `num_edges` pairs (8 bytes a slot, at most half
+/// full), which is freed before the edge list is packed into CSR.
 ///
 /// # Panics
 ///
-/// Panics if `n < 2`, `max_weight == 0`, or `num_edges < n - 1`.
+/// Panics if `n < 2`, `max_weight == 0`, `num_edges < n - 1`, or
+/// `num_edges > n(n-1)/2`, before allocating anything.
 ///
 /// # Examples
 ///
@@ -35,9 +39,14 @@ pub fn uniform_random(n: usize, num_edges: usize, max_weight: Weight, seed: u64)
         num_edges >= n - 1,
         "need at least n-1 edges for the connecting backbone"
     );
+    let max_possible = n * (n - 1) / 2;
+    assert!(
+        num_edges <= max_possible,
+        "requested {num_edges} edges but a simple graph on {n} vertices holds at most {max_possible}"
+    );
     let mut rng = SmallRng::seed_from_u64(seed);
     let mut el = EdgeList::with_capacity(n, 2 * num_edges);
-    let mut seen = std::collections::HashSet::with_capacity(2 * num_edges);
+    let mut seen = PairSet::with_capacity(num_edges);
 
     // Backbone: a random permutation path keeps the graph connected.
     let mut perm: Vec<VertexId> = (0..n as VertexId).collect();
@@ -46,32 +55,23 @@ pub fn uniform_random(n: usize, num_edges: usize, max_weight: Weight, seed: u64)
         perm.swap(i, j);
     }
     for w in perm.windows(2) {
-        let (a, b) = (w[0].min(w[1]), w[0].max(w[1]));
-        seen.insert((a, b));
-        el.push_undirected(a, b, rng.random_range(1..=max_weight))
+        seen.insert(w[0], w[1]);
+        el.push_undirected(w[0], w[1], rng.random_range(1..=max_weight))
             .expect("backbone endpoints in range");
     }
 
     let mut remaining = num_edges - (n - 1);
-    let max_possible = n * (n - 1) / 2;
-    assert!(
-        num_edges <= max_possible,
-        "requested {num_edges} edges but a simple graph on {n} vertices holds at most {max_possible}"
-    );
     while remaining > 0 {
         let a = rng.random_range(0..n as VertexId);
         let b = rng.random_range(0..n as VertexId);
-        if a == b {
+        if a == b || !seen.insert(a, b) {
             continue;
         }
-        let key = (a.min(b), a.max(b));
-        if !seen.insert(key) {
-            continue;
-        }
-        el.push_undirected(key.0, key.1, rng.random_range(1..=max_weight))
+        el.push_undirected(a, b, rng.random_range(1..=max_weight))
             .expect("endpoints in range");
         remaining -= 1;
     }
+    drop(seen);
     el.into_csr()
 }
 
@@ -129,5 +129,12 @@ mod tests {
     #[should_panic(expected = "at least 2 vertices")]
     fn rejects_tiny_graphs() {
         uniform_random(1, 0, 1, 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "holds at most")]
+    fn rejects_an_edge_budget_before_allocating_it() {
+        // 2^40 edges would need a 24 TiB edge list; the check comes first.
+        uniform_random(4, 1 << 40, 8, 1);
     }
 }

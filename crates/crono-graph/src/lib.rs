@@ -38,6 +38,7 @@ mod csr;
 mod edgelist;
 mod error;
 mod matrix;
+mod pair_set;
 mod view;
 
 pub mod dsu;

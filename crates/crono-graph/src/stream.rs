@@ -131,43 +131,7 @@ impl RmatStream {
     /// self-loop. Pure in `(self, index)`.
     pub fn edge(&self, index: u64) -> Option<(VertexId, VertexId, Weight)> {
         let mut rng = edge_rng(self.seed, index);
-        let n = 1usize << self.scale;
-        let (mut lo_r, mut hi_r) = (0usize, n);
-        let (mut lo_c, mut hi_c) = (0usize, n);
-        for _ in 0..self.scale {
-            // Same per-level multiplicative noise as `gen::rmat`.
-            let jitter = |p: f64, rng: &mut SmallRng| {
-                p * (1.0 - self.params.noise + 2.0 * self.params.noise * rng.random::<f64>())
-            };
-            let a = jitter(self.params.a, &mut rng);
-            let b = jitter(self.params.b, &mut rng);
-            let c = jitter(self.params.c, &mut rng);
-            let d = jitter(self.params.d(), &mut rng);
-            let total = a + b + c + d;
-            let x = rng.random::<f64>() * total;
-            let (row_hi, col_hi) = if x < a {
-                (false, false)
-            } else if x < a + b {
-                (false, true)
-            } else if x < a + b + c {
-                (true, false)
-            } else {
-                (true, true)
-            };
-            let mid_r = (lo_r + hi_r) / 2;
-            let mid_c = (lo_c + hi_c) / 2;
-            if row_hi {
-                lo_r = mid_r;
-            } else {
-                hi_r = mid_r;
-            }
-            if col_hi {
-                lo_c = mid_c;
-            } else {
-                hi_c = mid_c;
-            }
-        }
-        let (src, dst) = (lo_r as VertexId, lo_c as VertexId);
+        let (src, dst) = self.params.descend(self.scale, &mut rng);
         if src == dst {
             return None;
         }

@@ -12,26 +12,43 @@
 
 use crono_graph::gen::{
     preferential_attachment, rmat, road_network, tsp_cities, uniform_random, RmatParams,
+    TspInstance,
 };
+use crono_graph::stream::RmatStream;
 use crono_graph::CsrGraph;
 
-/// FNV-1a over the CSR's directed edge stream `(src, dst, weight)`.
-fn fingerprint(g: &CsrGraph) -> u64 {
+/// FNV-1a over a stream of `u64` values, each as little-endian bytes.
+fn fnv1a(values: impl IntoIterator<Item = u64>) -> u64 {
     let mut h = 0xCBF2_9CE4_8422_2325u64;
-    let mut mix = |v: u64| {
+    for v in values {
         for byte in v.to_le_bytes() {
             h ^= byte as u64;
             h = h.wrapping_mul(0x0000_0100_0000_01B3);
         }
-    };
-    for v in 0..g.num_vertices() as u32 {
-        for (u, w) in g.neighbors(v) {
-            mix(v as u64);
-            mix(u as u64);
-            mix(w as u64);
-        }
     }
     h
+}
+
+/// [`fnv1a`] over a directed edge stream, mixing `src`, `dst` and
+/// `weight` of each edge in order.
+fn edge_fingerprint(edges: impl IntoIterator<Item = (u32, u32, u32)>) -> u64 {
+    fnv1a(
+        edges
+            .into_iter()
+            .flat_map(|(s, d, w)| [s as u64, d as u64, w as u64]),
+    )
+}
+
+/// [`edge_fingerprint`] over the CSR's edges in storage order.
+fn fingerprint(g: &CsrGraph) -> u64 {
+    edge_fingerprint(
+        (0..g.num_vertices() as u32).flat_map(|v| g.neighbors(v).map(move |(u, w)| (v, u, w))),
+    )
+}
+
+/// [`fnv1a`] over a TSP instance's (integral) distance matrix.
+fn cities_fingerprint(inst: &TspInstance) -> u64 {
+    fnv1a(inst.distance_matrix().iter().map(|&d| d as u64))
 }
 
 /// Vertex count per degree, indexed by degree (len = max degree + 1).
@@ -119,6 +136,54 @@ fn golden_rmat_snapshot() {
     assert_eq!(fingerprint(&g), GOLDEN_RMAT_FP);
 }
 
+/// R-MAT at scale 14, edge factor 16: hubs and many duplicate draws,
+/// which the scale-7 snapshot above is too small to exercise.
+#[test]
+fn golden_rmat_scale_14_snapshot() {
+    let g = rmat(14, 16 << 14, 255, RmatParams::default(), 3);
+    assert_eq!(g.num_vertices(), 1 << 14);
+    assert_eq!(g.num_directed_edges(), 426_960);
+    assert_eq!(g.max_degree(), 3_637);
+    assert_eq!(fingerprint(&g), 0x57E3_334C_0D9F_BA89);
+}
+
+/// The `--scale small` uniform graph, which the serving benchmarks use.
+#[test]
+fn golden_uniform_small_scale_snapshot() {
+    let g = uniform_random(16_384, 131_072, 64, 42);
+    assert_eq!(g.num_directed_edges(), 262_144);
+    assert_eq!(g.max_degree(), 35);
+    assert_eq!(fingerprint(&g), 0x5E2C_02EF_709D_59D1);
+}
+
+/// The `kernels-rmat` benchmark input (R-MAT scale 18, seed 3). The
+/// benchmark checks kernel outputs against references built from the same
+/// generated graph, so only this pin notices a generator that changes its
+/// output. Slow in a debug build; run it with `cargo test --release -p
+/// crono-graph --test determinism -- --ignored`.
+#[test]
+#[ignore = "R-MAT scale 18: run in release with --ignored"]
+fn golden_rmat_benchmark_input() {
+    let g = rmat(18, 16 << 18, 255, RmatParams::default(), 3);
+    assert_eq!(g.num_vertices(), 1 << 18);
+    assert_eq!(g.num_directed_edges(), 7_615_588);
+    assert_eq!(g.max_degree(), 25_331);
+    assert_eq!(fingerprint(&g), 0x6E7D_F59F_1A5E_4B5D);
+}
+
+/// Pins [`RmatStream`] edge by edge, in stream order.
+#[test]
+fn golden_rmat_stream_snapshot() {
+    for (scale, draws, seed, edges, fp) in [
+        (12, 65_536, 3, 65_328, 0x9F39_4353_77F1_6F85),
+        (7, 512, 42, 486, 0x66B9_5DDC_BB8A_5DD0),
+    ] {
+        let s = RmatStream::new(scale, draws, 8, RmatParams::default(), seed).unwrap();
+        assert_eq!(s.edges().count(), edges, "scale {scale}");
+        assert_eq!(edge_fingerprint(s.edges()), fp, "scale {scale}");
+    }
+}
+
 #[test]
 fn golden_preferential_snapshot() {
     let g = preferential_attachment(100, 3, 8, 42);
@@ -132,15 +197,7 @@ fn golden_preferential_snapshot() {
 fn golden_cities_snapshot() {
     let inst = tsp_cities(12, 42);
     assert_eq!(inst.num_cities(), 12);
-    // The distance matrix is integral, so hashing it is exact.
-    let mut h = 0xCBF2_9CE4_8422_2325u64;
-    for &d in inst.distance_matrix() {
-        for byte in (d as u64).to_le_bytes() {
-            h ^= byte as u64;
-            h = h.wrapping_mul(0x0000_0100_0000_01B3);
-        }
-    }
-    assert_eq!(h, GOLDEN_CITIES_FP);
+    assert_eq!(cities_fingerprint(&inst), GOLDEN_CITIES_FP);
 }
 
 #[test]
@@ -153,13 +210,6 @@ fn print_golden_values_for_refresh() {
     let m = rmat(7, 256, 8, RmatParams::default(), 42);
     let p = preferential_attachment(100, 3, 8, 42);
     let c = tsp_cities(12, 42);
-    let mut h = 0xCBF2_9CE4_8422_2325u64;
-    for &d in c.distance_matrix() {
-        for byte in (d as u64).to_le_bytes() {
-            h ^= byte as u64;
-            h = h.wrapping_mul(0x0000_0100_0000_01B3);
-        }
-    }
     println!("UNIFORM fp={:#018X} hist={:?}", fingerprint(&u), degree_histogram(&u));
     println!(
         "ROAD edges={} fp={:#018X} hist={:?}",
@@ -174,7 +224,7 @@ fn print_golden_values_for_refresh() {
         degree_histogram(&m)
     );
     println!("PREF fp={:#018X} hist={:?}", fingerprint(&p), degree_histogram(&p));
-    println!("CITIES fp={h:#018X}");
+    println!("CITIES fp={:#018X}", cities_fingerprint(&c));
 }
 
 // ---- Golden values (regenerate with `print_golden_values_for_refresh`) ----

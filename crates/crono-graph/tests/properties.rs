@@ -9,7 +9,7 @@ use crono_graph::dsu::Dsu;
 use crono_graph::gen::{rmat, road_network, tsp_cities, uniform_random, RmatParams};
 use crono_graph::io::{read_dimacs, read_edge_list, write_dimacs, write_edge_list};
 use crono_graph::rng::SmallRng;
-use crono_graph::{CsrGraph, EdgeList};
+use crono_graph::{CsrGraph, CsrPacker, EdgeList};
 
 const CASES: u64 = 48;
 
@@ -31,16 +31,53 @@ fn arb_edges(rng: &mut SmallRng, max_n: usize, max_m: usize) -> (usize, Vec<(u32
     (n, edges)
 }
 
+/// `from_edges`' oracle: sort the triples, then pack them in that order.
+/// (The transpose's oracle, [`reversed`], itself calls `from_edges`.)
+fn sorted_packed(n: usize, mut edges: Vec<(u32, u32, u32)>) -> CsrGraph {
+    edges.sort_unstable();
+    let mut packer = CsrPacker::new(n);
+    for (s, d, w) in edges {
+        packer.push_edge(s, d, w).unwrap();
+    }
+    packer.finish().unwrap()
+}
+
 #[test]
 fn csr_preserves_every_edge() {
-    for case in 0..CASES {
-        let mut rng = SmallRng::seed_from_u64(0x11AA + case);
-        let (n, edges) = arb_edges(&mut rng, 64, 256);
+    let check = |n: usize, edges: Vec<(u32, u32, u32)>| {
         let g = CsrGraph::from_edges(n, edges.clone());
+        assert_eq!(g, sorted_packed(n, edges.clone()));
         assert_eq!(g.num_directed_edges(), edges.len());
         for (s, d, w) in edges {
             assert!(g.neighbors(s).any(|(x, wx)| x == d && wx == w));
         }
+    };
+    for case in 0..CASES {
+        let mut rng = SmallRng::seed_from_u64(0x11AA + case);
+        let (n, mut edges) = arb_edges(&mut rng, 64, 256);
+        // Self-loops, and pairs repeated under new weights so the weight
+        // orders parallel edges.
+        for i in 0..edges.len() / 4 {
+            let (s, d, _) = edges[i];
+            edges.push((s, d, rng.random_range(1..100u32)));
+            edges.push((d, d, rng.random_range(1..100u32)));
+        }
+        check(n, edges);
+    }
+    // Down to one vertex, where only self-loops fit; few weights, so
+    // whole triples repeat too.
+    for n in 1..=3u32 {
+        let mut rng = SmallRng::seed_from_u64(0x11AB + n as u64);
+        let edges = (0..24)
+            .map(|_| {
+                (
+                    rng.random_range(0..n),
+                    rng.random_range(0..n),
+                    rng.random_range(1..4u32),
+                )
+            })
+            .collect();
+        check(n as usize, edges);
     }
 }
 

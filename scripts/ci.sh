@@ -51,6 +51,12 @@ echo "==> golden counter-invariance test"
 # optimizations must never change a simulated counter.
 cargo test -q --offline -p crono-suite --test counter_invariance
 
+echo "==> benchmark-input golden: R-MAT scale 18"
+# perfbench checks kernel outputs against references built from the
+# same generated graph, so it cannot notice a generator whose output
+# changed. This ignored golden pins the kernels-rmat input itself.
+cargo test -q --release --offline -p crono-graph --test determinism -- --ignored
+
 echo "==> trace smoke test"
 trace_out=$(mktemp -d)
 trap 'rm -rf "$trace_out"' EXIT
