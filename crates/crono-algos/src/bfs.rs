@@ -6,6 +6,7 @@
 //! capture ... via atomic locks"), and "a barrier is required ... to hop
 //! to the next vertex in each iteration".
 
+use crate::frontier::Frontier;
 use crate::graph_view::{chunk, SharedGraph};
 use crate::{costs, AlgoOutcome};
 use crono_graph::{CsrGraph, VertexId};
@@ -192,86 +193,11 @@ pub fn parallel<M: Machine>(
     graph: &CsrGraph,
     source: VertexId,
 ) -> AlgoOutcome<BfsOutput> {
-    let n = graph.num_vertices();
-    assert!((source as usize) < n, "source vertex out of range");
-    let shared = SharedGraph::new(graph);
-    let level = SharedU32s::filled(n, UNVISITED);
-    level.set_plain(source as usize, 0);
-    let visited = SharedFlags::new(n);
-    visited.set_plain(source as usize, true);
-    let fronts = [SharedFlags::new(n), SharedFlags::new(n)];
-    fronts[0].set_plain(source as usize, true);
-    let activations = SharedU64s::new(3);
-    let locks = LockSet::new(n.min(4096));
-
-    let outcome = machine.run(|ctx| {
-        let tid = ctx.thread_id();
-        let nthreads = ctx.num_threads();
-        let mut depth = 0u32;
-        loop {
-            if ctx.cancelled() {
-                break;
-            }
-            ctx.span_begin("bfs:level");
-            let cur = &fronts[(depth as usize) % 2];
-            let next = &fronts[(depth as usize + 1) % 2];
-            activations.set(ctx, (depth as usize + 2) % 3, 0);
-            let mut processed = 0u64;
-            let mut activated = 0u64;
-            // As in the C suite, every thread scans the full frontier
-            // array and claims the vertices it owns (striped graph
-            // division); the shared scan bounds BFS scaling exactly as
-            // the paper measures.
-            for v in 0..n {
-                if !cur.get(ctx, v) {
-                    continue;
-                }
-                if v % nthreads != tid {
-                    continue;
-                }
-                cur.set(ctx, v, false);
-                processed += 1;
-                ctx.compute(costs::VISIT);
-                for e in shared.edge_range(ctx, v as VertexId) {
-                    let u = shared.neighbor(ctx, e) as usize;
-                    // Vertex capture "done via atomic locks": exactly one
-                    // thread claims u.
-                    if !visited.get(ctx, u) {
-                        ctx.lock_for(&locks, u);
-                        if !visited.get(ctx, u) {
-                            visited.set(ctx, u, true);
-                            level.set(ctx, u, depth + 1);
-                            next.set(ctx, u, true);
-                            activated += 1;
-                        }
-                        ctx.unlock_for(&locks, u);
-                    }
-                }
-            }
-            if processed > 0 {
-                ctx.record_active(processed);
-            }
-            if activated > 0 {
-                activations.fetch_add(ctx, (depth as usize + 1) % 3, activated);
-            }
-            ctx.barrier();
-            let frontier_empty = activations.get(ctx, (depth as usize + 1) % 3) == 0;
-            ctx.span_end("bfs:level");
-            if frontier_empty {
-                break;
-            }
-            depth += 1;
-        }
-        depth + 1
-    });
-    AlgoOutcome {
-        output: summarize(level.to_vec()),
-        report: outcome.report,
-    }
+    level_sync::<SharedFlags, M>(machine, graph, source)
 }
 
 /// Parallel BFS with a word-packed frontier — the `frontier_repr`
-/// ablation (GAP-style bitmap, PR 3).
+/// ablation (GAP-style bitmap).
 ///
 /// Identical algorithm to [`parallel`] except the two frontier arrays
 /// are [`SharedBitmap`]s scanned with `find_set_from`, so an empty
@@ -288,6 +214,16 @@ pub fn parallel_bitmap<M: Machine>(
     graph: &CsrGraph,
     source: VertexId,
 ) -> AlgoOutcome<BfsOutput> {
+    level_sync::<SharedBitmap, M>(machine, graph, source)
+}
+
+/// The body of [`parallel`] and [`parallel_bitmap`], over frontier
+/// representation `F`.
+fn level_sync<F: Frontier, M: Machine>(
+    machine: &M,
+    graph: &CsrGraph,
+    source: VertexId,
+) -> AlgoOutcome<BfsOutput> {
     let n = graph.num_vertices();
     assert!((source as usize) < n, "source vertex out of range");
     let shared = SharedGraph::new(graph);
@@ -295,8 +231,8 @@ pub fn parallel_bitmap<M: Machine>(
     level.set_plain(source as usize, 0);
     let visited = SharedFlags::new(n);
     visited.set_plain(source as usize, true);
-    let fronts = [SharedBitmap::new(n), SharedBitmap::new(n)];
-    fronts[0].set_plain(source as usize);
+    let fronts = [F::with_len(n), F::with_len(n)];
+    fronts[0].insert_plain(source as usize);
     let activations = SharedU64s::new(3);
     let locks = LockSet::new(n.min(4096));
 
@@ -314,25 +250,29 @@ pub fn parallel_bitmap<M: Machine>(
             activations.set(ctx, (depth as usize + 2) % 3, 0);
             let mut processed = 0u64;
             let mut activated = 0u64;
-            // Word-skipping scan over the packed frontier; ownership
-            // striping and vertex capture are unchanged from `parallel`.
+            // As in the C suite, every thread scans the whole frontier
+            // and claims the vertices it owns (striped graph division);
+            // with byte flags the shared scan bounds BFS scaling exactly
+            // as the paper measures.
             let mut pos = 0;
-            while let Some(v) = cur.find_set_from(ctx, pos) {
+            while let Some(v) = cur.next_from(ctx, pos) {
                 pos = v + 1;
                 if v % nthreads != tid {
                     continue;
                 }
-                cur.clear(ctx, v);
+                cur.remove(ctx, v);
                 processed += 1;
                 ctx.compute(costs::VISIT);
                 for e in shared.edge_range(ctx, v as VertexId) {
                     let u = shared.neighbor(ctx, e) as usize;
+                    // Vertex capture "done via atomic locks": exactly one
+                    // thread claims u.
                     if !visited.get(ctx, u) {
                         ctx.lock_for(&locks, u);
                         if !visited.get(ctx, u) {
                             visited.set(ctx, u, true);
                             level.set(ctx, u, depth + 1);
-                            next.set(ctx, u);
+                            next.insert(ctx, u);
                             activated += 1;
                         }
                         ctx.unlock_for(&locks, u);
