@@ -104,33 +104,6 @@ fn coherence_protocol(c: &mut Criterion) {
     g.finish();
 }
 
-fn sssp_strategy(c: &mut Criterion) {
-    let w = workload();
-    let mut g = c.benchmark_group("ablation_sssp_strategy");
-    g.sample_size(10);
-    g.warm_up_time(std::time::Duration::from_millis(500));
-    g.measurement_time(std::time::Duration::from_secs(3));
-    g.bench_function("outer_loop_pareto_fronts", |b| {
-        b.iter(|| {
-            crono_algos::sssp::parallel(&SimMachine::new(SimConfig::default(), 16), &w.graph, 0)
-                .report
-                .completion
-        })
-    });
-    g.bench_function("inner_loop_neighbor_division", |b| {
-        b.iter(|| {
-            crono_algos::sssp::parallel_inner(
-                &SimMachine::new(SimConfig::default(), 16),
-                &w.graph,
-                0,
-            )
-            .report
-            .completion
-        })
-    });
-    g.finish();
-}
-
 fn frontier_repr(c: &mut Criterion) {
     let w = workload();
     let mut g = c.benchmark_group("ablation_frontier_repr");
@@ -342,7 +315,6 @@ criterion_group!(
     coherence_protocol,
     noc_contention,
     lock_alignment,
-    sssp_strategy,
     frontier_repr,
     pagerank_update,
     task_steal,

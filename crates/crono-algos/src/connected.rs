@@ -12,7 +12,7 @@
 use crate::graph_view::{chunk, SharedGraph};
 use crate::{costs, AlgoOutcome};
 use crono_graph::{CsrGraph, VertexId};
-use crono_runtime::{Machine, RunOutcome, SharedBitmap, SharedU32s, SharedU64s, ThreadCtx};
+use crono_runtime::{Machine, RunOutcome, SharedU32s, SharedU64s, ThreadCtx};
 
 /// Result of a connected-components run.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -98,151 +98,6 @@ fn summarize(labels: Vec<u32>, outcome: RunOutcome<u32>) -> AlgoOutcome<ConnComp
         },
         report: outcome.report,
     }
-}
-
-/// The scan strategy of one `parallel_bitmap` iteration. Every thread
-/// derives the mode from the shared change count, so all threads agree
-/// without extra communication.
-#[derive(Clone, Copy, PartialEq, Eq)]
-enum CcScanMode {
-    /// Scan every vertex, ignore the bitmaps (identical to [`parallel`]).
-    Dense,
-    /// Scan every vertex and seed the active set for the next iteration.
-    DenseSeeding,
-    /// Word-skipping scan of the active set only.
-    Sparse,
-}
-
-/// Parallel connected components with a word-packed active set — the
-/// `frontier_repr` ablation (PR 3).
-///
-/// The default kernel rescans every vertex each iteration. This hybrid
-/// variant runs identical dense scans while labels are churning (a
-/// [`SharedBitmap`] of active vertices would only add coherence traffic
-/// then, since nearly everything is active), and switches to the bitmap
-/// once the per-iteration change count falls below `n / 4`: one dense
-/// iteration seeds the set with every vertex adjacent to a label drop,
-/// and the convergence tail is then scanned sparsely with word skipping.
-/// Labels still converge to the per-component minimum, so outputs match
-/// [`parallel`] exactly; the iteration count may differ.
-pub fn parallel_bitmap<M: Machine>(machine: &M, graph: &CsrGraph) -> AlgoOutcome<ConnCompOutput> {
-    let n = graph.num_vertices();
-    let shared = SharedGraph::new(graph);
-    let labels = SharedU32s::from_values(0..n as u32);
-    let changes = SharedU64s::new(3);
-    // Ping-pong active sets, both empty: dense iterations never touch
-    // them, the seeding iteration fills `next`, and every sparse
-    // iteration wipes the set it scanned before reusing it.
-    let active_sets = [SharedBitmap::new(n), SharedBitmap::new(n)];
-
-    let outcome = machine.run(|ctx| {
-        let tid = ctx.thread_id();
-        let nthreads = ctx.num_threads();
-        let mut iter = 0usize;
-        let mut mode = CcScanMode::Dense;
-        // Per-vertex scratch keeping the neighborhood's labels in
-        // thread-local storage (registers/stack on real hardware) so
-        // the activation pass does not re-read the shared label array
-        // the min-pull just loaded.
-        let mut nbrs: Vec<(usize, u32)> = Vec::new();
-        loop {
-            if ctx.cancelled() {
-                break;
-            }
-            ctx.span_begin("conncomp:iter");
-            let cur = &active_sets[iter % 2];
-            let next = &active_sets[(iter + 1) % 2];
-            changes.set(ctx, (iter + 2) % 3, 0);
-            let mut local_changes = 0u64;
-            let mut active = 0u64;
-            let range = chunk(n, tid, nthreads);
-            let seeding = mode != CcScanMode::Dense;
-            // Phase 1: pull the minimum label into each scanned vertex.
-            // Sparse mode walks only set bits (one load per word);
-            // bits are not cleared per vertex — a per-bit clear is an
-            // RMW on a word some other thread's activation wrote, i.e.
-            // a guaranteed sharing miss — phase 2 wipes the whole set
-            // word-at-a-time instead.
-            let mut pos = range.start;
-            loop {
-                let v = match mode {
-                    CcScanMode::Sparse => match cur.find_set_from(ctx, pos) {
-                        Some(v) if v < range.end => v,
-                        _ => break,
-                    },
-                    _ if pos < range.end => pos,
-                    _ => break,
-                };
-                pos = v + 1;
-                ctx.compute(costs::LABEL_OP);
-                let lv = labels.get(ctx, v);
-                let mut best = lv;
-                nbrs.clear();
-                for e in shared.edge_range(ctx, v as VertexId) {
-                    let u = shared.neighbor(ctx, e) as usize;
-                    ctx.compute(costs::LABEL_OP);
-                    let lu = labels.get(ctx, u);
-                    if seeding {
-                        nbrs.push((u, lu));
-                    }
-                    if lu < best {
-                        best = lu;
-                    }
-                }
-                if best < lv {
-                    labels.fetch_min(ctx, v, best);
-                    // v's label dropped: its neighbors may adopt it next
-                    // iteration. Activate only neighbors whose label was
-                    // above the new one (labels are monotone decreasing,
-                    // so a skipped vertex never needs v's label), and
-                    // test each bit before the RMW so already-active
-                    // words stay in shared state instead of bouncing
-                    // between exclusive owners.
-                    if seeding {
-                        for &(u, lu) in &nbrs {
-                            if lu > best && !next.get(ctx, u) {
-                                next.set(ctx, u);
-                            }
-                        }
-                    }
-                    local_changes += 1;
-                    active += 1;
-                }
-            }
-            if active > 0 {
-                ctx.record_active(active);
-            }
-            ctx.barrier();
-            // Phase 2: publish this iteration's change count; sparse
-            // iterations also wipe the scanned set wholesale (one store
-            // per word) so it is empty when it becomes `next` in the
-            // following iteration. Every scanner is past the phase-1
-            // barrier, so nothing races the wipe.
-            if local_changes > 0 {
-                changes.fetch_add(ctx, (iter + 1) % 3, local_changes);
-            }
-            if mode == CcScanMode::Sparse {
-                cur.clear_words(ctx, chunk(cur.num_words(), tid, nthreads));
-            }
-            ctx.barrier();
-            // Phase 3: convergence check and mode transition. Every
-            // thread reads the same change count, so all agree on the
-            // next mode without further synchronization.
-            let c = changes.get(ctx, (iter + 1) % 3);
-            ctx.span_end("conncomp:iter");
-            if c == 0 {
-                break;
-            }
-            mode = match mode {
-                CcScanMode::Dense if (c as usize) <= n / 4 => CcScanMode::DenseSeeding,
-                CcScanMode::Dense => CcScanMode::Dense,
-                CcScanMode::DenseSeeding | CcScanMode::Sparse => CcScanMode::Sparse,
-            };
-            iter += 1;
-        }
-        iter as u32 + 1
-    });
-    summarize(labels.to_vec(), outcome)
 }
 
 /// Out-edges each vertex links before Afforest samples component sizes.
@@ -475,21 +330,6 @@ mod tests {
         let out = parallel(&NativeMachine::new(2), &g);
         assert_eq!(out.output.labels, vec![0, 1, 1, 3]);
         assert_eq!(out.output.components, 3);
-    }
-
-    #[test]
-    fn bitmap_variant_matches_union_find() {
-        let g = uniform_random(200, 600, 4, 2);
-        let expected = dsu_labels(&g);
-        for threads in [1, 2, 4, 8] {
-            let out = parallel_bitmap(&NativeMachine::new(threads), &g);
-            assert_eq!(out.output.labels, expected, "threads={threads}");
-            assert_eq!(out.output.components, 1);
-        }
-        // Fragmented graph: isolated vertices must keep their own label.
-        let g = rmat(8, 100, 4, RmatParams::default(), 7);
-        let out = parallel_bitmap(&NativeMachine::new(4), &g);
-        assert_eq!(out.output.labels, dsu_labels(&g));
     }
 
     #[test]

@@ -153,14 +153,6 @@ fn every_benchmark_records_active_vertices() {
 }
 
 #[test]
-fn inner_loop_variants_agree_on_sim() {
-    let g = uniform_random(96, 380, 8, 43);
-    let outer_sssp = sssp::parallel(&sim(4), &g, 0);
-    let inner_sssp = sssp::parallel_inner(&sim(4), &g, 0);
-    assert_eq!(outer_sssp.output.dist, inner_sssp.output.dist);
-}
-
-#[test]
 fn miss_classes_sum_to_misses() {
     let g = uniform_random(96, 400, 8, 33);
     let outcome = pagerank::parallel(&sim(4), &g, 3);

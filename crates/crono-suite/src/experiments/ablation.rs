@@ -15,7 +15,7 @@ use crate::runner::{run_parallel, run_parallel_ablated};
 use crate::scale::Scale;
 use crate::workload::Workload;
 use crono_algos::{Ablation, Benchmark};
-use crono_graph::gen::{rmat, road_network, RmatParams};
+use crono_graph::gen::{rmat, RmatParams};
 use crono_runtime::NativeMachine;
 use crono_sim::{SimConfig, SimMachine};
 
@@ -77,16 +77,6 @@ pub fn generate_resumable(
         h
     });
     let w = Workload::synthetic(scale);
-    // The active-set CONN_COMP kernel targets long convergence tails, so
-    // it is additionally compared on a high-diameter road-network grid
-    // (label propagation there runs for ~diameter iterations with a
-    // shrinking wavefront — the case the bitmap exists for).
-    let road = {
-        let (rows, cols) = road_grid_dims(scale.sparse_vertices);
-        let mut road_w = Workload::synthetic(scale);
-        road_w.graph = road_network(rows, cols, 64, 0.05, 0.0, 11);
-        road_w
-    };
     // Untraced (lax-mode) runs are nondeterministic, so each lax cell is
     // the median of three runs; deterministic groups are byte-identical
     // across repeats, so one run IS the median of any odd count.
@@ -110,7 +100,7 @@ pub fn generate_resumable(
         let mut optimized_row = Vec::new();
         for &t in &threads {
             // Keyed on the *built* graph's vertex count, not the scale's
-            // nominal one — the road grid covers >= sparse_vertices.
+            // nominal one — the R-MAT input rounds up to a power of two.
             let key = format!(
                 "ablation|{}|{bench_label}|v{}|c{}|t{t}",
                 ablation.name(),
@@ -182,14 +172,6 @@ pub fn generate_resumable(
         for &bench in ablation.benchmarks() {
             emit(ablation, bench, bench.label().to_string(), &w);
         }
-    }
-    if filter.is_none() || filter == Some(Ablation::FrontierRepr) {
-        emit(
-            Ablation::FrontierRepr,
-            Benchmark::ConnComp,
-            format!("{}/road", Benchmark::ConnComp.label()),
-            &road,
-        );
     }
     // Direction-optimizing BFS targets low-diameter skewed graphs, where
     // pull levels stop hammering shared frontier lines — the synthetic
@@ -269,21 +251,6 @@ pub fn generate_resumable(
         counter_row("reduction:noc_flits", &|c| ratio(c[2], c[3]));
     }
     table
-}
-
-/// Grid dimensions for the road-network comparison input: the smallest
-/// near-square grid covering **at least** `vertices` vertices.
-///
-/// The old `cols = vertices / rows` floor silently dropped up to
-/// `rows - 1` vertices whenever `vertices` was not a perfect square, so
-/// the road row ran on a smaller graph than its label claimed (and any
-/// per-vertex throughput denominator derived from the scale was wrong).
-/// `div_ceil` rounds the other way: `rows * cols >= vertices`, and
-/// reported counts are always derived from the *built* graph.
-pub fn road_grid_dims(vertices: usize) -> (usize, usize) {
-    let rows = (vertices as f64).sqrt() as usize;
-    let rows = rows.max(2);
-    (rows, vertices.div_ceil(rows).max(2))
 }
 
 /// Elements "traversed" by one parallel run of `bench`, for MTEPS
@@ -435,10 +402,10 @@ mod tests {
         let scale = Scale::test();
         let config = SimConfig::tiny(16);
         let t = generate(&scale, &config, false);
-        // 11 ablated benchmarks + the road-network CONN_COMP and R-MAT
-        // BFS comparisons, 3 rows each (default / optimized / speedup),
-        // plus 6 counter rows for the direction-optimizing BFS group.
-        assert_eq!(t.rows.len(), 45);
+        // 10 ablated benchmarks + the R-MAT BFS comparison, 3 rows each
+        // (default / optimized / speedup), plus 6 counter rows for the
+        // direction-optimizing BFS group.
+        assert_eq!(t.rows.len(), 39);
         // tiny(16) caps the canonical sweep at [1, 4, 16].
         let swept = CORE_SWEEP.iter().filter(|&&t| t <= 16).count();
         for row in &t.rows {
@@ -448,36 +415,23 @@ mod tests {
         assert_eq!(stem, "ablation_kernels");
     }
 
-    /// Regression: `cols = v / rows` dropped up to `rows - 1` vertices
-    /// for non-square vertex counts (512 -> 22x23 = 506, 6 dropped).
-    #[test]
-    fn road_grid_covers_every_vertex() {
-        for v in [512usize, 1000, 16_384, 1_048_576, 5, 7, 101] {
-            let (rows, cols) = road_grid_dims(v);
-            assert!(
-                rows * cols >= v,
-                "grid {rows}x{cols} drops {} of {v} vertices",
-                v - rows * cols
-            );
-            // Still near-square: never more than one extra column's worth.
-            assert!(rows * cols < v + rows + cols, "grid {rows}x{cols} overshoots {v}");
-        }
-        // Perfect squares stay exact.
-        assert_eq!(road_grid_dims(256), (16, 16));
-        // The test scale's 512 vertices previously built a 506-vertex
-        // graph; the built graph must now cover all 512.
-        let (rows, cols) = road_grid_dims(Scale::test().sparse_vertices);
-        let g = road_network(rows, cols, 64, 0.05, 0.0, 11);
-        assert!(g.num_vertices() >= Scale::test().sparse_vertices);
-    }
-
     #[test]
     fn filter_restricts_to_one_group() {
         let scale = Scale::test();
         let config = SimConfig::tiny(16);
-        let t = generate_resumable(&scale, &config, Some(Ablation::LockfreeBound), false, None);
-        assert_eq!(t.rows.len(), 3, "TSP only: default/optimized/speedup");
-        assert!(t.rows.iter().all(|r| r[0] == "lockfree_bound" && r[1] == "TSP"));
+        // default/optimized/speedup per benchmark the group applies to.
+        for (ablation, benches) in [
+            (Ablation::LockfreeBound, &["TSP"][..]),
+            (Ablation::FrontierRepr, &["BFS", "SSSP_DIJK"][..]),
+        ] {
+            let t = generate_resumable(&scale, &config, Some(ablation), false, None);
+            assert_eq!(t.rows.len(), 3 * benches.len(), "{ablation}");
+            let labels: Vec<[&str; 2]> =
+                t.rows.iter().map(|r| [r[0].as_str(), r[1].as_str()]).collect();
+            let want: Vec<[&str; 2]> =
+                benches.iter().flat_map(|&b| [[ablation.name(), b]; 3]).collect();
+            assert_eq!(labels, want);
+        }
     }
 
     /// The direction-optimizing BFS group carries the R-MAT comparison

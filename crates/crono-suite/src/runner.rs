@@ -46,9 +46,6 @@ pub fn run_parallel_ablated<M: Machine>(
         (Some(Ablation::FrontierRepr), Benchmark::SsspDijk) => {
             sssp::parallel_bitmap(machine, &w.graph, w.source).report
         }
-        (Some(Ablation::FrontierRepr), Benchmark::ConnComp) => {
-            connected::parallel_bitmap(machine, &w.graph).report
-        }
         (Some(Ablation::PagerankUpdate), Benchmark::PageRank) => {
             pagerank::parallel_cas(machine, &w.graph, w.pagerank_iters).report
         }

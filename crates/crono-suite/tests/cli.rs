@@ -358,6 +358,29 @@ fn unknown_ablation_lists_valid_names() {
     }
 }
 
+/// `frontier_repr` covers BFS and SSSP_DIJK only; tracing it on another
+/// benchmark fails with one line that names the two it applies to.
+#[test]
+fn frontier_repr_rejects_conn_comp() {
+    let out = crono()
+        .args([
+            "trace",
+            "--bench",
+            "conn_comp",
+            "--ablation",
+            "frontier_repr",
+            "--scale",
+            "test",
+        ])
+        .output()
+        .expect("binary runs");
+    assert_clean_failure(&out);
+    assert_eq!(out.status.code(), Some(1));
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(stderr.lines().count(), 1, "{stderr}");
+    assert!(stderr.contains("BFS, SSSP_DIJK"), "{stderr}");
+}
+
 #[test]
 fn ablation_resume_requires_out() {
     let out = crono()

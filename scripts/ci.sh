@@ -93,16 +93,16 @@ echo "==> trace-diff smoke test"
 echo "trace-diff OK: identical configs produce a zero counter delta"
 
 echo "==> ablation kernel-variant smoke runs"
-# One optimized variant per task-parallel kernel (PR-5) and per
-# GAP-class kernel (PR-8): each traced run must complete and produce a
-# parseable Chrome trace.
-for pair in "apsp task_steal" "betw_cent task_steal" "dfs task_steal" \
-            "tsp lockfree_bound" "bfs dirop_bfs" "sssp_dijk delta_sssp" \
-            "conn_comp afforest_cc"; do
+# Every (benchmark, ablation) pair of every ablation group: each traced
+# run must complete and produce a parseable Chrome trace.
+for pair in "bfs frontier_repr" "sssp_dijk frontier_repr" \
+            "pagerank pagerank_update" "apsp task_steal" \
+            "betw_cent task_steal" "dfs task_steal" "tsp lockfree_bound" \
+            "bfs dirop_bfs" "sssp_dijk delta_sssp" "conn_comp afforest_cc"; do
   set -- $pair
   ./target/release/crono trace --bench "$1" --ablation "$2" --scale test \
-    --threads 4 --quiet --out "$trace_out/abl-$1.json"
-  grep -q '"traceEvents"' "$trace_out/abl-$1.json"
+    --threads 4 --quiet --out "$trace_out/abl-$1-$2.json"
+  grep -q '"traceEvents"' "$trace_out/abl-$1-$2.json"
 done
 echo "ablation smokes OK: all opt-in kernel variants traced"
 
@@ -116,7 +116,7 @@ if ! grep -q 'lock_hold' "$trace_out/tsp-default.json"; then
   echo "ERROR: default TSP trace has no lock_hold spans (gate vacuous)" >&2
   exit 1
 fi
-if grep -q 'lock_hold' "$trace_out/abl-tsp.json"; then
+if grep -q 'lock_hold' "$trace_out/abl-tsp-lockfree_bound.json"; then
   echo "ERROR: lock-free TSP trace still contains lock_hold spans" >&2
   exit 1
 fi
@@ -125,7 +125,7 @@ echo "lock_hold gate OK: default TSP locks, lockfree variant does not"
 echo "==> NoC heatmap well-formedness"
 # Aggregate a traced run into the per-router heatmap: rectangular TSV,
 # header plus at least one mesh row, every line with the same columns.
-./target/release/crono heatmap "$trace_out/abl-apsp.json" --quiet \
+./target/release/crono heatmap "$trace_out/abl-apsp-task_steal.json" --quiet \
   --out "$trace_out/heat.tsv"
 awk -F'\t' 'NR == 1 { cols = NF; next } NF != cols { exit 1 }
             END { exit (NR < 2) }' "$trace_out/heat.tsv"
