@@ -572,6 +572,16 @@ fn scale_is_byte_identical_across_processes() {
         flits("block") < flits("hashed"),
         "block placement should move fewer NoC flits"
     );
+    // The sim rows run first in a fresh process, so their counters are
+    // exact: pin both (broadcasts, then flits).
+    let sim_rows: Vec<&str> = a.lines().filter(|l| l.starts_with("sim-bfs\t")).collect();
+    assert_eq!(
+        sim_rows,
+        [
+            "sim-bfs\tblock\t-\t256\t818\t-\t-\t-\t380\t146784",
+            "sim-bfs\thashed\t-\t256\t818\t-\t-\t-\t427\t177762",
+        ]
+    );
     // The checkpoint is removed after a successful run.
     assert!(!dir.join("a").join("scale.resume.tsv").exists());
     std::fs::remove_dir_all(&dir).ok();
