@@ -762,51 +762,20 @@ fn scale_command(a: &Args) -> Result<ExitCode, String> {
 
 fn gen_command(a: &Args) -> Result<ExitCode, String> {
     use crono_graph::io::write_edge_stream;
-    use crono_graph::stream::{mirror, RmatStream, UniformStream};
 
     let cfg = track_config(a)?;
     let chunk = a.num("--chunk", "chunk size", positive)?.unwrap_or(1 << 16);
     let out = a.path("--out");
-    let n = 1usize << cfg.graph_scale;
-    let draws = n as u64 * cfg.degree;
-    let write = |edges: &mut dyn Iterator<Item = (u32, u32, u32)>| -> Result<u64, String> {
-        match &out {
-            Some(path) => {
-                let file = std::fs::File::create(path)
-                    .map_err(|e| format!("create {}: {e}", path.display()))?;
-                write_edge_stream(edges, file, chunk)
-                    .map_err(|e| format!("write {}: {e}", path.display()))
-            }
-            None => write_edge_stream(edges, std::io::stdout().lock(), chunk)
-                .map_err(|e| format!("write stdout: {e}")),
+    let lines = cfg.with_edges(|edges| match &out {
+        Some(path) => {
+            let file = std::fs::File::create(path)
+                .map_err(|e| format!("create {}: {e}", path.display()))?;
+            write_edge_stream(edges, file, chunk)
+                .map_err(|e| format!("write {}: {e}", path.display()))
         }
-    };
-    let lines = match cfg.graph {
-        GraphKind::Rmat => {
-            let stream = RmatStream::new(
-                cfg.graph_scale,
-                draws,
-                8,
-                crono_graph::gen::RmatParams::default(),
-                cfg.seed,
-            )
-            .map_err(|e| format!("invalid R-MAT stream: {e}"))?;
-            if cfg.mirrored {
-                write(&mut mirror(stream.edges()))?
-            } else {
-                write(&mut stream.edges())?
-            }
-        }
-        GraphKind::Uniform => {
-            let stream = UniformStream::new(n, draws, 8, cfg.seed)
-                .map_err(|e| format!("invalid uniform stream: {e}"))?;
-            if cfg.mirrored {
-                write(&mut mirror(stream.edges()))?
-            } else {
-                write(&mut stream.edges())?
-            }
-        }
-    };
+        None => write_edge_stream(edges, std::io::stdout().lock(), chunk)
+            .map_err(|e| format!("write stdout: {e}")),
+    })??;
     if !a.switch("--quiet") {
         match &out {
             Some(path) => eprintln!("[gen] wrote {lines} edge line(s) to {}", path.display()),
