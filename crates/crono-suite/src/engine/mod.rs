@@ -274,9 +274,6 @@ pub struct EngineOptions {
     pub queue_capacity: usize,
     /// Result-cache entries kept (LRU eviction); 0 disables caching.
     pub cache_capacity: usize,
-    /// Most sources per multi-source BFS sweep (clamped to
-    /// [`bfs::MULTI_WIDTH`]); 1 disables batching.
-    pub ms_bfs_width: usize,
     /// Most sources per multi-source SSSP sweep (clamped to
     /// [`sssp::MULTI_WIDTH`]); 1 disables batching and answers every
     /// SSSP miss with an independent sequential Dijkstra.
@@ -313,7 +310,6 @@ impl Default for EngineOptions {
             batch_max: 64,
             queue_capacity: 256,
             cache_capacity: 1024,
-            ms_bfs_width: bfs::MULTI_WIDTH,
             ms_sssp_width: sssp::MULTI_WIDTH,
             pagerank_iters: 20,
             // Raised from 600 now that the snapshot is built by the
@@ -725,13 +721,12 @@ impl<M: Machine> ServeEngine<M> {
         // Plan the pool's task set: deadline-free BFS and SSSP misses
         // are grouped into shared multi-source sweeps; everything else
         // runs alone.
-        let bfs_width = self.opts.ms_bfs_width.clamp(1, bfs::MULTI_WIDTH);
         let sssp_width = self.opts.ms_sssp_width.clamp(1, sssp::MULTI_WIDTH);
         let mut plans: Vec<Plan> = Vec::new();
         let bfs_batchable: Vec<usize> = (0..misses.len())
             .filter(|&i| misses[i].kind == QueryKind::Bfs && misses[i].deadline.is_none())
             .collect();
-        for chunk in bfs_batchable.chunks(bfs_width) {
+        for chunk in bfs_batchable.chunks(bfs::MULTI_WIDTH) {
             chunk.iter().for_each(|&i| grouped[i] = true);
             if chunk.len() == 1 {
                 plans.push(Plan::Single(chunk[0]));
