@@ -44,25 +44,10 @@ const MAX_PREALLOC_EDGES: usize = 1 << 20;
 /// assert_eq!(g.num_directed_edges(), 2);
 /// ```
 pub fn read_edge_list<R: Read>(reader: R, undirected: bool) -> Result<CsrGraph, GraphError> {
-    let reader = BufReader::new(reader);
     let mut edges: Vec<(VertexId, VertexId, Weight)> = Vec::new();
     let mut max_v: u64 = 0;
-    for (idx, line) in reader.lines().enumerate() {
-        let line = line?;
-        let line = line.trim();
-        if line.is_empty() || line.starts_with('#') {
-            continue;
-        }
-        let mut parts = line.split_whitespace();
-        let src = parse_field(parts.next(), idx + 1, "source vertex")?;
-        let dst = parse_field(parts.next(), idx + 1, "destination vertex")?;
-        let w: Weight = match parts.next() {
-            Some(tok) => tok.parse().map_err(|_| GraphError::Parse {
-                line: idx + 1,
-                message: format!("invalid weight {tok:?}"),
-            })?,
-            None => 1,
-        };
+    for edge in stream_edge_list(reader) {
+        let (src, dst, w) = edge?;
         max_v = max_v.max(src as u64).max(dst as u64);
         edges.push((src, dst, w));
         if undirected && src != dst {
@@ -361,8 +346,9 @@ where
 /// `(src, dst, weight)` triples, one buffered line at a time — the
 /// read-side counterpart of [`write_edge_stream`], shaped to feed
 /// [`crate::stream::build_sharded`] directly without collecting the
-/// file into memory first. Missing weights default to 1; `#` comments
-/// and blank lines are skipped.
+/// file into memory first, and the line parser [`read_edge_list`]
+/// collects from. Missing weights default to 1; `#` comments and blank
+/// lines are skipped.
 ///
 /// Errors (I/O or parse, with line numbers) surface as `Err` items;
 /// the out-of-core builder's `Result` plumbing propagates them.
