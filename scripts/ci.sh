@@ -260,11 +260,18 @@ echo "scale OK: >=30% bytes/edge saved, block placement cheaper"
 
 echo "==> scale-track determinism"
 # A seeded scale run is byte-identical across fresh processes (modeled
-# cycles only, no wall-clock or RSS in the artifact).
+# cycles only, no wall-clock or RSS in the artifact). Both the 1-D
+# compressed run above and a 2-D flat-CSR run go through it, so the
+# shared scan/claim body is gated on both lane layouts and encodings.
 ./target/release/crono scale --graph-scale 11 --degree 8 --shards 4 \
   --threads 2 --sort-buffer 4096 --quiet --out "$trace_out/scale-b"
 cmp "$scale_tsv" "$trace_out/scale-b/scale.tsv"
-echo "scale determinism OK: two runs byte-identical"
+for run in 2d-a 2d-b; do
+  ./target/release/crono scale --graph-scale 9 --degree 8 --shards 2 \
+    --threads 2 --partition 2d --repr plain --quiet --out "$trace_out/scale-$run"
+done
+cmp "$trace_out/scale-2d-a/scale.tsv" "$trace_out/scale-2d-b/scale.tsv"
+echo "scale determinism OK: 1-D compressed and 2-D plain runs byte-identical"
 
 echo "==> compressed-vs-plain golden-distance gate"
 # BFS distances through the varint-compressed representation must
