@@ -599,8 +599,7 @@ mod tests {
         let p = Partition::one_d(4, 2);
         let dir = temp_dir("range");
         let err = build_sharded::<CsrGraph, _>(p, vec![(0, 9, 1)], &StreamConfig::new(&dir))
-            .err()
-            .expect("out-of-range endpoint must fail");
+            .expect_err("out-of-range endpoint must fail");
         assert!(matches!(err, GraphError::VertexOutOfRange { vertex: 9, .. }));
         let _ = std::fs::remove_dir_all(&dir);
     }

@@ -53,7 +53,7 @@ fn cities_fingerprint(inst: &TspInstance) -> u64 {
 
 /// Vertex count per degree, indexed by degree (len = max degree + 1).
 fn degree_histogram(g: &CsrGraph) -> Vec<usize> {
-    let mut hist = vec![0usize; g.max_degree() as usize + 1];
+    let mut hist = vec![0usize; g.max_degree() + 1];
     for v in 0..g.num_vertices() as u32 {
         hist[g.degree(v)] += 1;
     }

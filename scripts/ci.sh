@@ -20,6 +20,10 @@ cargo build --release --offline --workspace --bins --benches
 echo "==> cargo test -q --offline"
 cargo test -q --offline --workspace
 
+echo "==> clippy: crono-graph, all targets, warnings denied"
+# The graph substrate is lint-clean; keep it so.
+cargo clippy -q --offline -p crono-graph --all-targets -- -D warnings
+
 echo "==> benchmark crate: cargo test --release (perfbench/ is its own workspace)"
 # Neither step above builds perfbench/, so a library change that breaks
 # it would otherwise surface only at the next benchmark run.
