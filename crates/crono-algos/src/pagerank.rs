@@ -169,20 +169,24 @@ pub fn parallel_cas<M: Machine>(
     }
 }
 
-/// Parallel PageRank in *pull* mode over the transpose — the serving
-/// engine's snapshot builder (PR 10).
+/// Parallel PageRank in *pull* mode over the in-edge graph — the serving
+/// engine's snapshot builder.
 ///
 /// Each thread owns a static chunk of vertices and gathers
 /// `PR(v)/degree(v)` from its in-neighbors into a private accumulator:
-/// no locks, no CAS, and — because [`CsrGraph::transpose`] sorts every
-/// in-list by source — the floating-point additions for a vertex happen in
-/// ascending in-neighbor order, which is exactly the order the
-/// push-mode [`reference`] applies them in. The ranks are therefore
-/// **bitwise identical** to `reference(graph, iterations)` at every
-/// thread count, so a cache keyed on the snapshot stays byte-stable no
-/// matter which machine built it. The transpose and the out-degree
-/// table are data preparation built outside the timed region, like the
-/// light/heavy split in [`crate::sssp::parallel_delta`].
+/// no locks, no CAS, and — because every in-list of
+/// [`CsrGraph::in_edges`] is ascending by source — the floating-point
+/// additions for a vertex happen in ascending in-neighbor order, which is
+/// exactly the order the push-mode [`reference`] applies them in. Both
+/// branches give that order: [`CsrGraph::transpose`] sorts each in-list
+/// by source, then weight, and a graph certified symmetric equals its
+/// transpose array for array, so its borrowed out-lists are already in
+/// that order. The ranks are therefore **bitwise identical** to
+/// `reference(graph, iterations)` at every thread count, so a cache
+/// keyed on the snapshot stays byte-stable no matter which machine built
+/// it. The in-edge graph and the out-degree table are data preparation
+/// built outside the timed region, like the light/heavy split in
+/// [`crate::sssp::parallel_delta`].
 ///
 /// # Panics
 ///
@@ -219,8 +223,8 @@ pub fn try_parallel_pull<M: Machine>(
 ) -> Result<AlgoOutcome<PageRankOutput>, RunError> {
     assert!(iterations > 0, "need at least one iteration");
     let n = graph.num_vertices();
-    let transpose = graph.transpose();
-    let shared_t = SharedGraph::new(&transpose);
+    let in_edges = graph.in_edges();
+    let shared_t = SharedGraph::new(&in_edges);
     let degrees: Vec<u32> = (0..n as VertexId).map(|v| graph.degree(v) as u32).collect();
     let degrees = ReadArray::new(&degrees);
     let ranks = SharedF64s::filled(n, 1.0 / n as f64);

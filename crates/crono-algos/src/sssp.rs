@@ -277,8 +277,8 @@ pub fn parallel_delta<M: Machine>(
     assert!((source as usize) < n, "source vertex out of range");
     let m = graph.num_directed_edges();
     let delta = pick_delta(graph);
-    // Built outside the timed region, like the transpose the pull kernels
-    // precompute.
+    // Built outside the timed region, like the in-edge graph the pull
+    // kernels precompute.
     let (light, heavy) = graph.split_by_weight(delta);
     let light = SharedGraph::new(&light);
     let heavy = SharedGraph::new(&heavy);

@@ -1,4 +1,5 @@
 use crate::{GraphError, VertexId, Weight};
+use std::borrow::Cow;
 
 /// A weighted directed graph in compressed-sparse-row form.
 ///
@@ -11,6 +12,15 @@ use crate::{GraphError, VertexId, Weight};
 /// Undirected graphs are stored symmetrically (each edge appears in both
 /// adjacency lists), matching the C suite.
 ///
+/// A graph also carries a *symmetric* certificate ([`Self::is_symmetric`]):
+/// set only by constructors that know the graph equals its own transpose
+/// — an [`crate::EdgeList`] filled by `push_undirected` alone (every
+/// generator), [`crate::io::read_edge_list`] with `undirected`, and a
+/// Matrix Market `symmetric` file. Checking symmetry after the fact costs
+/// as much as a transpose, so nothing else sets it, and there is no public
+/// setter. The certificate is not part of the graph's identity: equality
+/// compares the three arrays only. [`Self::in_edges`] reads it.
+///
 /// # Examples
 ///
 /// ```
@@ -21,11 +31,21 @@ use crate::{GraphError, VertexId, Weight};
 /// let ns: Vec<_> = g.neighbors(0).collect();
 /// assert_eq!(ns, vec![(1, 5), (2, 3)]);
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Eq)]
 pub struct CsrGraph {
     offsets: Vec<u32>,
     neighbors: Vec<VertexId>,
     weights: Vec<Weight>,
+    /// Known to equal [`Self::transpose`].
+    symmetric: bool,
+}
+
+impl PartialEq for CsrGraph {
+    fn eq(&self, other: &CsrGraph) -> bool {
+        self.offsets == other.offsets
+            && self.neighbors == other.neighbors
+            && self.weights == other.weights
+    }
 }
 
 impl CsrGraph {
@@ -106,6 +126,7 @@ impl CsrGraph {
             offsets,
             neighbors: words.iter().map(|&x| (x >> 32) as VertexId).collect(),
             weights: words.iter().map(|&x| x as Weight).collect(),
+            symmetric: false,
         })
     }
 
@@ -124,7 +145,23 @@ impl CsrGraph {
             offsets,
             neighbors,
             weights,
+            symmetric: false,
         }
+    }
+
+    /// Certifies, when `known`, that the graph equals its transpose. Only
+    /// for builders that add every edge together with its reverse of
+    /// equal weight.
+    pub(crate) fn certified_symmetric(mut self, known: bool) -> CsrGraph {
+        self.symmetric = known;
+        self
+    }
+
+    /// Whether the graph is certified equal to its transpose (see the
+    /// type docs for who certifies it). `false` means only "not known":
+    /// a symmetric graph built by [`Self::from_edges`] is not flagged.
+    pub fn is_symmetric(&self) -> bool {
+        self.symmetric
     }
 
     /// Number of vertices.
@@ -187,7 +224,8 @@ impl CsrGraph {
     /// which [`Self::from_edges`] (behind every reader and generator) and
     /// the sorted-stream packers put in ascending weight. The result then
     /// equals `from_edges` over the reversed triples, and transposing
-    /// twice restores the input. O(n + m).
+    /// twice restores the input. O(n + m). The result is never flagged
+    /// symmetric.
     pub fn transpose(&self) -> CsrGraph {
         let n = self.num_vertices();
         let mut offsets = vec![0u32; n + 1];
@@ -211,30 +249,69 @@ impl CsrGraph {
         CsrGraph::from_raw_parts(offsets, neighbors, weights)
     }
 
+    /// The in-edge graph: row `v` lists the sources of `v`'s in-edges,
+    /// ascending by source, then weight. A graph certified symmetric
+    /// ([`Self::is_symmetric`]) is its own in-edge graph and is borrowed;
+    /// any other graph is transposed. Debug builds check the certificate
+    /// against the transpose.
+    pub fn in_edges(&self) -> Cow<'_, CsrGraph> {
+        if self.symmetric {
+            debug_assert!(
+                *self == self.transpose(),
+                "graph certified symmetric differs from its transpose"
+            );
+            Cow::Borrowed(self)
+        } else {
+            Cow::Owned(self.transpose())
+        }
+    }
+
     /// Splits the edges into a *light* graph (`w <= delta`) and a *heavy*
     /// graph (`w > delta`) over the same vertices, as delta-stepping
     /// relaxes them. Each adjacency list keeps its order, so both halves
-    /// equal [`Self::from_edges`] over the filtered triples. O(n + m).
+    /// equal [`Self::from_edges`] over the filtered triples. O(n + m):
+    /// one pass counts the light edges to size both halves, a second
+    /// writes every edge to both and advances the light cursor by
+    /// `w <= delta` — the heavy cursor is the edge index minus it — so
+    /// the loop has no data-dependent branch. Neither half is flagged
+    /// symmetric.
     pub fn split_by_weight(&self, delta: Weight) -> (CsrGraph, CsrGraph) {
-        (
-            self.filter_by_weight(|w| w <= delta),
-            self.filter_by_weight(|w| w > delta),
-        )
-    }
-
-    fn filter_by_weight(&self, keep: impl Fn(Weight) -> bool) -> CsrGraph {
-        let mut offsets = Vec::with_capacity(self.offsets.len());
-        let mut neighbors = Vec::new();
-        let mut weights = Vec::new();
-        offsets.push(0);
-        for v in 0..self.num_vertices() as VertexId {
-            for (dst, w) in self.neighbors(v).filter(|&(_, w)| keep(w)) {
-                neighbors.push(dst);
-                weights.push(w);
+        let n = self.num_vertices();
+        let light_m = self.weights.iter().filter(|&&w| w <= delta).count();
+        let heavy_m = self.weights.len() - light_m;
+        // One spare slot a half: each edge is also written to the half it
+        // does not belong to, at that half's next free slot, which is one
+        // past the end once the half is full.
+        let mut light_neighbors = vec![0; light_m + 1];
+        let mut light_weights = vec![0; light_m + 1];
+        let mut heavy_neighbors = vec![0; heavy_m + 1];
+        let mut heavy_weights = vec![0; heavy_m + 1];
+        let mut light_offsets = Vec::with_capacity(n + 1);
+        let mut heavy_offsets = Vec::with_capacity(n + 1);
+        light_offsets.push(0);
+        heavy_offsets.push(0);
+        let mut light = 0usize;
+        for v in 0..n {
+            let end = self.offsets[v + 1] as usize;
+            for e in self.offsets[v] as usize..end {
+                let (d, w) = (self.neighbors[e], self.weights[e]);
+                light_neighbors[light] = d;
+                light_weights[light] = w;
+                heavy_neighbors[e - light] = d;
+                heavy_weights[e - light] = w;
+                light += (w <= delta) as usize;
             }
-            offsets.push(neighbors.len() as u32);
+            light_offsets.push(light as u32);
+            heavy_offsets.push((end - light) as u32);
         }
-        CsrGraph::from_raw_parts(offsets, neighbors, weights)
+        light_neighbors.truncate(light_m);
+        light_weights.truncate(light_m);
+        heavy_neighbors.truncate(heavy_m);
+        heavy_weights.truncate(heavy_m);
+        (
+            CsrGraph::from_raw_parts(light_offsets, light_neighbors, light_weights),
+            CsrGraph::from_raw_parts(heavy_offsets, heavy_neighbors, heavy_weights),
+        )
     }
 
     /// Total weight of all directed edges, as `u64` to avoid overflow.

@@ -3,6 +3,12 @@ use crate::{GraphError, VertexId, Weight};
 /// A mutable list of weighted directed edges, the intermediate form every
 /// generator and parser produces before conversion to [`crate::CsrGraph`].
 ///
+/// A list from [`Self::new`] or [`Self::with_capacity`] whose every edge
+/// came from [`Self::push_undirected`] is symmetric, and the graph it
+/// converts into is certified so ([`crate::CsrGraph::is_symmetric`]).
+/// One [`Self::push`] drops the certificate for good; [`Self::dedup`]
+/// keeps it.
+///
 /// # Examples
 ///
 /// ```
@@ -20,15 +26,15 @@ use crate::{GraphError, VertexId, Weight};
 pub struct EdgeList {
     num_vertices: usize,
     edges: Vec<(VertexId, VertexId, Weight)>,
+    /// When set, certifies that every edge came from
+    /// [`Self::push_undirected`].
+    symmetric: bool,
 }
 
 impl EdgeList {
     /// Creates an empty edge list over `num_vertices` vertices.
     pub fn new(num_vertices: usize) -> Self {
-        EdgeList {
-            num_vertices,
-            edges: Vec::new(),
-        }
+        EdgeList::with_capacity(num_vertices, 0)
     }
 
     /// Creates an empty edge list with capacity for `cap` edges.
@@ -36,6 +42,7 @@ impl EdgeList {
         EdgeList {
             num_vertices,
             edges: Vec::with_capacity(cap),
+            symmetric: true,
         }
     }
 
@@ -54,7 +61,8 @@ impl EdgeList {
         self.edges.is_empty()
     }
 
-    /// Adds one directed edge `src -> dst` with weight `w`.
+    /// Adds one directed edge `src -> dst` with weight `w`, dropping the
+    /// list's symmetric certificate.
     ///
     /// # Errors
     ///
@@ -64,10 +72,12 @@ impl EdgeList {
         self.check(src)?;
         self.check(dst)?;
         self.edges.push((src, dst, w));
+        self.symmetric = false;
         Ok(())
     }
 
-    /// Adds `src <-> dst` as a pair of directed edges of equal weight.
+    /// Adds `src <-> dst` as a pair of directed edges of equal weight; a
+    /// self-loop is stored once.
     ///
     /// # Errors
     ///
@@ -79,9 +89,11 @@ impl EdgeList {
         dst: VertexId,
         w: Weight,
     ) -> Result<(), GraphError> {
-        self.push(src, dst, w)?;
+        self.check(src)?;
+        self.check(dst)?;
+        self.edges.push((src, dst, w));
         if src != dst {
-            self.push(dst, src, w)?;
+            self.edges.push((dst, src, w));
         }
         Ok(())
     }
@@ -93,7 +105,9 @@ impl EdgeList {
 
     /// Removes duplicate edges (same `src`/`dst`, keeping the smallest
     /// weight) and self-loops. Generators use this so requested edge counts
-    /// are honored without parallel edges.
+    /// are honored without parallel edges. A symmetric list stays
+    /// symmetric: `src -> dst` and `dst -> src` carry the same weights, so
+    /// both keep the same smallest one.
     pub fn dedup(&mut self) {
         self.edges.retain(|&(s, d, _)| s != d);
         self.edges.sort_unstable();
@@ -101,12 +115,22 @@ impl EdgeList {
     }
 
     /// Converts into a CSR graph, sorting edges by source then destination.
+    /// The graph is certified symmetric if the list is.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the directed edge count overflows the CSR's `u32`
+    /// offsets.
     pub fn into_csr(self) -> crate::CsrGraph {
-        crate::CsrGraph::from_edges(self.num_vertices, self.edges)
+        match self.try_into_csr() {
+            Ok(g) => g,
+            Err(e) => panic!("{e}"),
+        }
     }
 
     /// Fallible conversion into a CSR graph; the production path for
-    /// parser- and CLI-sourced edge lists.
+    /// parser- and CLI-sourced edge lists. The graph is certified
+    /// symmetric if the list is.
     ///
     /// # Errors
     ///
@@ -114,7 +138,8 @@ impl EdgeList {
     /// overflows the CSR's `u32` offsets. (Endpoints were validated on
     /// `push`, so `VertexOutOfRange` cannot occur here.)
     pub fn try_into_csr(self) -> Result<crate::CsrGraph, GraphError> {
-        crate::CsrGraph::try_from_edges(self.num_vertices, self.edges)
+        let g = crate::CsrGraph::try_from_edges(self.num_vertices, self.edges)?;
+        Ok(g.certified_symmetric(self.symmetric))
     }
 
     fn check(&self, v: VertexId) -> Result<(), GraphError> {
@@ -126,12 +151,6 @@ impl EdgeList {
                 num_vertices: self.num_vertices,
             })
         }
-    }
-}
-
-impl Extend<(VertexId, VertexId, Weight)> for EdgeList {
-    fn extend<T: IntoIterator<Item = (VertexId, VertexId, Weight)>>(&mut self, iter: T) {
-        self.edges.extend(iter);
     }
 }
 
@@ -175,12 +194,5 @@ mod tests {
         el.dedup();
         let edges: Vec<_> = el.iter().collect();
         assert_eq!(edges, vec![(0, 1, 3), (0, 2, 5)]);
-    }
-
-    #[test]
-    fn extend_collects_edges() {
-        let mut el = EdgeList::new(5);
-        el.extend(vec![(0, 1, 1), (1, 2, 2)]);
-        assert_eq!(el.len(), 2);
     }
 }

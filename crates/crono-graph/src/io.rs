@@ -10,8 +10,10 @@
 //!   `p sp <n> <m>` problem line, and `a <src> <dst> <weight>` arcs with
 //!   1-based vertex ids.
 //! * *Matrix Market* (`.mtx`): the `%%MatrixMarket matrix coordinate`
-//!   header, a `rows cols entries` size line, then 1-based `row col
-//!   [value]` entries; `symmetric` matrices are mirrored.
+//!   header with a `real`, `integer` or `pattern` field and `general` or
+//!   `symmetric` symmetry (keywords in any case), a `rows cols entries`
+//!   size line, then 1-based `row col [value]` entries; `symmetric`
+//!   matrices are mirrored.
 
 use crate::{CsrGraph, EdgeList, GraphError, VertexId, Weight};
 use std::io::{BufRead, BufReader, Read, Write};
@@ -26,7 +28,8 @@ const MAX_PREALLOC_EDGES: usize = 1 << 20;
 /// Reads a whitespace-separated edge list.
 ///
 /// Pass `undirected = true` to mirror every edge (SNAP road networks list
-/// each undirected edge once).
+/// each undirected edge once); the graph is then certified symmetric
+/// ([`CsrGraph::is_symmetric`]).
 ///
 /// # Errors
 ///
@@ -55,7 +58,7 @@ pub fn read_edge_list<R: Read>(reader: R, undirected: bool) -> Result<CsrGraph, 
         }
     }
     let n = if edges.is_empty() { 0 } else { max_v as usize + 1 };
-    CsrGraph::try_from_edges(n, edges)
+    Ok(CsrGraph::try_from_edges(n, edges)?.certified_symmetric(undirected))
 }
 
 /// Writes a graph as a plain directed edge list (`src dst weight` lines).
@@ -182,14 +185,19 @@ pub fn write_dimacs<W: Write>(graph: &CsrGraph, mut writer: W) -> std::io::Resul
 }
 
 /// Reads a Matrix Market coordinate file as a graph (rows/columns are
-/// vertices, entries are edges; `symmetric` headers mirror each entry).
-/// Real entry values are rounded to non-negative integer weights;
-/// `pattern` matrices get weight 1.
+/// vertices, entries are edges). Header keywords are case-insensitive;
+/// the field must be `real`, `integer` or `pattern` and the symmetry
+/// `general` or `symmetric`. A `symmetric` file mirrors each entry (a
+/// diagonal entry is stored once) and gives a graph certified symmetric
+/// ([`CsrGraph::is_symmetric`]). Entry values are rounded to
+/// non-negative integer weights; `pattern` matrices get weight 1.
 ///
 /// # Errors
 ///
-/// Returns [`GraphError::Parse`] for a missing/unsupported header, a
-/// non-square matrix, out-of-range indices, or malformed entries.
+/// Returns [`GraphError::Parse`] for a missing or unsupported header
+/// (`complex`, `skew-symmetric` and `hermitian` matrices have no graph
+/// reading here), a non-square matrix, out-of-range indices, or
+/// malformed entries.
 ///
 /// # Examples
 ///
@@ -212,20 +220,28 @@ pub fn read_matrix_market<R: Read>(reader: R) -> Result<CsrGraph, GraphError> {
         line: 1,
         message: "empty file".to_string(),
     })?;
-    let header = header?;
+    let header = header?.to_ascii_lowercase();
     let fields: Vec<&str> = header.split_whitespace().collect();
-    if fields.first() != Some(&"%%MatrixMarket")
-        || fields.get(1) != Some(&"matrix")
-        || fields.get(2) != Some(&"coordinate")
-    {
+    if !fields.starts_with(&["%%matrixmarket", "matrix", "coordinate"]) {
         return Err(GraphError::Parse {
             line: 1,
             message: "expected a \"%%MatrixMarket matrix coordinate\" header".to_string(),
         });
     }
-    let pattern = fields.get(3) == Some(&"pattern");
-    let symmetric = fields.get(4).map(|s| s.to_ascii_lowercase())
-        == Some("symmetric".to_string());
+    let unsupported = |what: &str, got: &str, accepted: &str| GraphError::Parse {
+        line: 1,
+        message: format!("unsupported matrix {what} {got:?}, expected {accepted}"),
+    };
+    let pattern = match fields.get(3).copied().unwrap_or("") {
+        "real" | "integer" => false,
+        "pattern" => true,
+        got => return Err(unsupported("field", got, "real, integer or pattern")),
+    };
+    let symmetric = match fields.get(4).copied().unwrap_or("") {
+        "general" => false,
+        "symmetric" => true,
+        got => return Err(unsupported("symmetry", got, "general or symmetric")),
+    };
 
     // Declared entry count + the edges parsed so far, both set by the
     // one size line — a single Option so entries can never exist
@@ -281,7 +297,7 @@ pub fn read_matrix_market<R: Read>(reader: R) -> Result<CsrGraph, GraphError> {
             }
             value.round() as Weight
         };
-        if symmetric && row != col {
+        if symmetric {
             el.push_undirected(row - 1, col - 1, weight)?;
         } else {
             el.push(row - 1, col - 1, weight)?;

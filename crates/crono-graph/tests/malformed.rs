@@ -74,6 +74,12 @@ fn matrix_market_rejects_malformed_lines() {
         format!("{h}2 2 1\n1 2 -1.0\n"),                 // negative weight
         format!("{h}2 2 2\n1 2 1.0\n"),                  // fewer entries than declared
         format!("{h}2 2 1\n1 2 1.0\n2 1 1.0\n"),         // more entries than declared
+        // Legal Matrix Market, but no graph reading here: each used to be
+        // read as something else.
+        "%%MatrixMarket matrix coordinate pattern skew-symmetric\n2 2 1\n2 1\n".to_string(),
+        "%%MatrixMarket matrix coordinate real hermitian\n2 2 1\n2 1 1.0\n".to_string(),
+        "%%MatrixMarket matrix coordinate complex general\n2 2 1\n1 2 1.0 2.0\n".to_string(),
+        "%%MatrixMarket matrix coordinate real\n2 2 1\n1 2 1.0\n".to_string(), // no symmetry
     ];
     let corpus: Vec<&str> = cases.iter().map(String::as_str).collect();
     assert_all_rejected(
@@ -81,6 +87,32 @@ fn matrix_market_rejects_malformed_lines() {
         |s| read_matrix_market(s.as_bytes()).map(drop),
         &corpus,
     );
+}
+
+#[test]
+fn matrix_market_unsupported_headers_name_the_accepted_values() {
+    let err = |header: &str| {
+        let text = format!("%%MatrixMarket matrix coordinate {header}\n2 2 1\n2 1 1\n");
+        read_matrix_market(text.as_bytes()).unwrap_err().to_string()
+    };
+    assert!(err("complex general").contains("real, integer or pattern"));
+    assert!(err("real skew-symmetric").contains("general or symmetric"));
+    assert!(err("pattern hermitian").contains("general or symmetric"));
+}
+
+/// Header keywords are case-insensitive in the Matrix Market format.
+#[test]
+fn matrix_market_accepts_keywords_in_any_case() {
+    let text = "%%MatrixMarket matrix coordinate PATTERN symmetric\n3 3 2\n2 1\n3 3\n";
+    let g = read_matrix_market(text.as_bytes()).unwrap();
+    assert_eq!(g.num_directed_edges(), 3, "mirrored, diagonal once");
+    assert_eq!(g.weight_slice(), &[1, 1, 1]);
+    assert!(g.is_symmetric());
+
+    let text = "%%MatrixMarket Matrix Coordinate Integer General\n2 2 1\n1 2 7\n";
+    let g = read_matrix_market(text.as_bytes()).unwrap();
+    assert_eq!(g.neighbors(0).collect::<Vec<_>>(), vec![(1, 7)]);
+    assert_eq!(g.num_directed_edges(), 1);
 }
 
 #[test]

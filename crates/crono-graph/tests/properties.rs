@@ -117,6 +117,31 @@ fn transpose_is_involutive() {
     }
 }
 
+/// Both halves of the split equal `from_edges` over the kept triples,
+/// whatever the share of light edges — none, all, or in between, with
+/// parallel edges straddling `delta`.
+#[test]
+fn weight_split_matches_filtered_from_edges() {
+    for case in 0..CASES {
+        let mut rng = SmallRng::seed_from_u64(0x3D3D + case);
+        let (n, edges) = arb_edges(&mut rng, 32, 256);
+        let g = CsrGraph::from_edges(n, edges.clone());
+        let filtered = |keep: &dyn Fn(u32) -> bool| {
+            let kept = edges.iter().copied().filter(|&(_, _, w)| keep(w));
+            CsrGraph::from_edges(n, kept.collect())
+        };
+        for delta in [0, rng.random_range(1..100u32), u32::MAX] {
+            let (light, heavy) = g.split_by_weight(delta);
+            assert_eq!(
+                light,
+                filtered(&|w| w <= delta),
+                "case {case} delta {delta}"
+            );
+            assert_eq!(heavy, filtered(&|w| w > delta), "case {case} delta {delta}");
+        }
+    }
+}
+
 #[test]
 fn edge_list_io_round_trips() {
     for case in 0..CASES {
@@ -226,7 +251,9 @@ fn dedup_removes_all_duplicates() {
         let mut rng = SmallRng::seed_from_u64(0xAA44 + case);
         let (n, edges) = arb_edges(&mut rng, 24, 200);
         let mut el = EdgeList::new(n);
-        el.extend(edges);
+        for (s, d, w) in edges {
+            el.push(s, d, w).unwrap();
+        }
         el.dedup();
         let pairs: Vec<_> = el.iter().map(|(s, d, _)| (s, d)).collect();
         let mut uniq = pairs.clone();
