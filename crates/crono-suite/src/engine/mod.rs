@@ -1027,6 +1027,7 @@ mod tests {
     use super::*;
     use crono_graph::gen::uniform_random;
     use crono_runtime::NativeMachine;
+    use crono_sim::{SimConfig, SimMachine};
 
     fn test_engine(threads: usize) -> ServeEngine<NativeMachine> {
         let graph = uniform_random(256, 1024, 8, 42);
@@ -1100,55 +1101,75 @@ mod tests {
         assert!(!responses[0].cached, "first flight is a miss, not a hit");
     }
 
-    #[test]
-    fn batched_multi_source_bfs_matches_independent_queries() {
-        let sources = [0u32, 7, 19, 42, 99, 150, 200, 255];
-        // Batched engine: all eight in one batch, cache off so nothing
-        // short-circuits, width wide enough to group them all.
-        let graph = uniform_random(256, 1024, 8, 42);
-        let mut batched = ServeEngine::new(
-            NativeMachine::new(4),
-            graph.clone(),
-            EngineOptions {
-                cache_capacity: 0,
-                ..EngineOptions::default()
-            },
-        );
-        for &s in &sources {
-            batched.submit(Query::new(QueryKind::Bfs, s)).unwrap();
+    /// Serves `sources` as `kind` queries in one batch. The cache is off
+    /// so nothing short-circuits; the default width groups them all.
+    fn one_batch<M: Machine>(
+        machine: M,
+        graph: &CsrGraph,
+        kind: QueryKind,
+        sources: &[VertexId],
+    ) -> BatchReport {
+        let opts = EngineOptions {
+            cache_capacity: 0,
+            ..EngineOptions::default()
+        };
+        let mut engine = ServeEngine::new(machine, graph.clone(), opts);
+        for &s in sources {
+            engine.submit(Query::new(kind, s)).unwrap();
         }
-        let batch = batched.run_batch();
+        engine.run_batch()
+    }
 
-        // Reference engine: one query per batch → every run is a plain
-        // sequential BFS.
+    /// Batched answers on both backends equal independent per-query runs.
+    fn assert_batched_matches_independent(kind: QueryKind) {
+        let sources = [0u32, 7, 19, 42, 99, 150, 200, 255];
+        let graph = uniform_random(256, 1024, 8, 42);
+        let native = one_batch(NativeMachine::new(4), &graph, kind, &sources);
+        let sim_machine = SimMachine::new(SimConfig::tiny(16), 4).deterministic();
+        let sim = one_batch(sim_machine, &graph, kind, &sources);
+
+        // Reference engine: width 1 and one query per batch, so every
+        // run is a plain sequential kernel.
         let mut single = ServeEngine::new(
             NativeMachine::new(1),
             graph,
             EngineOptions {
                 cache_capacity: 0,
                 batch_max: 1,
+                ms_sssp_width: 1,
                 ..EngineOptions::default()
             },
         );
         for (i, &s) in sources.iter().enumerate() {
-            single.submit(Query::new(QueryKind::Bfs, s)).unwrap();
+            single.submit(Query::new(kind, s)).unwrap();
             let reference = single.run_batch();
             let (_, Ok(ref_r)) = &reference.outcomes[0] else {
-                panic!("reference BFS failed");
+                panic!("reference {kind} failed");
             };
-            let (_, Ok(bat_r)) = &batch.outcomes[i] else {
-                panic!("batched BFS failed");
-            };
-            assert_eq!(bat_r.answer, ref_r.answer, "source {s}");
-            assert_eq!(bat_r.batched, sources.len());
             assert_eq!(ref_r.batched, 1);
-            assert!(
-                bat_r.cost < ref_r.cost,
-                "shared sweep must be cheaper per query: {} vs {}",
-                bat_r.cost,
-                ref_r.cost
-            );
+            for (backend, batch) in [("native", &native), ("sim", &sim)] {
+                let (_, Ok(bat_r)) = &batch.outcomes[i] else {
+                    panic!("{backend} batched {kind} failed");
+                };
+                assert_eq!(bat_r.answer, ref_r.answer, "{backend}, source {s}");
+                assert_eq!(bat_r.batched, sources.len(), "{backend}");
+                // Simulated costs are cycles, and there batching can
+                // cost more than it saves.
+                if backend == "native" {
+                    assert!(
+                        bat_r.cost < ref_r.cost,
+                        "shared sweep must be cheaper per query: {} vs {}",
+                        bat_r.cost,
+                        ref_r.cost
+                    );
+                }
+            }
         }
+    }
+
+    #[test]
+    fn batched_multi_source_bfs_matches_independent_queries() {
+        assert_batched_matches_independent(QueryKind::Bfs);
     }
 
     #[test]
@@ -1328,52 +1349,7 @@ mod tests {
 
     #[test]
     fn batched_multi_source_sssp_matches_independent_queries() {
-        let sources = [0u32, 7, 19, 42, 99, 150, 200, 255];
-        let graph = uniform_random(256, 1024, 8, 42);
-        let mut batched = ServeEngine::new(
-            NativeMachine::new(4),
-            graph.clone(),
-            EngineOptions {
-                cache_capacity: 0,
-                ..EngineOptions::default()
-            },
-        );
-        for &s in &sources {
-            batched.submit(Query::new(QueryKind::Sssp, s)).unwrap();
-        }
-        let batch = batched.run_batch();
-
-        // Reference engine: width 1 → every miss is an independent
-        // sequential Dijkstra.
-        let mut single = ServeEngine::new(
-            NativeMachine::new(1),
-            graph,
-            EngineOptions {
-                cache_capacity: 0,
-                batch_max: 1,
-                ms_sssp_width: 1,
-                ..EngineOptions::default()
-            },
-        );
-        for (i, &s) in sources.iter().enumerate() {
-            single.submit(Query::new(QueryKind::Sssp, s)).unwrap();
-            let reference = single.run_batch();
-            let (_, Ok(ref_r)) = &reference.outcomes[0] else {
-                panic!("reference SSSP failed");
-            };
-            let (_, Ok(bat_r)) = &batch.outcomes[i] else {
-                panic!("batched SSSP failed");
-            };
-            assert_eq!(bat_r.answer, ref_r.answer, "source {s}");
-            assert_eq!(bat_r.batched, sources.len());
-            assert_eq!(ref_r.batched, 1);
-            assert!(
-                bat_r.cost < ref_r.cost,
-                "shared sweep must be cheaper per query: {} vs {}",
-                bat_r.cost,
-                ref_r.cost
-            );
-        }
+        assert_batched_matches_independent(QueryKind::Sssp);
     }
 
     #[test]
