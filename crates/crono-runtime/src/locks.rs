@@ -1,4 +1,4 @@
-use crate::{alloc_region, Addr, Region};
+use crate::{alloc_region, Addr, Region, LINE_SIZE};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 
 /// A test-and-test-and-set spinlock.
@@ -50,9 +50,8 @@ impl SpinLock {
 /// simulated backend compute how long a thread's simulated clock must
 /// wait behind the previous holder (Graphite-style lax synchronization).
 ///
-/// Locks are cache-line padded in the symbolic address space by default,
-/// mirroring CRONO's cache-line-aligned data structures; `new_packed`
-/// exists for the false-sharing ablation.
+/// Each lock word sits on its own cache line in the symbolic address
+/// space, mirroring CRONO's cache-line-aligned data structures.
 ///
 /// # Examples
 ///
@@ -74,29 +73,16 @@ pub struct LockSet {
     /// Per-lock `(epoch_tag << 32) | booked_hold_cycles`.
     epoch_busy: Vec<AtomicU64>,
     region: Region,
-    padded: bool,
 }
 
 impl LockSet {
     /// Creates `n` locks, cache-line padded in the symbolic address space.
     pub fn new(n: usize) -> Self {
-        Self::build(n, true)
-    }
-
-    /// Creates `n` locks packed 4 bytes apart (16 locks per cache line) —
-    /// the false-sharing ablation configuration.
-    pub fn new_packed(n: usize) -> Self {
-        Self::build(n, false)
-    }
-
-    fn build(n: usize, padded: bool) -> Self {
-        let bytes = if padded { n as u64 * 64 } else { n as u64 * 4 };
         LockSet {
             locks: (0..n).map(|_| SpinLock::default()).collect(),
             release_clocks: (0..n).map(|_| AtomicU64::new(0)).collect(),
             epoch_busy: (0..n).map(|_| AtomicU64::new(0)).collect(),
-            region: alloc_region(bytes.max(1)),
-            padded,
+            region: alloc_region((n as u64 * LINE_SIZE).max(1)),
         }
     }
 
@@ -112,11 +98,7 @@ impl LockSet {
 
     /// Symbolic address of lock `idx`'s lock word.
     pub fn addr(&self, idx: usize) -> Addr {
-        if self.padded {
-            self.region.addr_padded(idx)
-        } else {
-            self.region.addr(idx, 4)
-        }
+        self.region.addr_padded(idx)
     }
 
     /// Acquires the underlying spinlock (real mutual exclusion),
@@ -227,13 +209,6 @@ mod tests {
         let set = LockSet::new(4);
         let lines: std::collections::HashSet<_> = (0..4).map(|i| set.addr(i).line()).collect();
         assert_eq!(lines.len(), 4);
-    }
-
-    #[test]
-    fn packed_locks_share_lines() {
-        let set = LockSet::new_packed(16);
-        let lines: std::collections::HashSet<_> = (0..16).map(|i| set.addr(i).line()).collect();
-        assert_eq!(lines.len(), 1, "16 packed 4-byte locks fit one line");
     }
 
     #[test]

@@ -154,11 +154,6 @@ pub struct SimConfig {
     pub lock_overhead: u64,
     /// Cycles charged for passing a barrier beyond waiting for peers.
     pub barrier_overhead: u64,
-    /// Grant Exclusive (E) state to sole readers (MESI). Disabling this
-    /// degrades the protocol to MSI: a sole reader gets Shared and its
-    /// first write pays an upgrade round trip — the `ablation_directory`
-    /// bench quantifies what the E state buys graph workloads.
-    pub enable_e_state: bool,
     /// Enable the locality-aware coherence protocol the paper proposes as
     /// future work (§VII-A, after Kurian et al. ISCA'13): a core's first
     /// touch of a line is served remotely at the L2 home (word-granularity
@@ -204,7 +199,6 @@ impl Default for SimConfig {
             },
             lock_overhead: 2,
             barrier_overhead: 4,
-            enable_e_state: true,
             locality_aware: false,
         }
     }

@@ -1008,7 +1008,7 @@ impl SimCtx {
                     entry.owner = None;
                 }
                 if allocate {
-                    if entry.sharers.is_empty() && cfg.enable_e_state {
+                    if entry.sharers.is_empty() {
                         entry.owner = Some(me);
                         exclusive = true;
                     } else {

@@ -42,7 +42,7 @@ pub struct Scale {
 }
 
 impl Scale {
-    /// Tiny inputs for unit tests and criterion benches (seconds).
+    /// Tiny inputs for unit tests, CI smoke runs and `--scale test` (seconds).
     pub fn test() -> Scale {
         Scale {
             name: "test",
