@@ -155,10 +155,10 @@ fn instructions(report: &RunReport) -> Vec<u64> {
 /// into equal but uncertified copies — at 1 and 4 threads.
 ///
 /// The deterministic simulator keeps the racy claims of BFS and Afforest
-/// from varying the counts at 4 threads, but only in a fresh process:
-/// its timing, and so the order of the races, depends on the
-/// bump-allocated symbolic addresses. Both variants allocate the same
-/// regions in the same order.
+/// from varying the counts at 4 threads, but only from the same point of
+/// an address space: its timing, and so the order of the races, depends
+/// on the symbolic addresses. Both variants allocate the same regions in
+/// the same order.
 fn in_edge_fingerprint(certified: bool) -> String {
     let graphs = [
         ("rmat", rmat(9, 4096, 8, RmatParams::default(), 5)),
@@ -178,11 +178,11 @@ fn in_edge_fingerprint(certified: bool) -> String {
             let cc = connected::parallel_afforest(&sim(), &g);
             let pr = pagerank::parallel_pull(&sim(), &g, 5);
             let ranks: Vec<u64> = pr.output.ranks.iter().map(|r| r.to_bits()).collect();
-            let _ = writeln!(out, "fp {name} threads={threads}");
+            let _ = writeln!(out, "{name} threads={threads}");
             let (bfs_instr, cc_instr) = (instructions(&bfs.report), instructions(&cc.report));
-            let _ = writeln!(out, "fp   dirop {bfs_instr:?} {:?}", bfs.output.level);
-            let _ = writeln!(out, "fp   afforest {cc_instr:?} {:?}", cc.output.labels);
-            let _ = writeln!(out, "fp   pull {:?} {ranks:?}", instructions(&pr.report));
+            let _ = writeln!(out, "  dirop {bfs_instr:?} {:?}", bfs.output.level);
+            let _ = writeln!(out, "  afforest {cc_instr:?} {:?}", cc.output.labels);
+            let _ = writeln!(out, "  pull {:?} {ranks:?}", instructions(&pr.report));
         }
     }
     out
@@ -190,37 +190,18 @@ fn in_edge_fingerprint(certified: bool) -> String {
 
 /// A certified graph is borrowed as its own in-edge graph; its copy is
 /// transposed. Both must give the kernels the same in-lists, hence the
-/// same outputs and the same work on every thread. Each variant runs in
-/// a fresh child process (see [`in_edge_fingerprint`]).
+/// same outputs and the same work on every thread. Each variant runs on
+/// its own fresh thread (see [`in_edge_fingerprint`]).
 #[test]
 fn certified_and_transposed_in_edges_run_alike() {
-    const CHILD: &str = "CRONO_IN_EDGES_CHILD";
-    if let Ok(variant) = std::env::var(CHILD) {
-        print!("\n{}", in_edge_fingerprint(variant == "certified"));
-        return;
-    }
-    let run = |variant: &str| -> String {
-        let out = std::process::Command::new(std::env::current_exe().expect("test binary path"))
-            .args([
-                "--exact",
-                "certified_and_transposed_in_edges_run_alike",
-                "--nocapture",
-                "--test-threads=1",
-            ])
-            .env(CHILD, variant)
-            .output()
-            .expect("spawn child test process");
-        assert!(out.status.success(), "child failed: {out:?}");
-        let stdout = String::from_utf8(out.stdout).expect("utf8");
-        stdout
-            .lines()
-            .filter(|l| l.starts_with("fp "))
-            .map(|l| format!("{l}\n"))
-            .collect()
+    let run = |certified: bool| {
+        std::thread::spawn(move || in_edge_fingerprint(certified))
+            .join()
+            .expect("fingerprint thread")
     };
-    let certified = run("certified");
+    let certified = run(true);
     assert_eq!(certified.lines().count(), 2 * 2 * 4, "{certified}");
-    assert_eq!(certified, run("copy"));
+    assert_eq!(certified, run(false));
 }
 
 /// Keeps every edge `v -> u` with `v < u`, and the reverse ones only

@@ -1,4 +1,6 @@
+use std::cell::RefCell;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 
 /// Cache-line size in bytes (Table II: 64-byte lines).
 pub const LINE_SIZE: u64 = 64;
@@ -29,8 +31,8 @@ impl Addr {
     }
 }
 
-/// A contiguous, cache-line-aligned allocation in the symbolic address
-/// space, typically backing one array of a benchmark's data.
+/// A contiguous, cache-line-aligned allocation in one
+/// [`AddressSpace`], typically backing one array of a benchmark's data.
 ///
 /// CRONO aligns all data structures to cache lines "to ensure optimal
 /// performance" (§IV-F); [`alloc_region`] does the same.
@@ -74,8 +76,45 @@ impl Region {
     }
 }
 
+/// Base of every address space; the first megabyte is a "null" zone.
+const BASE: u64 = 1 << 20;
+
+/// A symbolic address space: the bump cursor [`alloc_region`] draws
+/// regions from.
+///
+/// Every thread has a current space, and a fresh thread's space starts
+/// at the same base, so the addresses a thread is given depend only on
+/// what was allocated from its space before, never on other spaces. The
+/// backends make each worker [`enter`](AddressSpace::enter) the space of
+/// the thread that started the run, so regions allocated inside a run
+/// continue the caller's sequence.
+///
+/// The one rule: regions from two threads' spaces can share addresses,
+/// so build a run's shared structures on the thread that starts the run.
+#[derive(Debug, Clone)]
+pub struct AddressSpace(Arc<AtomicU64>);
+
+thread_local! {
+    static CURRENT: RefCell<AddressSpace> =
+        RefCell::new(AddressSpace(Arc::new(AtomicU64::new(BASE))));
+}
+
+impl AddressSpace {
+    /// The calling thread's current space.
+    pub fn current() -> Self {
+        CURRENT.with(|s| s.borrow().clone())
+    }
+
+    /// Makes this the calling thread's current space: the thread's later
+    /// [`alloc_region`] calls advance this space's cursor.
+    pub fn enter(self) {
+        CURRENT.with(|s| *s.borrow_mut() = self);
+    }
+}
+
 /// Allocates a fresh cache-line-aligned [`Region`] of at least `bytes`
-/// bytes. Regions are unique for the lifetime of the process.
+/// bytes from the calling thread's [`AddressSpace`]. Regions from one
+/// space never overlap.
 ///
 /// # Examples
 ///
@@ -88,9 +127,8 @@ impl Region {
 /// assert!(b.base().raw() >= a.base().raw() + 128, "regions never overlap");
 /// ```
 pub fn alloc_region(bytes: u64) -> Region {
-    static NEXT: AtomicU64 = AtomicU64::new(1 << 20); // skip a "null" zone
     let rounded = bytes.max(1).div_ceil(LINE_SIZE) * LINE_SIZE;
-    let base = NEXT.fetch_add(rounded, Ordering::Relaxed);
+    let base = CURRENT.with(|s| s.borrow().0.fetch_add(rounded, Ordering::Relaxed));
     Region {
         base,
         bytes: rounded,
@@ -108,6 +146,17 @@ mod tests {
         assert_eq!(a.base().raw() % LINE_SIZE, 0);
         assert_eq!(b.base().raw() % LINE_SIZE, 0);
         assert!(b.base().raw() >= a.base().raw() + LINE_SIZE);
+    }
+
+    #[test]
+    fn fresh_threads_start_at_the_same_base() {
+        alloc_region(4096);
+        let first = || {
+            std::thread::spawn(|| alloc_region(64).base())
+                .join()
+                .expect("allocating thread")
+        };
+        assert_eq!(first(), first());
     }
 
     #[test]

@@ -17,7 +17,8 @@
 //!   backend.
 //! * [`Addr`]/[`Region`] — symbolic, cache-line-aligned addresses that let
 //!   the simulator model the true data-dependent access stream without the
-//!   benchmarks ever touching raw pointers.
+//!   benchmarks ever touching raw pointers, allocated from the calling
+//!   thread's [`AddressSpace`].
 //! * [`SharedU32s`] and friends — shared atomic arrays pairing each *real*
 //!   atomic operation with its symbolic address, and [`LockSet`] — real
 //!   mutual exclusion paired with modeled timing.
@@ -56,7 +57,7 @@ mod report;
 mod shared;
 mod sync;
 
-pub use addr::{alloc_region, Addr, Region, LINE_SIZE};
+pub use addr::{alloc_region, Addr, AddressSpace, Region, LINE_SIZE};
 pub use budget::BudgetCtx;
 pub use cancel::{panic_payload, CancelCause, RunGate};
 pub use ctx::ThreadCtx;

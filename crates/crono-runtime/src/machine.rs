@@ -39,14 +39,14 @@ pub enum RunError {
         /// The panic message, when it was a string payload.
         payload: String,
         /// Partial report covering every worker.
-        report: RunReport,
+        report: Box<RunReport>,
     },
     /// The [`RunOptions::timeout`] watchdog cancelled the run.
     TimedOut {
         /// The configured timeout that expired.
         timeout: Duration,
         /// Partial report covering every worker.
-        report: RunReport,
+        report: Box<RunReport>,
     },
     /// The backend's interconnect had no legal route for a message — a
     /// permanent dead-link fault the active routing policy cannot avoid
@@ -58,7 +58,7 @@ pub enum RunError {
         /// The backend's route-error description.
         detail: String,
         /// Partial report covering every worker.
-        report: RunReport,
+        report: Box<RunReport>,
     },
 }
 

@@ -1,6 +1,7 @@
 use crate::cancel::{panic_payload, CancelCause, RunGate};
 use crate::{
-    Addr, LockSet, Machine, RunError, RunOptions, RunOutcome, RunReport, ThreadCtx, ThreadReport,
+    Addr, AddressSpace, LockSet, Machine, RunError, RunOptions, RunOutcome, RunReport, ThreadCtx,
+    ThreadReport,
 };
 use crono_trace::{ThreadTracer, TraceConfig};
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -81,6 +82,7 @@ impl Machine for NativeMachine {
         R: Send,
     {
         let gate = Arc::new(RunGate::new(self.threads));
+        let space = AddressSpace::current();
         let start = Instant::now();
         let mut results: Vec<Option<(Result<R, String>, ThreadReport)>> = Vec::new();
         results.resize_with(self.threads, || None);
@@ -94,7 +96,9 @@ impl Machine for NativeMachine {
                 let body = &body;
                 let gate = Arc::clone(&gate);
                 let trace = self.trace;
+                let space = space.clone();
                 handles.push(scope.spawn(move || {
+                    space.enter();
                     let mut ctx = NativeCtx {
                         tid,
                         nthreads: self.threads,
@@ -118,7 +122,7 @@ impl Machine for NativeMachine {
                     };
                     let report = ThreadReport {
                         instructions: ctx.instructions,
-                        finish_time: ctx.start.elapsed().as_nanos() as u64,
+                        finish_time: nanos_since(ctx.start),
                         breakdown: Default::default(),
                         active_samples: ctx.active_samples,
                         trace: ctx.tracer.map(ThreadTracer::finish),
@@ -156,12 +160,16 @@ impl Machine for NativeMachine {
             faults: Default::default(),
         };
         if let Some((tid, payload)) = first_panic {
-            return Err(RunError::WorkerPanicked { tid, payload, report });
+            return Err(RunError::WorkerPanicked {
+                tid,
+                payload,
+                report: Box::new(report),
+            });
         }
         if gate.cause() == Some(CancelCause::Timeout) {
             return Err(RunError::TimedOut {
                 timeout: opts.timeout.unwrap_or_default(),
-                report,
+                report: Box::new(report),
             });
         }
         Ok(RunOutcome { per_thread, report })
@@ -180,31 +188,30 @@ pub struct NativeCtx {
     tracer: Option<ThreadTracer>,
 }
 
-impl NativeCtx {
-    #[inline]
-    fn now(&self) -> u64 {
-        self.start.elapsed().as_nanos() as u64
-    }
+/// Nanoseconds since `start`: the trace and sample clock.
+#[inline]
+fn nanos_since(start: Instant) -> u64 {
+    start.elapsed().as_nanos() as u64
+}
 
-    /// Spin-acquire with a cancellation check: a cancelled run may never
-    /// release the lock (its holder panicked), so waiters bail out and
-    /// drain. Results of a cancelled run are discarded, so returning
-    /// without the lock is safe.
-    fn acquire_or_drain(&self, set: &LockSet, idx: usize) {
-        let mut spins = 0u32;
-        loop {
-            if set.try_acquire_raw(idx) {
-                return;
-            }
-            if self.gate.is_cancelled() {
-                return;
-            }
-            spins = spins.wrapping_add(1);
-            if spins % 64 == 0 {
-                std::thread::yield_now();
-            } else {
-                std::hint::spin_loop();
-            }
+/// Spin-acquire with a cancellation check: a cancelled run may never
+/// release the lock (its holder panicked), so waiters bail out and
+/// drain. Results of a cancelled run are discarded, so returning
+/// without the lock is safe.
+fn acquire_or_drain(gate: &RunGate, set: &LockSet, idx: usize) {
+    let mut spins = 0u32;
+    loop {
+        if set.try_acquire_raw(idx) {
+            return;
+        }
+        if gate.is_cancelled() {
+            return;
+        }
+        spins = spins.wrapping_add(1);
+        if spins.is_multiple_of(64) {
+            std::thread::yield_now();
+        } else {
+            std::hint::spin_loop();
         }
     }
 }
@@ -243,14 +250,13 @@ impl ThreadCtx for NativeCtx {
     #[inline]
     fn lock(&mut self, set: &LockSet, idx: usize) {
         self.instructions += 1;
-        if self.tracer.is_some() {
-            let t0 = self.now();
-            self.acquire_or_drain(set, idx);
-            let dur = self.now().saturating_sub(t0);
-            let tr = self.tracer.as_mut().expect("checked above");
+        if let Some(tr) = self.tracer.as_mut() {
+            let t0 = nanos_since(self.start);
+            acquire_or_drain(&self.gate, set, idx);
+            let dur = nanos_since(self.start).saturating_sub(t0);
             tr.complete("sync", "lock_wait", t0, dur);
         } else {
-            self.acquire_or_drain(set, idx);
+            acquire_or_drain(&self.gate, set, idx);
         }
     }
 
@@ -262,11 +268,10 @@ impl ThreadCtx for NativeCtx {
 
     fn barrier(&mut self) {
         self.instructions += 1;
-        if self.tracer.is_some() {
-            let t0 = self.now();
+        if let Some(tr) = self.tracer.as_mut() {
+            let t0 = nanos_since(self.start);
             self.gate.barrier_wait();
-            let dur = self.now().saturating_sub(t0);
-            let tr = self.tracer.as_mut().expect("checked above");
+            let dur = nanos_since(self.start).saturating_sub(t0);
             tr.complete("sync", "barrier_wait", t0, dur);
         } else {
             self.gate.barrier_wait();
@@ -274,8 +279,7 @@ impl ThreadCtx for NativeCtx {
     }
 
     fn record_active(&mut self, active: u64) {
-        self.active_samples
-            .push((self.start.elapsed().as_nanos() as u64, active));
+        self.active_samples.push((nanos_since(self.start), active));
     }
 
     #[inline(always)]
@@ -285,28 +289,22 @@ impl ThreadCtx for NativeCtx {
 
     #[inline]
     fn span_begin(&mut self, name: &'static str) {
-        if self.tracer.is_some() {
-            let ts = self.now();
-            self.tracer.as_mut().expect("checked above").begin("algo", name, ts);
+        if let Some(tr) = self.tracer.as_mut() {
+            tr.begin("algo", name, nanos_since(self.start));
         }
     }
 
     #[inline]
     fn span_end(&mut self, name: &'static str) {
-        if self.tracer.is_some() {
-            let ts = self.now();
-            self.tracer.as_mut().expect("checked above").end("algo", name, ts);
+        if let Some(tr) = self.tracer.as_mut() {
+            tr.end("algo", name, nanos_since(self.start));
         }
     }
 
     #[inline]
     fn trace_instant(&mut self, name: &'static str, value: u64) {
-        if self.tracer.is_some() {
-            let ts = self.now();
-            self.tracer
-                .as_mut()
-                .expect("checked above")
-                .instant("algo", name, ts, value);
+        if let Some(tr) = self.tracer.as_mut() {
+            tr.instant("algo", name, nanos_since(self.start), value);
         }
     }
 
@@ -481,6 +479,23 @@ mod tests {
             }
             other => panic!("expected TimedOut, got {other:?}"),
         }
+    }
+
+    #[test]
+    fn workers_allocate_from_the_callers_space() {
+        let before = crate::alloc_region(64).base();
+        let inside = NativeMachine::new(4)
+            .run(|_| crate::alloc_region(64).base())
+            .per_thread;
+        let after = crate::alloc_region(64).base();
+        let mut bases = inside.clone();
+        bases.sort();
+        bases.dedup();
+        assert_eq!(bases.len(), 4, "distinct regions: {inside:?}");
+        assert!(
+            bases.iter().all(|&b| before < b && b < after),
+            "{before:?} < {inside:?} < {after:?}"
+        );
     }
 
     #[test]

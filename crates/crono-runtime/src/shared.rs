@@ -926,11 +926,9 @@ mod tests {
             })
             .collect();
         NativeMachine::new(1).run(|ctx| {
-            for i in 0..n {
-                if pattern[i] {
-                    flags.set(ctx, i, true);
-                    bitmap.set(ctx, i);
-                }
+            for i in (0..n).filter(|&i| pattern[i]) {
+                flags.set(ctx, i, true);
+                bitmap.set(ctx, i);
             }
             let mut from = 0;
             while let Some(i) = bitmap.find_set_from(ctx, from) {

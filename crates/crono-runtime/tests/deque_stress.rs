@@ -40,7 +40,7 @@ fn owner_vs_stealers_loses_and_duplicates_nothing() {
                     if deque.push(ctx, next) {
                         next += 1;
                     }
-                    if mix(&mut state) % 4 == 0 {
+                    if mix(&mut state).is_multiple_of(4) {
                         if let Some(task) = deque.pop(ctx) {
                             seen.fetch_add(ctx, task as usize, 1);
                         }
@@ -168,7 +168,7 @@ fn steal_half_under_contention_loses_and_duplicates_nothing() {
                             next += 1;
                         }
                     }
-                    if mix(&mut state) % 4 == 0 {
+                    if mix(&mut state).is_multiple_of(4) {
                         if let Some(task) = victim.pop(ctx) {
                             seen.fetch_add(ctx, task as usize, 1);
                         }

@@ -24,8 +24,9 @@ use crate::l2::{home_of, L2Slice};
 use crate::noc::{Mesh, Traversal};
 use crate::sequencer::Sequencer;
 use crono_runtime::{
-    panic_payload, Addr, Breakdown, CancelCause, EnergyCounters, FaultCounters, LockSet, Machine,
-    MissStats, RunError, RunGate, RunOptions, RunOutcome, RunReport, ThreadCtx, ThreadReport,
+    panic_payload, Addr, AddressSpace, Breakdown, CancelCause, EnergyCounters, FaultCounters,
+    LockSet, Machine, MissStats, RunError, RunGate, RunOptions, RunOutcome, RunReport, ThreadCtx,
+    ThreadReport,
 };
 use crono_runtime::Mutex;
 use crono_trace::{ThreadTracer, TraceConfig};
@@ -105,8 +106,9 @@ impl SimMachine {
 
     /// As [`SimMachine::new`], with deterministic fault injection
     /// enabled: the run executes under the deterministic sequencer (so
-    /// identical inputs in a fresh process give byte-identical counters)
-    /// and `plan` decides every NoC, DRAM-ECC, and core-stall fault.
+    /// identical inputs, allocated from the same point of an
+    /// [`AddressSpace`], give byte-identical counters) and `plan`
+    /// decides every NoC, DRAM-ECC, and core-stall fault.
     /// Injected fault counts land in
     /// [`RunReport::faults`](crono_runtime::RunReport::faults).
     ///
@@ -190,6 +192,7 @@ impl Machine for SimMachine {
             self.trace.is_some() || self.deterministic,
             self.faults.as_ref(),
         ));
+        let space = AddressSpace::current();
         let start = Instant::now();
         type Slot<R> = (WorkerExit<R>, ThreadReport, MissStats, EnergyCounters, FaultCounters);
         let mut results: Vec<Option<Slot<R>>> = Vec::new();
@@ -214,7 +217,9 @@ impl Machine for SimMachine {
                 let shared = Arc::clone(&shared);
                 let trace = self.trace;
                 let faults = self.faults;
+                let space = space.clone();
                 handles.push(scope.spawn(move || {
+                    space.enter();
                     let mut ctx = SimCtx::new(Arc::clone(&shared), tid, trace, faults);
                     // Contain panics: cancel the gate (releases barrier
                     // waiters) and abort the sequencer (releases parked
@@ -286,15 +291,23 @@ impl Machine for SimMachine {
         // An unroutable message also unwinds its worker, so check the
         // typed route error before the generic panic mapping.
         if let Some((tid, detail)) = shared.unroutable.lock().take() {
-            return Err(RunError::Unroutable { tid, detail, report });
+            return Err(RunError::Unroutable {
+                tid,
+                detail,
+                report: Box::new(report),
+            });
         }
         if let Some((tid, payload)) = first_panic {
-            return Err(RunError::WorkerPanicked { tid, payload, report });
+            return Err(RunError::WorkerPanicked {
+                tid,
+                payload,
+                report: Box::new(report),
+            });
         }
         if shared.gate.cause() == Some(CancelCause::Timeout) {
             return Err(RunError::TimedOut {
                 timeout: opts.timeout.unwrap_or_default(),
-                report,
+                report: Box::new(report),
             });
         }
         Ok(RunOutcome { per_thread, report })
@@ -1609,43 +1622,36 @@ mod tests {
         }
     }
 
-    /// Determinism must hold across *processes* (that is how `crono
-    /// trace` is invoked): symbolic addresses come from a process-global
-    /// bump allocator, so a second in-process run sees shifted lines and
-    /// legitimately different home slices. The test therefore re-executes
-    /// itself in child-mode twice and compares the full event streams.
+    /// Runs `f` on a fresh thread, whose address space starts at the
+    /// same base as every other fresh thread's.
+    fn on_fresh_thread<T: Send + 'static>(f: fn() -> T) -> T {
+        std::thread::spawn(f).join().expect("run thread")
+    }
+
+    /// Two traced runs that start from the same address space (here a
+    /// fresh thread each, as `crono trace` starts a fresh process)
+    /// record identical event streams. A second run on one thread sees
+    /// shifted lines and legitimately different home slices.
     #[test]
-    fn traced_run_is_deterministic_across_processes() {
-        if std::env::var_os("CRONO_DET_CHILD").is_some() {
-            for (tid, trace) in run_traced().iter().enumerate() {
-                for e in &trace.events {
-                    println!("EV {tid} {} {} {} {:?}", e.ts, e.name, e.arg, e.kind);
-                }
-            }
-            return;
-        }
-        let exe = std::env::current_exe().expect("test binary path");
-        let child = || {
-            let out = std::process::Command::new(&exe)
-                .args([
-                    "--exact",
-                    "machine::tests::traced_run_is_deterministic_across_processes",
-                    "--nocapture",
-                    "--test-threads=1",
-                ])
-                .env("CRONO_DET_CHILD", "1")
-                .output()
-                .expect("spawn child test process");
-            assert!(out.status.success(), "child failed: {out:?}");
-            let stdout = String::from_utf8(out.stdout).expect("utf8");
-            let events: Vec<&str> = stdout
-                .lines()
-                .filter(|l| l.starts_with("EV "))
-                .collect();
-            assert!(!events.is_empty(), "child produced no events");
-            events.join("\n")
-        };
-        assert_eq!(child(), child(), "event streams byte-identical");
+    fn traced_run_is_deterministic_across_threads() {
+        let first = on_fresh_thread(run_traced);
+        assert!(first.iter().all(|t| !t.events.is_empty()), "no events");
+        assert_eq!(first, on_fresh_thread(run_traced), "event streams identical");
+    }
+
+    #[test]
+    fn workers_allocate_from_the_callers_space() {
+        let before = alloc_region(64).base();
+        let inside = machine(4).run(|_| alloc_region(64).base()).per_thread;
+        let after = alloc_region(64).base();
+        let mut bases = inside.clone();
+        bases.sort();
+        bases.dedup();
+        assert_eq!(bases.len(), 4, "distinct regions: {inside:?}");
+        assert!(
+            bases.iter().all(|&b| before < b && b < after),
+            "{before:?} < {inside:?} < {after:?}"
+        );
     }
 
     #[test]
@@ -1792,60 +1798,25 @@ mod tests {
         );
     }
 
+    /// The counters of a faulty run of [`traced_kernel`].
+    fn faulty_fingerprint() -> (u64, FaultCounters, MissStats, EnergyCounters) {
+        let counter = SharedU64s::new(1);
+        let locks = LockSet::new(1);
+        let m = SimMachine::with_faults(SimConfig::tiny(16), 4, FaultPlan::scaled(33, 0.02));
+        let r = m.run(|ctx| traced_kernel(ctx, &locks, &counter)).report;
+        (r.completion, r.faults, r.misses, r.energy)
+    }
+
     /// Fault decisions are pure site hashes, so injected runs are as
-    /// deterministic as traced ones — across processes (the symbolic
-    /// address allocator shifts lines within one process; see
-    /// `traced_run_is_deterministic_across_processes`).
+    /// deterministic as traced ones (see
+    /// `traced_run_is_deterministic_across_threads`).
     #[test]
-    fn faulty_run_is_deterministic_across_processes() {
-        if std::env::var_os("CRONO_FAULT_DET_CHILD").is_some() {
-            let counter = SharedU64s::new(1);
-            let locks = LockSet::new(1);
-            let m =
-                SimMachine::with_faults(SimConfig::tiny(16), 4, FaultPlan::scaled(33, 0.02));
-            let outcome = m.run(|ctx| traced_kernel(ctx, &locks, &counter));
-            let r = &outcome.report;
-            println!("FP completion {}", r.completion);
-            println!(
-                "FP faults {} {} {} {} {}",
-                r.faults.noc_retransmits,
-                r.faults.dram_ecc_corrected,
-                r.faults.dram_ecc_detected,
-                r.faults.core_stalls,
-                r.faults.core_stall_cycles
-            );
-            println!(
-                "FP misses {} {} {}",
-                r.misses.cold_misses, r.misses.capacity_misses, r.misses.sharing_misses
-            );
-            println!(
-                "FP energy {} {}",
-                r.energy.router_flit_hops, r.energy.dram_accesses
-            );
-            return;
-        }
-        let exe = std::env::current_exe().expect("test binary path");
-        let child = || {
-            let out = std::process::Command::new(&exe)
-                .args([
-                    "--exact",
-                    "machine::tests::faulty_run_is_deterministic_across_processes",
-                    "--nocapture",
-                    "--test-threads=1",
-                ])
-                .env("CRONO_FAULT_DET_CHILD", "1")
-                .output()
-                .expect("spawn child test process");
-            assert!(out.status.success(), "child failed: {out:?}");
-            let stdout = String::from_utf8(out.stdout).expect("utf8");
-            let lines: Vec<&str> = stdout
-                .lines()
-                .filter(|l| l.starts_with("FP "))
-                .collect();
-            assert!(!lines.is_empty(), "child produced no fingerprint");
-            lines.join("\n")
-        };
-        assert_eq!(child(), child(), "fault fingerprints byte-identical");
+    fn faulty_run_is_deterministic_across_threads() {
+        assert_eq!(
+            on_fresh_thread(faulty_fingerprint),
+            on_fresh_thread(faulty_fingerprint),
+            "fault fingerprints identical"
+        );
     }
 
     // ------------------------------------------------------------------

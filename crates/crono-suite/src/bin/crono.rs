@@ -24,7 +24,6 @@ use std::str::FromStr;
 /// switch, the valid names for a choice (`a|b`).
 const FLAGS: &[(&str, &str)] = &[
     ("--scale", "test|small|paper"),
-    ("--paper-scale", ""),
     ("--out", "PATH"),
     ("--trace", "DIR"),
     ("--resume", ""),
@@ -73,12 +72,12 @@ const SIGNATURES: &[Signature] = &[
         commands: "table1 table2 table3 table4 fig1 fig2 fig3 fig4 fig5 fig6 fig7 fig8 fig9 \
                    compare all",
         args: "",
-        flags: "--scale --paper-scale --out --trace --quiet",
+        flags: "--scale --out --trace --quiet",
     },
     Signature {
         commands: "ablation",
         args: "",
-        flags: "--backend --ablation --scale --paper-scale --out --trace --resume --quiet",
+        flags: "--backend --ablation --scale --out --trace --resume --quiet",
     },
     Signature {
         commands: "trace",
@@ -387,12 +386,9 @@ fn paper_command(command: &str, a: &Args) -> Result<ExitCode, String> {
             "--trace only applies to sweep-based commands (fig1-fig4, fig6, compare, all)".into(),
         );
     }
-    let mut scale = a
+    let scale = a
         .pick("--scale", "scale", Scale::by_name)?
         .unwrap_or_else(Scale::small);
-    if a.switch("--paper-scale") {
-        scale = Scale::paper();
-    }
     let out = a.path("--out");
     let progress = !a.switch("--quiet");
     // `ablation` matches backend names exactly; `trace` folds case.

@@ -14,8 +14,10 @@
 //!   [`ThreadCtx`](crono_runtime::ThreadCtx) — many queries run
 //!   concurrently on one machine, each charging its own context.
 //! * **Work-stealing dispatch.** Each batch becomes a fixed task set on
-//!   a seeded [`TaskPool`] drained with `take_fixed`, so a long BFS on
-//!   one thread does not leave the other threads idle.
+//!   a seeded [`TaskPool`] drained with [`TaskPool::take`], so a long
+//!   BFS on one thread does not leave the other threads idle, and the
+//!   survivors of a dead core (a permanent fault on the simulated
+//!   backend) steal its queued plans instead of cancelling them.
 //! * **Multi-source batching.** Deadline-free BFS queries that miss the
 //!   cache are grouped up to [`bfs::MULTI_WIDTH`] per sweep and answered
 //!   by `bfs::run_multi`, which shares one frontier walk across the
@@ -290,18 +292,6 @@ pub struct EngineOptions {
     /// Seed for the task pool's steal order (mixed with a per-batch
     /// counter so successive batches de-correlate).
     pub seed: u64,
-    /// Drain batches through the task pool's counter-terminated
-    /// [`TaskPool::take`] loop instead of the cheaper fixed-set
-    /// `take_fixed`. `take_fixed` lets a thread leave after one empty
-    /// probe round — fine when every thread lives, but a permanently
-    /// *departed* core (a disabled-core fault on the simulated backend)
-    /// can then strand its queued plans, which fail with
-    /// [`QueryError::Cancelled`]. Under `take` the survivors keep
-    /// draining until the outstanding count — including the dead core's
-    /// backlog, which they steal — reaches zero, so every query is still
-    /// answered exactly once. Costs an extra shared counter per task;
-    /// off by default.
-    pub fault_tolerant: bool,
 }
 
 impl Default for EngineOptions {
@@ -318,7 +308,6 @@ impl Default for EngineOptions {
             centrality_max_vertices: 1024,
             batch_timeout: None,
             seed: 0xC0DE,
-            fault_tolerant: false,
         }
     }
 }
@@ -775,24 +764,15 @@ impl<M: Machine> ServeEngine<M> {
             let pr_iters = self.opts.pagerank_iters;
             let plans_ref = &plans;
             let misses_ref = &misses;
-            let fault_tolerant = self.opts.fault_tolerant;
             let run = self.machine.try_run_with(
                 &RunOptions {
                     timeout: self.opts.batch_timeout,
                 },
                 |ctx| {
                     let mut done: Vec<(usize, MissOut)> = Vec::new();
-                    // `take` (counter-terminated, eager-completing) keeps
-                    // survivors draining a departed core's deque;
-                    // `take_fixed` is the cheap default for healthy runs.
-                    let next = |ctx: &mut M::Ctx| {
-                        if fault_tolerant {
-                            pool.take(ctx)
-                        } else {
-                            pool.take_fixed(ctx)
-                        }
-                    };
-                    while let Some(t) = next(ctx) {
+                    // `take` is counter-terminated, so survivors keep
+                    // draining a departed core's deque.
+                    while let Some(t) = pool.take(ctx) {
                         exec_plan(
                             ctx,
                             &plans_ref[t as usize],

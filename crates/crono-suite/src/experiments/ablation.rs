@@ -466,41 +466,24 @@ mod tests {
         );
     }
 
-    /// Determinism must hold across *processes* (that is how `crono
-    /// ablation` is invoked): symbolic addresses come from a
-    /// process-global bump allocator, so a second in-process run sees
-    /// shifted lines and legitimately different home slices. The test
-    /// re-executes itself in child mode twice and compares the TSVs.
+    /// Two runs that start from the same address space (here a fresh
+    /// thread each, as `crono ablation` starts a fresh process) write
+    /// byte-identical tables. A second run on one thread sees shifted
+    /// lines and legitimately different home slices.
     #[test]
-    fn deterministic_groups_are_byte_identical_across_processes() {
-        let scale = Scale::test();
-        let config = SimConfig::tiny(16);
-        if std::env::var_os("CRONO_ABLATION_DET_CHILD").is_some() {
-            let t = generate_resumable(&scale, &config, Some(Ablation::LockfreeBound), false, None);
-            for line in t.to_tsv().lines() {
-                println!("ROW {line}");
-            }
-            return;
-        }
-        let exe = std::env::current_exe().expect("test binary path");
-        let child = || {
-            let out = std::process::Command::new(&exe)
-                .args([
-                    "--exact",
-                    "experiments::ablation::tests::deterministic_groups_are_byte_identical_across_processes",
-                    "--nocapture",
-                    "--test-threads=1",
-                ])
-                .env("CRONO_ABLATION_DET_CHILD", "1")
-                .output()
-                .expect("spawn child test process");
-            assert!(out.status.success(), "child failed: {out:?}");
-            let stdout = String::from_utf8(out.stdout).expect("utf8");
-            let rows: Vec<&str> = stdout.lines().filter(|l| l.starts_with("ROW ")).collect();
-            assert!(!rows.is_empty(), "child produced no table rows");
-            rows.join("\n")
+    fn deterministic_groups_are_byte_identical_across_threads() {
+        let tsv = || {
+            std::thread::spawn(|| {
+                let (scale, config) = (Scale::test(), SimConfig::tiny(16));
+                generate_resumable(&scale, &config, Some(Ablation::LockfreeBound), false, None)
+                    .to_tsv()
+            })
+            .join()
+            .expect("ablation thread")
         };
-        assert_eq!(child(), child(), "lockfree_bound cells byte-identical");
+        let first = tsv();
+        assert!(first.lines().count() > 1, "no table rows: {first}");
+        assert_eq!(first, tsv(), "lockfree_bound cells byte-identical");
     }
 
     #[test]

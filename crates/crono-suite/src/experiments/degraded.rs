@@ -11,10 +11,10 @@
 //!    dimension-ordered routing cannot, and the sweep aborts with the
 //!    backend's typed unroutable error instead of hanging.
 //! 3. **link+core-down** — additionally, one of the serving cores dies
-//!    mid-batch ([`DEAD_CORE_CYCLE`]). The engine runs with
-//!    [`EngineOptions::fault_tolerant`] drains, so the dead core's
-//!    queued queries migrate to the survivors instead of cancelling —
-//!    the phase must serve *every* query.
+//!    mid-batch ([`DEAD_CORE_CYCLE`]). The engine drains each batch with
+//!    the counter-terminated `TaskPool::take`, so the dead core's queued
+//!    queries migrate to the survivors instead of cancelling — the phase
+//!    must serve *every* query.
 //! 4. **link+core+dram-down** — additionally, one DRAM controller is
 //!    dead from cycle 0; its lines re-home to the survivors with
 //!    permanently higher queueing.
@@ -251,8 +251,6 @@ pub fn generate(dc: &DegradedConfig, progress: bool) -> Result<Table, String> {
             w.graph.clone(),
             EngineOptions {
                 pagerank_iters: w.pagerank_iters,
-                // Survivors must drain a dead core's queued queries.
-                fault_tolerant: true,
                 ..EngineOptions::default()
             },
         );

@@ -7,8 +7,9 @@
 //! the slowdown relative to the baseline, and the injected-event
 //! counters (NoC retransmits, DRAM ECC corrections/detections, core
 //! stalls). All runs execute under the deterministic sequencer, so a
-//! fixed seed gives byte-identical TSVs across invocations (in fresh
-//! processes — the symbolic address allocator shifts within one).
+//! fixed seed gives byte-identical TSVs across invocations (each starts
+//! on a fresh thread's address space; later runs on one thread see
+//! shifted symbolic addresses).
 //!
 //! With a [`Checkpoint`] attached, every finished point is persisted
 //! atomically and a re-run (`--resume`) skips the points already done.
@@ -223,7 +224,7 @@ mod tests {
         let retx: u64 = faulty[4].parse().unwrap();
         assert!(retx > 0, "{faulty:?}");
         // Faults only ever add simulated latency, but consecutive
-        // in-process runs shift the symbolic address base (a few % of
+        // runs on one thread shift the symbolic address base (a few % of
         // timing), so only gross inversions would be a real bug here.
         // The strict ordering guarantee is pinned in crono-sim's
         // fault_injection_slows_the_run_and_counts_events, which shares

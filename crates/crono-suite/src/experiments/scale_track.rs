@@ -2,13 +2,13 @@
 //! the shard-aware kernels, reporting per-shard modeled throughput.
 //!
 //! The flow is **build → sim placement rows → native kernel rows**, and
-//! that order is load-bearing: the simulator rows depend on the symbolic
-//! address allocator's state (a process-global bump allocator), so they
-//! always run before any other task pool or shared array is allocated.
-//! They are also checkpointed as a single unit — a resumed run either
-//! replays both placements from the checkpoint or re-executes both, so
-//! the allocator state at each sim run is identical in every process and
-//! `scale.tsv` stays byte-deterministic.
+//! that order is load-bearing: the simulator rows depend on the calling
+//! thread's symbolic address space (`crono_runtime::AddressSpace`), so
+//! they always run before any other task pool or shared array is
+//! allocated on that thread. They are also checkpointed as a single
+//! unit — a resumed run either replays both placements from the
+//! checkpoint or re-executes both, so the space's cursor at each sim run
+//! is identical in every run and `scale.tsv` stays byte-deterministic.
 //!
 //! Everything in the table is modeled (instruction-count cycles at the
 //! suite's 1 GHz convention) or structural (vertex/edge/byte counts):
@@ -356,7 +356,7 @@ fn generate_as<G: Packable + Sync>(
         Ok(rows)
     };
 
-    // 1. Simulator placement rows — always first (allocator position).
+    // 1. Simulator placement rows — always first (address-space cursor).
     let sim_rows = group("sim", &mut ckpt, &mut || Ok(sim_placement_rows(progress)))?;
 
     // 2. Build + native kernels. The graph is built lazily so a fully
@@ -505,7 +505,7 @@ mod tests {
         let a = generate(&cfg, false, None).unwrap();
         let b = generate(&cfg, false, None).unwrap();
         // Native rows must be identical in-process; sim rows shift with
-        // the symbolic allocator and are compared only across fresh
+        // this thread's address space and are compared only across fresh
         // processes (scripts/ci.sh does that with cmp), so strip them.
         let native = |t: &Table| {
             t.to_tsv()

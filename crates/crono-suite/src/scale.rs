@@ -1,6 +1,6 @@
 //! Experiment scales: the paper's exact input sizes, plus reduced
 //! presets so the full characterization completes on laptop-class
-//! machines. Every experiment takes a [`Scale`]; `--paper-scale` on the
+//! machines. Every experiment takes a [`Scale`]; `--scale paper` on the
 //! CLI selects [`Scale::paper`].
 
 /// Input sizes and sweep parameters for one characterization campaign.

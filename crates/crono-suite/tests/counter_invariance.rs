@@ -14,11 +14,11 @@
 //!   (APSP, BETW_CENT, TSP, DFS), which the opt-in work-stealing
 //!   variants must leave bit-identical.
 //!
-//! Symbolic addresses come from a process-global bump allocator, so a
-//! fingerprint is only reproducible from a *fresh* process running
-//! nothing else. Like the cross-process determinism test in `crono-sim`,
-//! each gate therefore re-executes this binary in child mode and
-//! compares the child's output to the checked-in golden file. New runs
+//! Symbolic addresses come from the calling thread's address space
+//! (`crono_runtime::AddressSpace`), so a fingerprint is reproducible on
+//! any thread that allocated nothing before it. libtest runs each test
+//! on a fresh thread, so each gate computes its fingerprint on its own
+//! test thread and compares it to the checked-in golden file. New runs
 //! are appended to a gate's list, so earlier runs keep their addresses.
 //!
 //! To regenerate after an *intentional* timing-model change:
@@ -75,7 +75,7 @@ fn header((bench, ablation): Run, threads: usize) -> String {
 
 /// Runs each of `runs` at 1/4/16 traced threads on the fixed seeded
 /// `test`-scale inputs and renders every simulated counter as text.
-/// Deterministic only in a fresh process (bump-allocated addresses).
+/// Deterministic only on a thread that has allocated no region before.
 ///
 /// With `faults`, the same runs execute with that [`FaultPlan`]
 /// attached — an all-zero-rate plan must leave every counter
@@ -130,41 +130,6 @@ fn fingerprint(runs: &[Run], faults: Option<FaultPlan>) -> String {
     out
 }
 
-/// Child side of a gate: prints the fingerprint on a fresh line, since
-/// libtest has already printed `test <name> ... ` without a newline.
-fn print_fingerprint(runs: &[Run], faults: Option<FaultPlan>) {
-    print!("\n{}", fingerprint(runs, faults));
-}
-
-/// Re-runs this test binary filtered to `test_name` with `child_env`
-/// set, and returns the child's fingerprint lines, checking that every
-/// run of `runs` appears as a whole line.
-fn child_fingerprint(test_name: &str, child_env: &str, runs: &[Run]) -> String {
-    let exe = std::env::current_exe().expect("test binary path");
-    let out = std::process::Command::new(&exe)
-        .args(["--exact", test_name, "--nocapture", "--test-threads=1"])
-        .env(child_env, "1")
-        .output()
-        .expect("spawn child test process");
-    assert!(out.status.success(), "child failed: {out:?}");
-    let stdout = String::from_utf8(out.stdout).expect("utf8");
-    let got: String = stdout
-        .lines()
-        .filter(|l| l.starts_with("run ") || l.starts_with("  "))
-        .map(|l| format!("{l}\n"))
-        .collect();
-    for &run in runs {
-        for threads in THREAD_COUNTS {
-            let want = header(run, threads);
-            assert!(
-                got.lines().any(|l| l == want),
-                "child fingerprint lacks `{want}`:\n{stdout}"
-            );
-        }
-    }
-    got
-}
-
 /// Compares `got` to `golden`, or rewrites `path` when
 /// `CRONO_GOLDEN_UPDATE` is set.
 fn check_or_update(got: &str, golden: &str, path: &str, what: &str) {
@@ -183,13 +148,8 @@ fn check_or_update(got: &str, golden: &str, path: &str, what: &str) {
 
 #[test]
 fn golden_counters_are_invariant() {
-    if std::env::var_os("CRONO_GOLDEN_CHILD").is_some() {
-        print_fingerprint(&RUNS, None);
-        return;
-    }
-    let got = child_fingerprint("golden_counters_are_invariant", "CRONO_GOLDEN_CHILD", &RUNS);
     check_or_update(
-        &got,
+        &fingerprint(&RUNS, None),
         GOLDEN,
         GOLDEN_PATH,
         "BFS/PageRank/SSSP_DIJK/CONN_COMP",
@@ -200,17 +160,8 @@ fn golden_counters_are_invariant() {
 /// the default APSP/BETW_CENT/TSP/DFS kernels stay bit-identical.
 #[test]
 fn task_parallel_defaults_are_invariant() {
-    if std::env::var_os("CRONO_GOLDEN_TASKPAR_CHILD").is_some() {
-        print_fingerprint(&TASKPAR_RUNS, None);
-        return;
-    }
-    let got = child_fingerprint(
-        "task_parallel_defaults_are_invariant",
-        "CRONO_GOLDEN_TASKPAR_CHILD",
-        &TASKPAR_RUNS,
-    );
     check_or_update(
-        &got,
+        &fingerprint(&TASKPAR_RUNS, None),
         TASKPAR_GOLDEN,
         TASKPAR_GOLDEN_PATH,
         "the default APSP/BETW_CENT/TSP/DFS kernels",
@@ -223,17 +174,9 @@ fn task_parallel_defaults_are_invariant() {
 /// rate is actually set.
 #[test]
 fn zero_fault_plan_reproduces_golden() {
-    if std::env::var_os("CRONO_GOLDEN_ZEROFAULT_CHILD").is_some() {
-        print_fingerprint(&RUNS, Some(FaultPlan::zero(42)));
-        return;
-    }
-    let got = child_fingerprint(
-        "zero_fault_plan_reproduces_golden",
-        "CRONO_GOLDEN_ZEROFAULT_CHILD",
-        &RUNS,
-    );
     assert_eq!(
-        got, GOLDEN,
+        fingerprint(&RUNS, Some(FaultPlan::zero(42))),
+        GOLDEN,
         "a zero-rate FaultPlan perturbed the simulated counters; the \
          zero-fault path must be timing-invariant"
     );
@@ -252,17 +195,9 @@ fn zero_permanent_fault_plan_reproduces_golden() {
         .with_dead_link(5, LinkDir::East, u64::MAX)
         .with_dead_core(4, u64::MAX)
         .with_dead_dram_ctrl(3, u64::MAX);
-    if std::env::var_os("CRONO_GOLDEN_ZEROPERM_CHILD").is_some() {
-        print_fingerprint(&RUNS, Some(armed_never));
-        return;
-    }
-    let got = child_fingerprint(
-        "zero_permanent_fault_plan_reproduces_golden",
-        "CRONO_GOLDEN_ZEROPERM_CHILD",
-        &RUNS,
-    );
     assert_eq!(
-        got, GOLDEN,
+        fingerprint(&RUNS, Some(armed_never)),
+        GOLDEN,
         "an armed-but-never-active permanent fault perturbed the \
          simulated counters; permanent faults must be timing-invisible \
          until their armed cycle"
