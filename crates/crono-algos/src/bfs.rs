@@ -117,7 +117,7 @@ pub fn run_multi<C: ThreadCtx>(
         ctx.span_begin("bfs:multi_level");
         let (cur, next) = {
             let (a, b) = fronts.split_at_mut(1);
-            if depth % 2 == 0 {
+            if depth.is_multiple_of(2) {
                 (&mut a[0], &mut b[0])
             } else {
                 (&mut b[0], &mut a[0])

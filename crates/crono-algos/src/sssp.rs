@@ -239,11 +239,7 @@ pub fn pick_delta(graph: &CsrGraph) -> u32 {
             count += 1;
         }
     }
-    if count == 0 {
-        1
-    } else {
-        ((total / count) as u32).max(1)
-    }
+    total.checked_div(count).map_or(1, |mean| (mean as u32).max(1))
 }
 
 /// Parallel SSSP by *delta-stepping* (Meyer & Sanders; the GAP-style

@@ -33,10 +33,10 @@ fn lower_bound<C: ThreadCtx>(
     current: usize,
 ) -> u64 {
     let mut bound = cost + min_out[current];
-    for city in 0..n {
+    for (city, &out) in min_out[..n].iter().enumerate() {
         ctx.compute(1);
         if visited_mask & (1 << city) == 0 {
-            bound += min_out[city];
+            bound += out;
         }
     }
     bound

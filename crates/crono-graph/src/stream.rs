@@ -121,12 +121,6 @@ impl RmatStream {
         1usize << self.scale
     }
 
-    /// Number of generator draws (realized edges are slightly fewer:
-    /// self-loops are skipped).
-    pub fn num_draws(&self) -> u64 {
-        self.num_edges
-    }
-
     /// Edge `index` of the stream, or `None` if that draw was a
     /// self-loop. Pure in `(self, index)`.
     pub fn edge(&self, index: u64) -> Option<(VertexId, VertexId, Weight)> {
@@ -204,11 +198,6 @@ impl UniformStream {
     /// Number of vertices.
     pub fn num_vertices(&self) -> usize {
         self.num_vertices
-    }
-
-    /// Number of generator draws.
-    pub fn num_draws(&self) -> u64 {
-        self.num_edges
     }
 
     /// Edge `index`, or `None` if that draw was a self-loop.

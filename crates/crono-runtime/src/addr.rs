@@ -84,10 +84,11 @@ const BASE: u64 = 1 << 20;
 ///
 /// Every thread has a current space, and a fresh thread's space starts
 /// at the same base, so the addresses a thread is given depend only on
-/// what was allocated from its space before, never on other spaces. The
-/// backends make each worker [`enter`](AddressSpace::enter) the space of
-/// the thread that started the run, so regions allocated inside a run
-/// continue the caller's sequence.
+/// what was allocated from its space before, never on other spaces.
+/// [`run_workers`](crate::run_workers) makes each worker
+/// [`enter`](AddressSpace::enter) the space of the thread that started
+/// the run, so regions allocated inside a run continue the caller's
+/// sequence.
 ///
 /// The one rule: regions from two threads' spaces can share addresses,
 /// so build a run's shared structures on the thread that starts the run.

@@ -1,28 +1,36 @@
-//! Run-wide cancellation: a cancellation token fused with a cancellable
-//! barrier and a wall-clock watchdog.
+//! The run protocol both backends share: worker spawn, panic
+//! containment, the wall-clock watchdog and core departure.
 //!
-//! Both backends spawn one worker per thread and rendezvous them at
-//! kernel barriers. A plain [`std::sync::Barrier`] deadlocks the moment
-//! one worker dies — the survivors wait for an arrival that never comes.
-//! [`RunGate`] replaces it: one generation-counting barrier whose waiters
-//! are *also* released when the run is cancelled (by a contained worker
-//! panic or by the [`RunGate::watchdog`] timeout), so surviving workers
-//! drain out at their next barrier or iteration boundary instead of
-//! hanging. After cancellation every `barrier_wait` returns immediately
-//! with `false`; results of a cancelled run are discarded by the caller,
-//! so the post-cancellation execution only needs to terminate, not to
-//! stay meaningful.
+//! [`run_workers`] is the protocol's one owner. It spawns one worker per
+//! thread in the caller's [`AddressSpace`], runs the body under
+//! `catch_unwind`, arms the watchdog and maps the outcome. A backend
+//! supplies only what is its own: how to build worker `tid`'s context,
+//! how to turn a finished context into its report, and what else to
+//! abort when the run is cancelled.
+//!
+//! Workers rendezvous at kernel barriers. A plain [`std::sync::Barrier`]
+//! deadlocks the moment one worker dies — the survivors wait for an
+//! arrival that never comes. [`RunGate`] replaces it: one
+//! generation-counting barrier whose waiters are *also* released when
+//! the run is cancelled (by a contained worker panic or by the watchdog
+//! timeout), so surviving workers drain out at their next barrier or
+//! iteration boundary instead of hanging. After cancellation every
+//! `barrier_wait` returns immediately with `false`; results of a
+//! cancelled run are discarded by the caller, so the post-cancellation
+//! execution only needs to terminate, not to stay meaningful.
 
+use crate::{AddressSpace, RunError, RunOptions, RunOutcome, RunReport};
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Condvar, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
 /// Why a run was cancelled.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum CancelCause {
+enum CancelCause {
     /// A worker thread panicked; its panic was contained.
     WorkerPanic,
-    /// The wall-clock watchdog ([`crate::RunOptions::timeout`]) expired.
+    /// The wall-clock watchdog ([`RunOptions::timeout`]) expired.
     Timeout,
 }
 
@@ -35,7 +43,7 @@ struct GateState {
     /// thread count; a permanently departed worker ([`RunGate::depart`])
     /// shrinks it, re-sizing every subsequent barrier to the survivors.
     expected: usize,
-    /// Set by the backend after all workers joined; releases the watchdog.
+    /// Set after all workers joined; releases the watchdog.
     done: bool,
 }
 
@@ -48,6 +56,9 @@ pub struct RunGate {
     state: Mutex<GateState>,
     cv: Condvar,
 }
+
+/// The unwind payload of [`RunGate::depart`].
+struct Departed;
 
 impl RunGate {
     /// A gate for a run of `threads` workers.
@@ -79,13 +90,13 @@ impl RunGate {
     }
 
     /// The first cancellation cause, if any.
-    pub fn cause(&self) -> Option<CancelCause> {
+    fn cause(&self) -> Option<CancelCause> {
         self.lock().cause
     }
 
     /// Cancels the run, releasing every barrier waiter. The first cause
     /// wins; returns whether this call was the one that cancelled.
-    pub fn cancel(&self, cause: CancelCause) -> bool {
+    fn cancel(&self, cause: CancelCause) -> bool {
         let mut s = self.lock();
         if s.cause.is_some() {
             return false;
@@ -119,13 +130,15 @@ impl RunGate {
         s.cause.is_none()
     }
 
-    /// Permanently removes one worker from the barrier population (a
-    /// disabled core): every subsequent barrier waits only for the
-    /// survivors, and a generation whose last missing arrival was the
-    /// departing worker is released immediately. Unlike
-    /// [`RunGate::cancel`] the run stays healthy — survivors keep
-    /// computing rather than draining out.
-    pub fn depart(&self) {
+    /// Permanently removes the calling worker from the barrier
+    /// population (a disabled core) and unwinds it out of the run.
+    /// Every subsequent barrier waits only for the survivors, and a
+    /// generation whose last missing arrival was this worker is released
+    /// immediately. Unlike a panic, departing cancels nothing:
+    /// [`run_workers`] records the worker as departed and the survivors
+    /// keep computing. The unwind skips the panic hook, so nothing is
+    /// printed.
+    pub fn depart(&self) -> ! {
         let mut s = self.lock();
         s.expected = s.expected.saturating_sub(1);
         if s.expected > 0 && s.arrived >= s.expected {
@@ -133,27 +146,23 @@ impl RunGate {
             s.generation += 1;
             self.cv.notify_all();
         }
-    }
-
-    /// Workers the barrier currently waits for (shrinks as workers
-    /// depart).
-    pub fn expected(&self) -> usize {
-        self.lock().expected
+        drop(s);
+        resume_unwind(Box::new(Departed))
     }
 
     /// Marks the run finished (all workers joined); releases the
     /// watchdog. Must be called inside the thread scope so the watchdog
     /// thread exits before the scope does.
-    pub fn finish(&self) {
+    fn finish(&self) {
         let mut s = self.lock();
         s.done = true;
         self.cv.notify_all();
     }
 
     /// Blocks until the run finishes or `timeout` elapses; on expiry
-    /// cancels the run with [`CancelCause::Timeout`]. Run on a dedicated
+    /// cancels the run with [`CancelCause::Timeout`]. Runs on a dedicated
     /// watchdog thread.
-    pub fn watchdog(&self, timeout: Duration) {
+    fn watchdog(&self, timeout: Duration) {
         let deadline = Instant::now() + timeout;
         let mut s = self.lock();
         loop {
@@ -176,9 +185,8 @@ impl RunGate {
     }
 }
 
-/// Renders a caught panic payload for [`crate::RunError::WorkerPanicked`]
-/// (public so backend crates can report panics the same way).
-pub fn panic_payload(p: Box<dyn std::any::Any + Send>) -> String {
+/// Renders a caught panic payload for [`RunError::WorkerPanicked`].
+fn panic_payload(p: Box<dyn std::any::Any + Send>) -> String {
     if let Some(s) = p.downcast_ref::<&'static str>() {
         (*s).to_string()
     } else if let Some(s) = p.downcast_ref::<String>() {
@@ -188,10 +196,154 @@ pub fn panic_payload(p: Box<dyn std::any::Any + Send>) -> String {
     }
 }
 
+/// How one worker's body ended.
+#[derive(Debug)]
+enum Exit<R> {
+    /// `body` returned this value.
+    Returned(R),
+    /// The worker left through [`RunGate::depart`]; the survivors
+    /// completed without it.
+    Departed,
+    /// The worker panicked with this message.
+    Panicked(String),
+}
+
+/// A finished [`run_workers`] call: every worker's finished context,
+/// the run's wall time, and how each worker's body ended.
+#[derive(Debug)]
+pub struct Workers<R, T> {
+    /// `finish`'s output for every worker in thread-id order, a
+    /// panicked or departed one's included.
+    pub finished: Vec<T>,
+    /// Wall-clock time from spawning the workers to the last join.
+    pub wall: Duration,
+    exits: Vec<Exit<R>>,
+    /// The configured timeout, when the watchdog cancelled the run.
+    timed_out: Option<Duration>,
+}
+
+impl<R, T> Workers<R, T> {
+    /// The run's result, with `report` as its report: the returned
+    /// values of every worker that did not depart, in thread-id order.
+    ///
+    /// # Errors
+    ///
+    /// [`RunError::WorkerPanicked`] for the lowest-numbered worker that
+    /// panicked; otherwise [`RunError::TimedOut`] when the watchdog
+    /// cancelled the run.
+    pub fn outcome(self, report: RunReport) -> Result<RunOutcome<R>, RunError> {
+        let mut per_thread = Vec::with_capacity(self.exits.len());
+        let mut first_panic = None;
+        for (tid, exit) in self.exits.into_iter().enumerate() {
+            match exit {
+                Exit::Returned(v) => per_thread.push(v),
+                Exit::Departed => {}
+                Exit::Panicked(payload) => {
+                    first_panic.get_or_insert((tid, payload));
+                }
+            }
+        }
+        if let Some((tid, payload)) = first_panic {
+            return Err(RunError::WorkerPanicked {
+                tid,
+                payload,
+                report: Box::new(report),
+            });
+        }
+        if let Some(timeout) = self.timed_out {
+            return Err(RunError::TimedOut {
+                timeout,
+                report: Box::new(report),
+            });
+        }
+        Ok(RunOutcome { per_thread, report })
+    }
+}
+
+/// Runs `body` once on each of `threads` workers and returns after all
+/// have joined: the run protocol behind every
+/// [`Machine::try_run_with`](crate::Machine::try_run_with).
+///
+/// Each worker enters the caller's [`AddressSpace`], builds its context
+/// with `start(tid)`, runs `body` under `catch_unwind`, and hands the
+/// context to `finish` however `body` ended, so a panicked worker's
+/// partial report survives. The first panic cancels `gate`, which
+/// releases every barrier waiter, and then calls `abort`; the
+/// [`RunOptions::timeout`] watchdog does the same when it fires. A
+/// worker that leaves through [`RunGate::depart`] cancels nothing.
+pub fn run_workers<C, R, T>(
+    threads: usize,
+    opts: &RunOptions,
+    gate: &RunGate,
+    abort: impl Fn() + Sync,
+    start: impl Fn(usize) -> C + Sync,
+    body: impl Fn(&mut C) -> R + Sync,
+    finish: impl Fn(C) -> T + Sync,
+) -> Workers<R, T>
+where
+    R: Send,
+    T: Send,
+{
+    let space = AddressSpace::current();
+    let t0 = Instant::now();
+    let (exits, finished): (Vec<_>, Vec<_>) = std::thread::scope(|scope| {
+        let (abort, start, body, finish) = (&abort, &start, &body, &finish);
+        if let Some(timeout) = opts.timeout {
+            scope.spawn(move || {
+                gate.watchdog(timeout);
+                if gate.is_cancelled() {
+                    abort();
+                }
+            });
+        }
+        let handles: Vec<_> = (0..threads)
+            .map(|tid| {
+                let space = space.clone();
+                scope.spawn(move || {
+                    space.enter();
+                    let mut ctx = start(tid);
+                    let exit = match catch_unwind(AssertUnwindSafe(|| body(&mut ctx))) {
+                        Ok(v) => Exit::Returned(v),
+                        Err(p) if p.is::<Departed>() => Exit::Departed,
+                        Err(p) => {
+                            gate.cancel(CancelCause::WorkerPanic);
+                            abort();
+                            Exit::Panicked(panic_payload(p))
+                        }
+                    };
+                    (exit, finish(ctx))
+                })
+            })
+            .collect();
+        // The workers catch their own panics; join only fails if a panic
+        // payload itself panicked while being dropped.
+        let joined = handles
+            .into_iter()
+            .map(|h| h.join().expect("worker thread vanished"))
+            .unzip();
+        gate.finish();
+        joined
+    });
+    Workers {
+        finished,
+        wall: t0.elapsed(),
+        exits,
+        timed_out: opts
+            .timeout
+            .filter(|_| gate.cause() == Some(CancelCause::Timeout)),
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use std::sync::Arc;
+
+    /// Departs outside a run: catches the unwind [`run_workers`] would.
+    fn depart_quietly(gate: &RunGate) {
+        let unwound = catch_unwind(AssertUnwindSafe(|| gate.depart()));
+        assert!(unwound.is_err_and(|p| p.is::<Departed>()));
+    }
 
     #[test]
     fn barrier_synchronizes_all_threads() {
@@ -232,7 +384,6 @@ mod tests {
     #[test]
     fn depart_resizes_the_barrier_to_survivors() {
         let gate = Arc::new(RunGate::new(3));
-        assert_eq!(gate.expected(), 3);
         let results: Vec<bool> = std::thread::scope(|scope| {
             let waiters: Vec<_> = (0..2)
                 .map(|_| {
@@ -243,11 +394,11 @@ mod tests {
             // The third worker dies permanently instead of arriving: the
             // two parked survivors must be released with `true`.
             std::thread::sleep(Duration::from_millis(10));
-            gate.depart();
+            depart_quietly(&gate);
             waiters.into_iter().map(|h| h.join().unwrap()).collect()
         });
         assert_eq!(results, vec![true, true], "survivors pass, not cancel");
-        assert_eq!(gate.expected(), 2);
+        assert_eq!(gate.lock().expected, 2);
         // Subsequent barriers need only the two survivors.
         let passed: Vec<bool> = std::thread::scope(|scope| {
             (0..2)
@@ -266,8 +417,8 @@ mod tests {
     #[test]
     fn depart_before_any_arrival_only_shrinks() {
         let gate = RunGate::new(2);
-        gate.depart();
-        assert_eq!(gate.expected(), 1);
+        depart_quietly(&gate);
+        assert_eq!(gate.lock().expected, 1);
         // The lone survivor sails through every barrier.
         assert!(gate.barrier_wait());
         assert!(gate.barrier_wait());

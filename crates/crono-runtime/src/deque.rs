@@ -402,11 +402,6 @@ impl TaskPool {
         }
     }
 
-    /// Number of deques (== threads).
-    pub fn num_deques(&self) -> usize {
-        self.deques.len()
-    }
-
     /// Direct access to thread `tid`'s deque.
     pub fn deque(&self, tid: usize) -> &WorkDeque {
         &self.deques[tid]

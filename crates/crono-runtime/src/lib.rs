@@ -14,7 +14,9 @@
 //! * [`Machine`] — a backend that spawns one [`ThreadCtx`] per thread and
 //!   collects a [`RunReport`]. [`NativeMachine`] is the real-machine
 //!   backend; the `crono-sim` crate provides the Graphite-style simulated
-//!   backend.
+//!   backend. Both run their workers through [`run_workers`], the one
+//!   owner of the run protocol: worker spawn, panic containment, the
+//!   watchdog and core departure, with [`RunGate`] as the run's barrier.
 //! * [`Addr`]/[`Region`] — symbolic, cache-line-aligned addresses that let
 //!   the simulator model the true data-dependent access stream without the
 //!   benchmarks ever touching raw pointers, allocated from the calling
@@ -59,7 +61,7 @@ mod sync;
 
 pub use addr::{alloc_region, Addr, AddressSpace, Region, LINE_SIZE};
 pub use budget::BudgetCtx;
-pub use cancel::{panic_payload, CancelCause, RunGate};
+pub use cancel::{run_workers, RunGate, Workers};
 pub use ctx::ThreadCtx;
 pub use deque::{Steal, TaskPool, WorkDeque};
 pub use locks::{LockSet, LOCK_EPOCH_CYCLES};

@@ -1,37 +1,16 @@
-use crate::{alloc_region, Addr, Region, LINE_SIZE};
+use crate::{alloc_region, Addr, Region, RunGate, LINE_SIZE};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 
-/// A test-and-test-and-set spinlock.
-///
-/// CRONO's benchmarks guard fine-grain updates with "atomic locks"; short
-/// critical sections make spinning the right discipline on both backends.
+/// A test-and-set lock word. [`LockSet::acquire_or_drain`] spins on it;
+/// CRONO's benchmarks guard fine-grain updates with "atomic locks", and
+/// short critical sections make spinning the right discipline on both
+/// backends.
 #[derive(Debug, Default)]
 pub(crate) struct SpinLock {
     held: AtomicBool,
 }
 
 impl SpinLock {
-    /// Acquires the lock; returns `true` if the acquisition contended
-    /// (the lock was observably held by a concurrent thread).
-    pub(crate) fn acquire(&self) -> bool {
-        let mut contended = false;
-        loop {
-            if !self.held.swap(true, Ordering::Acquire) {
-                return contended;
-            }
-            contended = true;
-            let mut spins = 0u32;
-            while self.held.load(Ordering::Relaxed) {
-                std::hint::spin_loop();
-                spins += 1;
-                if spins > 1 << 12 {
-                    std::thread::yield_now();
-                    spins = 0;
-                }
-            }
-        }
-    }
-
     /// Acquires the lock only if it is free right now; never spins.
     pub(crate) fn try_acquire(&self) -> bool {
         !self.held.swap(true, Ordering::Acquire)
@@ -101,12 +80,32 @@ impl LockSet {
         self.region.addr_padded(idx)
     }
 
-    /// Acquires the underlying spinlock (real mutual exclusion),
-    /// returning `true` if the acquisition contended with a concurrent
-    /// holder. Backends call this; benchmark code should go through
-    /// [`crate::ThreadCtx::lock`] so timing is modeled too.
-    pub fn acquire_raw(&self, idx: usize) -> bool {
-        self.locks[idx].acquire()
+    /// Acquires lock `idx` (real mutual exclusion) unless `gate`'s run
+    /// is cancelled first, returning whether the acquisition contended
+    /// (the first try failed). Spins on [`LockSet::try_acquire_raw`] and
+    /// yields the host thread every 64 tries. A cancelled run may never
+    /// release the lock (its holder panicked), so waiters bail out and
+    /// drain; results of a cancelled run are discarded, so returning
+    /// without the lock is safe. Backends call this; benchmark code
+    /// should go through [`crate::ThreadCtx::lock`] so timing is modeled
+    /// too.
+    pub fn acquire_or_drain(&self, idx: usize, gate: &RunGate) -> bool {
+        if self.try_acquire_raw(idx) {
+            return false;
+        }
+        let mut spins = 0u32;
+        while !gate.is_cancelled() {
+            spins = spins.wrapping_add(1);
+            if spins.is_multiple_of(64) {
+                std::thread::yield_now();
+            } else {
+                std::hint::spin_loop();
+            }
+            if self.try_acquire_raw(idx) {
+                break;
+            }
+        }
+        true
     }
 
     /// Acquires the underlying spinlock only if it is free right now
@@ -186,13 +185,14 @@ mod tests {
     #[test]
     fn spinlock_provides_mutual_exclusion() {
         let set = LockSet::new(1);
+        let gate = RunGate::new(4);
         let counter = AtomicU32::new(0);
         let inside = AtomicU32::new(0);
         std::thread::scope(|s| {
             for _ in 0..4 {
                 s.spawn(|| {
                     for _ in 0..1000 {
-                        set.acquire_raw(0);
+                        set.acquire_or_drain(0, &gate);
                         assert_eq!(inside.fetch_add(1, Ordering::SeqCst), 0);
                         counter.fetch_add(1, Ordering::Relaxed);
                         inside.fetch_sub(1, Ordering::SeqCst);

@@ -1,10 +1,8 @@
-use crate::cancel::{panic_payload, CancelCause, RunGate};
 use crate::{
-    Addr, AddressSpace, LockSet, Machine, RunError, RunOptions, RunOutcome, RunReport, ThreadCtx,
-    ThreadReport,
+    run_workers, Addr, LockSet, Machine, RunError, RunGate, RunOptions, RunOutcome, RunReport,
+    ThreadCtx, ThreadReport,
 };
 use crono_trace::{ThreadTracer, TraceConfig};
-use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -19,10 +17,11 @@ use std::time::Instant;
 /// the low-frequency sync hooks and to *nothing* for the memory hooks,
 /// so the measured kernel is unchanged.
 ///
-/// Worker panics are contained (see [`Machine::try_run_with`]): a
-/// panicking thread cancels the run via the shared [`RunGate`], the
-/// surviving threads drain out of their barriers, and the caller gets a
-/// typed [`RunError`] instead of a process abort.
+/// Worker panics are contained by [`run_workers`] (see
+/// [`Machine::try_run_with`]): a panicking thread cancels the run via
+/// the shared [`RunGate`], the surviving threads drain out of their
+/// barriers, and the caller gets a typed [`RunError`] instead of a
+/// process abort.
 ///
 /// # Examples
 ///
@@ -82,97 +81,39 @@ impl Machine for NativeMachine {
         R: Send,
     {
         let gate = Arc::new(RunGate::new(self.threads));
-        let space = AddressSpace::current();
-        let start = Instant::now();
-        let mut results: Vec<Option<(Result<R, String>, ThreadReport)>> = Vec::new();
-        results.resize_with(self.threads, || None);
-        std::thread::scope(|scope| {
-            if let Some(timeout) = opts.timeout {
-                let gate = Arc::clone(&gate);
-                scope.spawn(move || gate.watchdog(timeout));
-            }
-            let mut handles = Vec::with_capacity(self.threads);
-            for tid in 0..self.threads {
-                let body = &body;
-                let gate = Arc::clone(&gate);
-                let trace = self.trace;
-                let space = space.clone();
-                handles.push(scope.spawn(move || {
-                    space.enter();
-                    let mut ctx = NativeCtx {
-                        tid,
-                        nthreads: self.threads,
-                        instructions: 0,
-                        gate: Arc::clone(&gate),
-                        start: Instant::now(),
-                        active_samples: Vec::new(),
-                        tracer: trace.map(|c| ThreadTracer::from_config(&c)),
-                    };
-                    // Contain panics: cancel the run so survivors drain
-                    // out of their barriers instead of deadlocking, and
-                    // hand the payload back as a typed error. The context
-                    // is only borrowed by the closure, so the thread's
-                    // partial report survives its panic.
-                    let r = match catch_unwind(AssertUnwindSafe(|| body(&mut ctx))) {
-                        Ok(v) => Ok(v),
-                        Err(p) => {
-                            gate.cancel(CancelCause::WorkerPanic);
-                            Err(panic_payload(p))
-                        }
-                    };
-                    let report = ThreadReport {
-                        instructions: ctx.instructions,
-                        finish_time: nanos_since(ctx.start),
-                        breakdown: Default::default(),
-                        active_samples: ctx.active_samples,
-                        trace: ctx.tracer.map(ThreadTracer::finish),
-                    };
-                    (r, report)
-                }));
-            }
-            for (tid, h) in handles.into_iter().enumerate() {
-                // The worker caught its own panic; join only fails if the
-                // panic payload itself panicked while being dropped.
-                results[tid] = Some(h.join().expect("worker thread vanished"));
-            }
-            gate.finish();
-        });
-        let wall = start.elapsed();
-        let mut per_thread = Vec::with_capacity(self.threads);
-        let mut threads = Vec::with_capacity(self.threads);
-        let mut first_panic: Option<(usize, String)> = None;
-        for (tid, slot) in results.into_iter().enumerate() {
-            let (r, t) = slot.expect("every thread joined");
-            threads.push(t);
-            match r {
-                Ok(v) => per_thread.push(v),
-                Err(payload) if first_panic.is_none() => first_panic = Some((tid, payload)),
-                Err(_) => {}
-            }
-        }
+        let mut workers = run_workers(
+            self.threads,
+            opts,
+            &gate,
+            || {},
+            |tid| NativeCtx {
+                tid,
+                nthreads: self.threads,
+                instructions: 0,
+                gate: Arc::clone(&gate),
+                start: Instant::now(),
+                active_samples: Vec::new(),
+                tracer: self.trace.map(|c| ThreadTracer::from_config(&c)),
+            },
+            body,
+            |ctx| ThreadReport {
+                instructions: ctx.instructions,
+                finish_time: nanos_since(ctx.start),
+                breakdown: Default::default(),
+                active_samples: ctx.active_samples,
+                trace: ctx.tracer.map(ThreadTracer::finish),
+            },
+        );
         let report = RunReport {
             backend: self.backend_name(),
-            wall,
-            completion: wall.as_nanos() as u64,
-            threads,
+            wall: workers.wall,
+            completion: workers.wall.as_nanos() as u64,
+            threads: std::mem::take(&mut workers.finished),
             misses: Default::default(),
             energy: Default::default(),
             faults: Default::default(),
         };
-        if let Some((tid, payload)) = first_panic {
-            return Err(RunError::WorkerPanicked {
-                tid,
-                payload,
-                report: Box::new(report),
-            });
-        }
-        if gate.cause() == Some(CancelCause::Timeout) {
-            return Err(RunError::TimedOut {
-                timeout: opts.timeout.unwrap_or_default(),
-                report: Box::new(report),
-            });
-        }
-        Ok(RunOutcome { per_thread, report })
+        workers.outcome(report)
     }
 }
 
@@ -192,28 +133,6 @@ pub struct NativeCtx {
 #[inline]
 fn nanos_since(start: Instant) -> u64 {
     start.elapsed().as_nanos() as u64
-}
-
-/// Spin-acquire with a cancellation check: a cancelled run may never
-/// release the lock (its holder panicked), so waiters bail out and
-/// drain. Results of a cancelled run are discarded, so returning
-/// without the lock is safe.
-fn acquire_or_drain(gate: &RunGate, set: &LockSet, idx: usize) {
-    let mut spins = 0u32;
-    loop {
-        if set.try_acquire_raw(idx) {
-            return;
-        }
-        if gate.is_cancelled() {
-            return;
-        }
-        spins = spins.wrapping_add(1);
-        if spins.is_multiple_of(64) {
-            std::thread::yield_now();
-        } else {
-            std::hint::spin_loop();
-        }
-    }
 }
 
 impl ThreadCtx for NativeCtx {
@@ -252,11 +171,11 @@ impl ThreadCtx for NativeCtx {
         self.instructions += 1;
         if let Some(tr) = self.tracer.as_mut() {
             let t0 = nanos_since(self.start);
-            acquire_or_drain(&self.gate, set, idx);
+            set.acquire_or_drain(idx, &self.gate);
             let dur = nanos_since(self.start).saturating_sub(t0);
             tr.complete("sync", "lock_wait", t0, dur);
         } else {
-            acquire_or_drain(&self.gate, set, idx);
+            set.acquire_or_drain(idx, &self.gate);
         }
     }
 
@@ -323,7 +242,6 @@ impl ThreadCtx for NativeCtx {
 mod tests {
     use super::*;
     use crate::SharedU64s;
-    use std::time::Duration;
 
     #[test]
     fn all_threads_run_once() {
@@ -402,111 +320,5 @@ mod tests {
             }
             assert_eq!(trace.dropped, 0);
         }
-    }
-
-    /// The panic-containment regression test: one worker panics while the
-    /// others wait at barriers — without containment this deadlocks (the
-    /// survivors wait for an arrival that never comes) or aborts the
-    /// process. It must instead return a typed error carrying every
-    /// thread's report, and leave the machine usable.
-    #[test]
-    fn worker_panic_returns_typed_error_without_deadlock() {
-        let m = NativeMachine::new(4);
-        let err = m
-            .try_run(|ctx| {
-                if ctx.thread_id() == 2 {
-                    panic!("boom on tid 2");
-                }
-                for _ in 0..10 {
-                    ctx.compute(5);
-                    ctx.barrier();
-                }
-                ctx.thread_id()
-            })
-            .expect_err("a panicking worker must fail the run");
-        match &err {
-            RunError::WorkerPanicked { tid, payload, report } => {
-                assert_eq!(*tid, 2);
-                assert!(payload.contains("boom on tid 2"), "{payload:?}");
-                // Survivors' reports are intact (4 threads, all joined).
-                assert_eq!(report.threads.len(), 4);
-                assert!(report.threads[0].instructions > 0);
-            }
-            other => panic!("expected WorkerPanicked, got {other:?}"),
-        }
-        assert!(err.to_string().contains("worker thread 2 panicked"));
-        // The machine is recoverable: the next run succeeds.
-        let outcome = m.run(|ctx| ctx.thread_id());
-        assert_eq!(outcome.per_thread, vec![0, 1, 2, 3]);
-    }
-
-    #[test]
-    fn panic_while_holding_a_lock_does_not_hang_waiters() {
-        let m = NativeMachine::new(3);
-        let locks = LockSet::new(1);
-        let err = m
-            .try_run(|ctx| {
-                ctx.lock(&locks, 0);
-                if ctx.thread_id() == 0 {
-                    panic!("died holding the lock");
-                }
-                ctx.unlock(&locks, 0);
-            })
-            .expect_err("panicked run");
-        assert!(matches!(err, RunError::WorkerPanicked { tid: 0, .. }));
-    }
-
-    /// The watchdog cancels a kernel that never terminates on its own;
-    /// workers observe `cancelled()` and drain.
-    #[test]
-    fn timeout_watchdog_cancels_hung_kernel() {
-        let m = NativeMachine::new(2);
-        let opts = RunOptions {
-            timeout: Some(Duration::from_millis(20)),
-        };
-        let err = m
-            .try_run_with(&opts, |ctx| {
-                while !ctx.cancelled() {
-                    ctx.compute(1);
-                }
-                ctx.thread_id()
-            })
-            .expect_err("hung kernel must time out");
-        match err {
-            RunError::TimedOut { timeout, report } => {
-                assert_eq!(timeout, Duration::from_millis(20));
-                assert_eq!(report.threads.len(), 2);
-            }
-            other => panic!("expected TimedOut, got {other:?}"),
-        }
-    }
-
-    #[test]
-    fn workers_allocate_from_the_callers_space() {
-        let before = crate::alloc_region(64).base();
-        let inside = NativeMachine::new(4)
-            .run(|_| crate::alloc_region(64).base())
-            .per_thread;
-        let after = crate::alloc_region(64).base();
-        let mut bases = inside.clone();
-        bases.sort();
-        bases.dedup();
-        assert_eq!(bases.len(), 4, "distinct regions: {inside:?}");
-        assert!(
-            bases.iter().all(|&b| before < b && b < after),
-            "{before:?} < {inside:?} < {after:?}"
-        );
-    }
-
-    #[test]
-    fn fast_runs_beat_the_watchdog() {
-        let m = NativeMachine::new(2);
-        let opts = RunOptions {
-            timeout: Some(Duration::from_secs(60)),
-        };
-        let outcome = m
-            .try_run_with(&opts, |ctx| ctx.thread_id())
-            .expect("fast run completes before the watchdog");
-        assert_eq!(outcome.per_thread, vec![0, 1]);
     }
 }

@@ -670,13 +670,6 @@ impl SlidingQueue {
         assert!(base < self.slots.len(), "SlidingQueue overflow");
         self.slots[base].store(v, STORE);
     }
-
-    /// Slides the window without a context (outside the timed region).
-    pub fn slide_plain(&self) {
-        let old_end = self.end.load(LOAD);
-        self.start.store(old_end, STORE);
-        self.end.store(self.tail.load(LOAD), STORE);
-    }
 }
 
 /// A read-only view of host data with symbolic addresses — used for the
@@ -767,14 +760,6 @@ impl<T: Copy> TrackedVec<T> {
         TrackedVec {
             region: alloc_region(n as u64 * std::mem::size_of::<T>() as u64),
             data: vec![value; n],
-        }
-    }
-
-    /// Wraps existing values.
-    pub fn from_vec(data: Vec<T>) -> Self {
-        TrackedVec {
-            region: alloc_region(data.len() as u64 * std::mem::size_of::<T>() as u64),
-            data,
         }
     }
 

@@ -24,16 +24,13 @@ use crate::l2::{home_of, L2Slice};
 use crate::noc::{Mesh, Traversal};
 use crate::sequencer::Sequencer;
 use crono_runtime::{
-    panic_payload, Addr, AddressSpace, Breakdown, CancelCause, EnergyCounters, FaultCounters,
-    LockSet, Machine, MissStats, RunError, RunGate, RunOptions, RunOutcome, RunReport, ThreadCtx,
-    ThreadReport,
+    run_workers, Addr, Breakdown, EnergyCounters, FaultCounters, LockSet, Machine, MissStats,
+    RunError, RunGate, RunOptions, RunOutcome, RunReport, ThreadCtx, ThreadReport,
 };
 use crono_runtime::Mutex;
 use crono_trace::{ThreadTracer, TraceConfig};
-use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::Instant;
 
 /// The Graphite-style simulated multicore backend (paper §IV-B).
 ///
@@ -104,29 +101,19 @@ impl SimMachine {
         m
     }
 
-    /// As [`SimMachine::new`], with deterministic fault injection
-    /// enabled: the run executes under the deterministic sequencer (so
-    /// identical inputs, allocated from the same point of an
-    /// [`AddressSpace`], give byte-identical counters) and `plan`
-    /// decides every NoC, DRAM-ECC, and core-stall fault.
-    /// Injected fault counts land in
+    /// Attaches a deterministic fault plan to this machine (composable
+    /// with [`SimMachine::with_tracing`]): `plan` decides every NoC,
+    /// DRAM-ECC, and core-stall fault, and every permanent dead link,
+    /// core, or DRAM controller. It also forces deterministic sequenced
+    /// execution, so identical inputs, allocated from the same point of
+    /// an [`AddressSpace`](crono_runtime::AddressSpace), give
+    /// byte-identical counters. Injected fault counts land in
     /// [`RunReport::faults`](crono_runtime::RunReport::faults).
     ///
     /// # Panics
     ///
-    /// Same conditions as [`SimMachine::new`], plus an invalid `plan`
-    /// (see [`FaultPlan::validate`]).
-    pub fn with_faults(config: SimConfig, threads: usize, plan: FaultPlan) -> Self {
-        Self::new(config, threads).fault_plan(plan)
-    }
-
-    /// Attaches a fault plan to this machine (composable with
-    /// [`SimMachine::with_tracing`]); also forces deterministic
-    /// sequenced execution, like [`SimMachine::with_faults`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `plan` is invalid (see [`FaultPlan::validate`]).
+    /// Panics if `plan` is invalid (see [`FaultPlan::validate`]) or names
+    /// a router or core outside the mesh.
     pub fn fault_plan(mut self, plan: FaultPlan) -> Self {
         if let Err(e) = plan.validate() {
             panic!("invalid fault plan: {e}");
@@ -192,96 +179,35 @@ impl Machine for SimMachine {
             self.trace.is_some() || self.deterministic,
             self.faults.as_ref(),
         ));
-        let space = AddressSpace::current();
-        let start = Instant::now();
-        type Slot<R> = (WorkerExit<R>, ThreadReport, MissStats, EnergyCounters, FaultCounters);
-        let mut results: Vec<Option<Slot<R>>> = Vec::new();
-        results.resize_with(self.threads, || None);
-        std::thread::scope(|scope| {
-            if let Some(timeout) = opts.timeout {
-                let shared = Arc::clone(&shared);
-                scope.spawn(move || {
-                    shared.gate.watchdog(timeout);
-                    // A cancelled deterministic run must also tear down
-                    // the sequencer, or parked threads never wake.
-                    if shared.gate.is_cancelled() {
-                        if let Some(seq) = &shared.seq {
-                            seq.abort();
-                        }
-                    }
-                });
-            }
-            let mut handles = Vec::with_capacity(self.threads);
-            for tid in 0..self.threads {
-                let body = &body;
-                let shared = Arc::clone(&shared);
-                let trace = self.trace;
-                let faults = self.faults;
-                let space = space.clone();
-                handles.push(scope.spawn(move || {
-                    space.enter();
-                    let mut ctx = SimCtx::new(Arc::clone(&shared), tid, trace, faults);
-                    // Contain panics: cancel the gate (releases barrier
-                    // waiters) and abort the sequencer (releases parked
-                    // turn-takers), then let survivors drain. The context
-                    // outlives the closure, so the thread's partial
-                    // report survives its panic.
-                    let r = match catch_unwind(AssertUnwindSafe(|| body(&mut ctx))) {
-                        Ok(v) => WorkerExit::Finished(v),
-                        // A permanently dead core leaving at a barrier is
-                        // a graceful exit, not a failure: the gate was
-                        // already re-sized by `depart()`, and `finish()`
-                        // below completes any pending sequencer rejoin —
-                        // so neither the gate nor the sequencer is torn
-                        // down, and the survivors keep running.
-                        Err(p) if p.downcast_ref::<CoreDeparted>().is_some() => {
-                            WorkerExit::Departed
-                        }
-                        Err(p) => {
-                            shared.gate.cancel(CancelCause::WorkerPanic);
-                            if let Some(seq) = &shared.seq {
-                                seq.abort();
-                            }
-                            WorkerExit::Panicked(panic_payload(p))
-                        }
-                    };
-                    let (report, misses, energy, faults) = ctx.finish();
-                    (r, report, misses, energy, faults)
-                }));
-            }
-            for (tid, h) in handles.into_iter().enumerate() {
-                // The worker caught its own panic; join only fails if the
-                // panic payload itself panicked while being dropped.
-                results[tid] = Some(h.join().expect("simulated thread vanished"));
-            }
-            shared.gate.finish();
-        });
-        let wall = start.elapsed();
-        let mut per_thread = Vec::with_capacity(self.threads);
+        let mut workers = run_workers(
+            self.threads,
+            opts,
+            &shared.gate,
+            // A cancelled deterministic run must also tear down the
+            // sequencer, or parked turn-takers never wake.
+            || {
+                if let Some(seq) = &shared.seq {
+                    seq.abort();
+                }
+            },
+            |tid| SimCtx::new(Arc::clone(&shared), tid, self.trace, self.faults),
+            body,
+            SimCtx::finish,
+        );
         let mut threads = Vec::with_capacity(self.threads);
         let mut misses = MissStats::default();
         let mut energy = EnergyCounters::default();
         let mut faults = FaultCounters::default();
-        let mut first_panic: Option<(usize, String)> = None;
-        for (tid, slot) in results.into_iter().enumerate() {
-            let (r, t, m, e, fc) = slot.expect("every thread joined");
+        for (t, m, e, fc) in std::mem::take(&mut workers.finished) {
             threads.push(t);
             misses.merge(&m);
             energy.merge(&e);
             faults.merge(&fc);
-            match r {
-                WorkerExit::Finished(v) => per_thread.push(v),
-                WorkerExit::Departed => {}
-                WorkerExit::Panicked(payload) if first_panic.is_none() => {
-                    first_panic = Some((tid, payload));
-                }
-                WorkerExit::Panicked(_) => {}
-            }
         }
         let completion = threads.iter().map(|t| t.finish_time).max().unwrap_or(0);
         let report = RunReport {
             backend: self.backend_name(),
-            wall,
+            wall: workers.wall,
             completion,
             threads,
             misses,
@@ -297,20 +223,7 @@ impl Machine for SimMachine {
                 report: Box::new(report),
             });
         }
-        if let Some((tid, payload)) = first_panic {
-            return Err(RunError::WorkerPanicked {
-                tid,
-                payload,
-                report: Box::new(report),
-            });
-        }
-        if shared.gate.cause() == Some(CancelCause::Timeout) {
-            return Err(RunError::TimedOut {
-                timeout: opts.timeout.unwrap_or_default(),
-                report: Box::new(report),
-            });
-        }
-        Ok(RunOutcome { per_thread, report })
+        workers.outcome(report)
     }
 }
 
@@ -369,22 +282,6 @@ impl SimShared {
             unroutable: Mutex::new(None),
         }
     }
-}
-
-/// Panic payload a permanently-dead core unwinds with when it departs
-/// the run at a barrier. `try_run_with` recognizes it and records the
-/// worker as departed — no cancellation, no panic report.
-struct CoreDeparted;
-
-/// How one worker's region ended.
-enum WorkerExit<R> {
-    /// `body` returned normally.
-    Finished(R),
-    /// The worker's core died mid-run and it left at a barrier; the
-    /// survivors completed without it.
-    Departed,
-    /// The worker panicked (kernel bug, or an unroutable message).
-    Panicked(String),
 }
 
 /// Cap on the per-request serialization wait charged at an L2 home
@@ -1153,24 +1050,7 @@ impl ThreadCtx for SimCtx {
         } else {
             // Lax mode: spin, but keep observing cancellation so a
             // panicked holder cannot hang the waiters forever.
-            let mut contended = false;
-            let mut spins = 0u32;
-            loop {
-                if set.try_acquire_raw(idx) {
-                    break;
-                }
-                contended = true;
-                if self.shared.gate.is_cancelled() {
-                    break;
-                }
-                spins = spins.wrapping_add(1);
-                if spins % 64 == 0 {
-                    std::thread::yield_now();
-                } else {
-                    std::hint::spin_loop();
-                }
-            }
-            contended
+            set.acquire_or_drain(idx, &self.shared.gate)
         };
         let mut wait = 0;
         // Align to the previous holder's release only when the
@@ -1229,12 +1109,10 @@ impl ThreadCtx for SimCtx {
         if self.dying {
             // A dead core cannot rendezvous again: leave the gate's
             // population permanently — survivors' barriers re-size to
-            // the survivor count — then unwind out of the kernel, past
-            // the panic hook, since departing is not a failure.
+            // the survivor count — and unwind out of the kernel.
             // `finish()` runs on the way out and completes any pending
             // sequencer rejoin, so nobody is left parked.
             self.shared.gate.depart();
-            std::panic::resume_unwind(Box::new(CoreDeparted));
         }
         self.sync_turn();
         self.instructions += 1;
@@ -1640,118 +1518,10 @@ mod tests {
     }
 
     #[test]
-    fn workers_allocate_from_the_callers_space() {
-        let before = alloc_region(64).base();
-        let inside = machine(4).run(|_| alloc_region(64).base()).per_thread;
-        let after = alloc_region(64).base();
-        let mut bases = inside.clone();
-        bases.sort();
-        bases.dedup();
-        assert_eq!(bases.len(), 4, "distinct regions: {inside:?}");
-        assert!(
-            bases.iter().all(|&b| before < b && b < after),
-            "{before:?} < {inside:?} < {after:?}"
-        );
-    }
-
-    #[test]
     fn untraced_sim_reports_no_trace() {
         let m = machine(2);
         let outcome = m.run(|ctx| ctx.compute(10));
         assert!(outcome.report.threads.iter().all(|t| t.trace.is_none()));
-    }
-
-    /// A kernel where one thread panics while the rest sit in barriers:
-    /// the classic deadlock shape that panic containment must survive.
-    fn panicking_kernel(ctx: &mut SimCtx, counter: &SharedU64s) -> usize {
-        for round in 0..6 {
-            counter.fetch_add(ctx, 0, 1);
-            if round == 2 && ctx.thread_id() == 1 {
-                panic!("sim worker died mid-round");
-            }
-            ctx.barrier();
-        }
-        ctx.thread_id()
-    }
-
-    #[test]
-    fn worker_panic_contained_in_lax_mode() {
-        let m = machine(4);
-        let counter = SharedU64s::new(1);
-        let err = m
-            .try_run(|ctx| panicking_kernel(ctx, &counter))
-            .expect_err("a panicking worker must fail the run");
-        match &err {
-            crono_runtime::RunError::WorkerPanicked { tid, payload, report } => {
-                assert_eq!(*tid, 1);
-                assert!(payload.contains("sim worker died"), "{payload:?}");
-                // Every thread — including the dead one — reports.
-                assert_eq!(report.threads.len(), 4);
-                assert!(report.threads.iter().all(|t| t.instructions > 0));
-            }
-            other => panic!("expected WorkerPanicked, got {other:?}"),
-        }
-        // The machine stays usable afterwards.
-        let outcome = m.run(|ctx| ctx.compute(10));
-        assert_eq!(outcome.per_thread.len(), 4);
-    }
-
-    #[test]
-    fn worker_panic_contained_under_deterministic_sequencer() {
-        let m = SimMachine::with_tracing(
-            SimConfig::tiny(16),
-            4,
-            crono_trace::TraceConfig::default(),
-        );
-        let counter = SharedU64s::new(1);
-        let err = m
-            .try_run(|ctx| panicking_kernel(ctx, &counter))
-            .expect_err("a panicking worker must fail the sequenced run");
-        match &err {
-            crono_runtime::RunError::WorkerPanicked { tid, report, .. } => {
-                assert_eq!(*tid, 1);
-                // Survivors' traces are intact despite the abort.
-                assert_eq!(report.threads.len(), 4);
-                assert!(report.threads[0].trace.is_some());
-            }
-            other => panic!("expected WorkerPanicked, got {other:?}"),
-        }
-    }
-
-    #[test]
-    fn worker_panic_contained_while_holding_a_lock() {
-        let m = machine(3);
-        let locks = LockSet::new(1);
-        let err = m
-            .try_run(|ctx| {
-                ctx.lock(&locks, 0);
-                if ctx.thread_id() == 0 {
-                    panic!("died holding the lock");
-                }
-                ctx.compute(10);
-                ctx.unlock(&locks, 0);
-            })
-            .expect_err("panicked run");
-        assert!(matches!(
-            err,
-            crono_runtime::RunError::WorkerPanicked { tid: 0, .. }
-        ));
-    }
-
-    #[test]
-    fn timeout_watchdog_cancels_hung_sim_kernel() {
-        let m = machine(2);
-        let opts = crono_runtime::RunOptions {
-            timeout: Some(std::time::Duration::from_millis(20)),
-        };
-        let err = m
-            .try_run_with(&opts, |ctx| {
-                while !ctx.cancelled() {
-                    ctx.compute(1);
-                }
-            })
-            .expect_err("hung kernel must time out");
-        assert!(matches!(err, crono_runtime::RunError::TimedOut { .. }));
     }
 
     /// A fault-free plan and an aggressive plan over the *same* shared
@@ -1764,7 +1534,7 @@ mod tests {
         // regardless of where the symbolic allocator placed the region.
         let arr = SharedU32s::new(1024);
         let run = |plan: FaultPlan| {
-            let m = SimMachine::with_faults(SimConfig::tiny(16), 4, plan);
+            let m = SimMachine::new(SimConfig::tiny(16), 4).fault_plan(plan);
             m.run(|ctx| {
                 for round in 0..4 {
                     for i in 0..64 {
@@ -1802,7 +1572,7 @@ mod tests {
     fn faulty_fingerprint() -> (u64, FaultCounters, MissStats, EnergyCounters) {
         let counter = SharedU64s::new(1);
         let locks = LockSet::new(1);
-        let m = SimMachine::with_faults(SimConfig::tiny(16), 4, FaultPlan::scaled(33, 0.02));
+        let m = SimMachine::new(SimConfig::tiny(16), 4).fault_plan(FaultPlan::scaled(33, 0.02));
         let r = m.run(|ctx| traced_kernel(ctx, &locks, &counter)).report;
         (r.completion, r.faults, r.misses, r.energy)
     }
@@ -1843,11 +1613,8 @@ mod tests {
         let arr = SharedU32s::new(64);
         // Router 5's east link in the 4×4 mesh: central enough that the
         // 4-thread all-to-home traffic must cross it.
-        let m = SimMachine::with_faults(
-            SimConfig::tiny(16),
-            4,
-            FaultPlan::zero(33).with_dead_link(5, LinkDir::East, 0),
-        );
+        let m = SimMachine::new(SimConfig::tiny(16), 4)
+            .fault_plan(FaultPlan::zero(33).with_dead_link(5, LinkDir::East, 0));
         let err = m
             .try_run(|ctx| permanent_kernel(ctx, &arr))
             .expect_err("XY routing cannot avoid a dead link on its fixed path");
@@ -1868,7 +1635,7 @@ mod tests {
         let mut config = SimConfig::tiny(16);
         config.mesh.routing = RoutingPolicy::O1Turn;
         let run = |plan: FaultPlan| {
-            let m = SimMachine::with_faults(config.clone(), 4, plan);
+            let m = SimMachine::new(config.clone(), 4).fault_plan(plan);
             m.run(|ctx| permanent_kernel(ctx, &arr)).report
         };
         let healthy = run(FaultPlan::zero(33));
@@ -1891,7 +1658,7 @@ mod tests {
     fn dead_dram_ctrl_rehomes_lines_and_slows_the_run() {
         let arr = SharedU32s::new(256);
         let run = |plan: FaultPlan| {
-            let m = SimMachine::with_faults(SimConfig::tiny(16), 4, plan);
+            let m = SimMachine::new(SimConfig::tiny(16), 4).fault_plan(plan);
             m.run(|ctx| permanent_kernel_wide(ctx, &arr)).report
         };
         let healthy = run(FaultPlan::zero(33));
@@ -1927,13 +1694,10 @@ mod tests {
     #[test]
     fn dead_core_departs_and_survivors_finish_barrier_kernel() {
         let arr = SharedU32s::new(64);
-        let m = SimMachine::with_faults(
-            SimConfig::tiny(16),
-            4,
-            // Core 4 is thread 1's pinned core (stride 16/4); die almost
-            // immediately so the departure happens at the first barrier.
-            FaultPlan::zero(33).with_dead_core(4, 1),
-        );
+        // Core 4 is thread 1's pinned core (stride 16/4); die almost
+        // immediately so the departure happens at the first barrier.
+        let m = SimMachine::new(SimConfig::tiny(16), 4)
+            .fault_plan(FaultPlan::zero(33).with_dead_core(4, 1));
         let outcome = m
             .try_run(|ctx| {
                 permanent_kernel(ctx, &arr);
@@ -1959,12 +1723,9 @@ mod tests {
         use crono_runtime::TaskPool;
         let threads = 4;
         let tasks = 256u64;
-        let m = SimMachine::with_faults(
-            SimConfig::tiny(16),
-            threads,
-            // Thread 1 (core 4) dies mid-drain.
-            FaultPlan::zero(33).with_dead_core(4, 3_000),
-        );
+        // Thread 1 (core 4) dies mid-drain.
+        let m = SimMachine::new(SimConfig::tiny(16), threads)
+            .fault_plan(FaultPlan::zero(33).with_dead_core(4, 3_000));
         let pool = TaskPool::new(threads, 512, 9);
         for t in 0..tasks {
             assert!(pool.push_plain((t % threads as u64) as usize, t));
@@ -1998,7 +1759,7 @@ mod tests {
         // so their timings are directly comparable.
         let arr = SharedU32s::new(64);
         let run = |plan: FaultPlan| {
-            let m = SimMachine::with_faults(SimConfig::tiny(16), 4, plan);
+            let m = SimMachine::new(SimConfig::tiny(16), 4).fault_plan(plan);
             let r = m.run(|ctx| permanent_kernel(ctx, &arr)).report;
             (r.completion, r.energy.router_flit_hops, r.faults.total_events())
         };

@@ -265,7 +265,7 @@ impl Sequencer {
             .status
             .iter()
             .all(|st| matches!(st, Status::AtBarrier | Status::Done));
-        let any_at_barrier = s.status.iter().any(|st| *st == Status::AtBarrier);
+        let any_at_barrier = s.status.contains(&Status::AtBarrier);
         if all_arrived && any_at_barrier {
             for (j, st) in s.status.iter_mut().enumerate() {
                 if *st == Status::AtBarrier {

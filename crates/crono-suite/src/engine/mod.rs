@@ -734,8 +734,8 @@ impl<M: Machine> ServeEngine<M> {
                 plans.push(Plan::MultiSssp(chunk.to_vec()));
             }
         }
-        for i in 0..misses.len() {
-            if !grouped[i] {
+        for (i, &done) in grouped.iter().enumerate() {
+            if !done {
                 plans.push(Plan::Single(i));
             }
         }

@@ -243,7 +243,7 @@ pub fn generate(dc: &DegradedConfig, progress: bool) -> Result<Table, String> {
         // sequencer; the healthy baseline must opt in, or task-steal
         // races make its per-query costs wobble across processes.
         let machine = match phase.plan {
-            Some(plan) => SimMachine::with_faults(config.clone(), threads, plan),
+            Some(plan) => SimMachine::new(config.clone(), threads).fault_plan(plan),
             None => SimMachine::new(config.clone(), threads).deterministic(),
         };
         let mut engine = ServeEngine::new(

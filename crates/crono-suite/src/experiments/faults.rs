@@ -151,7 +151,7 @@ pub fn generate(
                         eprintln!("[faults] {bench} rate={rate}: {threads} threads");
                     }
                     let plan = FaultPlan::scaled(fc.seed, rate);
-                    let machine = SimMachine::with_faults(config.clone(), threads, plan);
+                    let machine = SimMachine::new(config.clone(), threads).fault_plan(plan);
                     let report = run_parallel(bench, &machine, &w);
                     let p = Point {
                         completion: report.completion,

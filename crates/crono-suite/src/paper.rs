@@ -1,16 +1,15 @@
 //! The paper's published numbers, embedded for paper-vs-measured
 //! comparison (`crono compare` and `EXPERIMENTS.md`).
 //!
-//! All values are read off the IISWC 2015 paper: Table IV (best speedups
-//! per graph type) and the §V prose/figure annotations.
+//! All values are read off the IISWC 2015 paper: Table IV's best
+//! speedups on the synthetic sparse graph and the §V prose/figure
+//! annotations.
 
 use crate::report::{f2, Table};
 use crate::runner::Sweep;
 use crono_algos::Benchmark;
 
-/// Best speedups from Table IV, synthetic sparse column, plus the
-/// thread count at which the paper reports the best (Fig. 1
-/// annotations; `None` where the paper does not state one).
+/// Best speedups from Table IV, synthetic sparse column.
 pub fn table4_sparse(bench: Benchmark) -> f64 {
     match bench {
         Benchmark::SsspDijk => 4.45,
@@ -23,35 +22,6 @@ pub fn table4_sparse(bench: Benchmark) -> f64 {
         Benchmark::TriCnt => 8.93,
         Benchmark::PageRank => 5.37,
         Benchmark::Comm => 24.0,
-    }
-}
-
-/// Table IV road-network columns `(TX, PN, CA)`; `None` for benchmarks
-/// the paper reports as `-`.
-pub fn table4_roads(bench: Benchmark) -> Option<(f64, f64, f64)> {
-    match bench {
-        Benchmark::SsspDijk => Some((4.1, 4.31, 4.24)),
-        Benchmark::Bfs => Some((8.14, 7.82, 8.21)),
-        Benchmark::Dfs => Some((3.14, 3.37, 3.26)),
-        Benchmark::ConnComp => Some((65.1, 66.1, 66.4)),
-        Benchmark::TriCnt => Some((8.12, 8.21, 8.19)),
-        Benchmark::PageRank => Some((4.91, 5.22, 5.14)),
-        Benchmark::Comm => Some((21.1, 21.8, 21.5)),
-        _ => None,
-    }
-}
-
-/// Table IV Facebook (social) column.
-pub fn table4_facebook(bench: Benchmark) -> Option<f64> {
-    match bench {
-        Benchmark::SsspDijk => Some(6.62),
-        Benchmark::Bfs => Some(8.81),
-        Benchmark::Dfs => Some(3.62),
-        Benchmark::ConnComp => Some(82.1),
-        Benchmark::TriCnt => Some(9.53),
-        Benchmark::PageRank => Some(5.66),
-        Benchmark::Comm => Some(22.3),
-        _ => None,
     }
 }
 
@@ -104,7 +74,7 @@ pub fn check_claims(sweep: &Sweep) -> Vec<(&'static str, bool)> {
             if !sweep.sequential.contains_key(&b) {
                 return true;
             }
-            breakdown_at_best(b).map_or(true, |br| br.l2home_offchip * 2 < br.total().max(1))
+            breakdown_at_best(b).is_none_or(|br| br.l2home_offchip * 2 < br.total().max(1))
         }),
     ));
     claims
@@ -149,13 +119,5 @@ mod tests {
         for b in Benchmark::ALL {
             assert!(table4_sparse(b) > 0.0);
         }
-    }
-
-    #[test]
-    fn fixed_input_benchmarks_have_no_road_numbers() {
-        assert!(table4_roads(Benchmark::Apsp).is_none());
-        assert!(table4_roads(Benchmark::Tsp).is_none());
-        assert!(table4_facebook(Benchmark::BetwCent).is_none());
-        assert_eq!(table4_roads(Benchmark::Bfs).unwrap().0, 8.14);
     }
 }
