@@ -8,11 +8,14 @@
 //! fingerprints:
 //!
 //! - `tests/golden_counters.txt`: BFS and PageRank, then SSSP_DIJK, the
-//!   `frontier_repr` variants of BFS and SSSP_DIJK, and the three kernels
-//!   that read in-edges (`dirop_bfs`, `afforest_cc`, `delta_sssp`);
+//!   `frontier_repr` variants of BFS and SSSP_DIJK, the three kernels
+//!   that read in-edges (`dirop_bfs`, `afforest_cc`, `delta_sssp`) and
+//!   the `pagerank_update` variant of PageRank;
 //! - `tests/golden_counters_taskpar.txt`: the task-parallel defaults
 //!   (APSP, BETW_CENT, TSP, DFS), which the opt-in work-stealing
-//!   variants must leave bit-identical.
+//!   variants must leave bit-identical, then those variants themselves
+//!   (`task_steal` for APSP, BETW_CENT and DFS, `lockfree_bound` for
+//!   TSP).
 //!
 //! Symbolic addresses come from the calling thread's address space
 //! (`crono_runtime::AddressSpace`), so a fingerprint is reproducible on
@@ -48,7 +51,7 @@ type Run = (Benchmark, Option<Ablation>);
 
 /// The exact configuration the golden files were captured under.
 const THREAD_COUNTS: [usize; 3] = [1, 4, 16];
-const RUNS: [Run; 8] = [
+const RUNS: [Run; 9] = [
     (Benchmark::Bfs, None),
     (Benchmark::PageRank, None),
     (Benchmark::SsspDijk, None),
@@ -57,12 +60,17 @@ const RUNS: [Run; 8] = [
     (Benchmark::Bfs, Some(Ablation::DiropBfs)),
     (Benchmark::ConnComp, Some(Ablation::AfforestCc)),
     (Benchmark::SsspDijk, Some(Ablation::DeltaSssp)),
+    (Benchmark::PageRank, Some(Ablation::PagerankUpdate)),
 ];
-const TASKPAR_RUNS: [Run; 4] = [
+const TASKPAR_RUNS: [Run; 8] = [
     (Benchmark::Apsp, None),
     (Benchmark::BetwCent, None),
     (Benchmark::Tsp, None),
     (Benchmark::Dfs, None),
+    (Benchmark::Apsp, Some(Ablation::TaskSteal)),
+    (Benchmark::BetwCent, Some(Ablation::TaskSteal)),
+    (Benchmark::Dfs, Some(Ablation::TaskSteal)),
+    (Benchmark::Tsp, Some(Ablation::LockfreeBound)),
 ];
 
 /// The line that opens `run`'s fingerprint at `threads` threads.
@@ -157,14 +165,15 @@ fn golden_counters_are_invariant() {
 }
 
 /// The task-parallel gate: the work-stealing variants are opt-in, so
-/// the default APSP/BETW_CENT/TSP/DFS kernels stay bit-identical.
+/// the default APSP/BETW_CENT/TSP/DFS kernels stay bit-identical; the
+/// variants themselves are pinned after them.
 #[test]
 fn task_parallel_defaults_are_invariant() {
     check_or_update(
         &fingerprint(&TASKPAR_RUNS, None),
         TASKPAR_GOLDEN,
         TASKPAR_GOLDEN_PATH,
-        "the default APSP/BETW_CENT/TSP/DFS kernels",
+        "the APSP/BETW_CENT/TSP/DFS kernels and their variants",
     );
 }
 
