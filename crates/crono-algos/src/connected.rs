@@ -159,9 +159,9 @@ fn afforest_compress<C: ThreadCtx>(
 /// propagation.
 ///
 /// Two *neighbor rounds* link only each vertex's first
-/// [`AFFOREST_ROUNDS`] out-edges, which is enough to coalesce the giant
+/// `AFFOREST_ROUNDS` (2) out-edges, which is enough to coalesce the giant
 /// component of skewed graphs. After a compress, a deterministic strided
-/// sample of [`AFFOREST_SAMPLES`] labels identifies the most frequent
+/// sample of `AFFOREST_SAMPLES` (1024) labels identifies the most frequent
 /// component, and the final pass skips every vertex already inside it —
 /// the bulk of the graph — linking only the remaining out-edges and the
 /// in-edges, so directed inputs are covered. The in-edges come from
@@ -170,7 +170,7 @@ fn afforest_compress<C: ThreadCtx>(
 /// Min-hooking makes the smallest vertex id of each component
 /// its root, so after the final compress the labels are bit-identical
 /// to [`parallel`]'s; `iterations` reports the link phases executed
-/// (always [`AFFOREST_ROUNDS`] + 1).
+/// (always `AFFOREST_ROUNDS` + 1).
 pub fn parallel_afforest<M: Machine>(machine: &M, graph: &CsrGraph) -> AlgoOutcome<ConnCompOutput> {
     let n = graph.num_vertices();
     let shared = SharedGraph::new(graph);

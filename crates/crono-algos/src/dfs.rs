@@ -12,7 +12,10 @@
 use crate::graph_view::SharedGraph;
 use crate::{costs, AlgoOutcome};
 use crono_graph::{CsrGraph, VertexId};
-use crono_runtime::{LockSet, Machine, SharedFlags, SharedU64s, TaskPool, ThreadCtx};
+use crono_runtime::{
+    LockSet, Machine, SharedFlags, SharedU64s, TaskPool, ThreadCtx, IDLE_BACKOFF_MAX,
+    IDLE_BACKOFF_MIN,
+};
 use crono_runtime::Mutex;
 
 /// Per-thread deque capacity for the stealing variant; deeper branches
@@ -235,7 +238,7 @@ pub fn parallel_steal<M: Machine>(
         // Empty-handed retries back off exponentially (modeled cycles)
         // so starved threads stop hammering the deque lines while the
         // frontier is narrow.
-        let mut backoff = 32u32;
+        let mut backoff = IDLE_BACKOFF_MIN;
         loop {
             if ctx.cancelled() || found.get(ctx, 0) {
                 break;
@@ -252,12 +255,12 @@ pub fn parallel_steal<M: Machine>(
                         }
                         // Work is in flight elsewhere; retry.
                         ctx.compute(backoff);
-                        backoff = (backoff * 2).min(4096);
+                        backoff = (backoff * 2).min(IDLE_BACKOFF_MAX);
                         continue;
                     }
                 },
             };
-            backoff = 32;
+            backoff = IDLE_BACKOFF_MIN;
             if !claimed.test_and_set(ctx, v as usize) {
                 visited += 1;
                 ctx.compute(costs::VISIT);

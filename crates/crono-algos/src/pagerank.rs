@@ -177,11 +177,11 @@ pub fn parallel_cas<M: Machine>(
 /// no locks, no CAS, and — because every in-list of
 /// [`CsrGraph::in_edges`] is ascending by source — the floating-point
 /// additions for a vertex happen in ascending in-neighbor order, which is
-/// exactly the order the push-mode [`reference`] applies them in. Both
-/// branches give that order: [`CsrGraph::transpose`] sorts each in-list
-/// by source, then weight, and a graph certified symmetric equals its
-/// transpose array for array, so its borrowed out-lists are already in
-/// that order. The ranks are therefore **bitwise identical** to
+/// exactly the order the push-mode [`reference`](fn@reference) applies
+/// them in. Both branches give that order: [`CsrGraph::transpose`] sorts
+/// each in-list by source, then weight, and a graph certified symmetric
+/// equals its transpose array for array, so its borrowed out-lists are
+/// already in that order. The ranks are therefore **bitwise identical** to
 /// `reference(graph, iterations)` at every thread count, so a cache
 /// keyed on the snapshot stays byte-stable no matter which machine built
 /// it. The in-edge graph and the out-degree table are data preparation

@@ -40,6 +40,7 @@ use crono_graph::shard::ShardedGraph;
 use crono_graph::{AdjacencyView, VertexId, Weight};
 use crono_runtime::{
     Machine, Mutex, ReadArray, RunReport, SharedF64s, SharedU32s, SharedU64s, TaskPool, ThreadCtx,
+    IDLE_BACKOFF_MAX, IDLE_BACKOFF_MIN,
 };
 
 /// PageRank damping, matching [`crate::pagerank`]: `0.15 + 0.85 * sum`.
@@ -144,11 +145,11 @@ fn push_own_tasks<C: ThreadCtx>(ctx: &mut C, pool: &TaskPool, count: usize) {
 
 /// Drains a pool with stealing, exponential backoff while starved.
 fn drain_pool<C: ThreadCtx>(ctx: &mut C, pool: &TaskPool, mut body: impl FnMut(&mut C, usize)) {
-    let mut backoff = 32u32;
+    let mut backoff = IDLE_BACKOFF_MIN;
     loop {
         match pool.try_take(ctx) {
             Some(task) => {
-                backoff = 32;
+                backoff = IDLE_BACKOFF_MIN;
                 body(ctx, task as usize);
                 pool.complete(ctx);
             }
@@ -158,7 +159,7 @@ fn drain_pool<C: ThreadCtx>(ctx: &mut C, pool: &TaskPool, mut body: impl FnMut(&
                 }
                 // Scheduling-dependent; never counted in shard stats.
                 ctx.compute(backoff);
-                backoff = (backoff * 2).min(4096);
+                backoff = (backoff * 2).min(IDLE_BACKOFF_MAX);
             }
         }
     }

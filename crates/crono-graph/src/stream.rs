@@ -18,8 +18,9 @@
 //!    and spilled as 12-byte little-endian `(src, dst, weight)` records.
 //! 3. **Shard-by-shard packing** — each shard's sorted runs are k-way
 //!    merged straight into an [`AdjacencyPacker`], so peak memory is
-//!    the sort buffer plus the packed output (for [`CompressedCsr`],
-//!    ~3 bytes/edge), never the flat edge list.
+//!    the sort buffer plus the packed output (for
+//!    [`CompressedCsr`](crate::CompressedCsr), ~3 bytes/edge), never the
+//!    flat edge list.
 //!
 //! The stream generators are deliberately *not* the same distribution
 //! as their in-memory namesakes: `gen::rmat` draws from one sequential

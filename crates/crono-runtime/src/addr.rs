@@ -111,6 +111,12 @@ impl AddressSpace {
     pub fn enter(self) {
         CURRENT.with(|s| *s.borrow_mut() = self);
     }
+
+    /// The address this space hands out next: always a whole number of
+    /// lines, and it only ever grows.
+    pub fn cursor(&self) -> u64 {
+        self.0.load(Ordering::Relaxed)
+    }
 }
 
 /// Allocates a fresh cache-line-aligned [`Region`] of at least `bytes`

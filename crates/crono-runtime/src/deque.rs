@@ -325,13 +325,15 @@ const PROBE_VICTIMS: usize = 4;
 /// workers all finish together.
 const PROBE_VICTIMS_FIXED: usize = 2;
 
-/// Idle backoff bounds for [`TaskPool::take`], in modeled compute
-/// cycles. An empty-handed retry charges the current backoff and doubles
-/// it up to the cap, so threads that ran out of work stop hammering the
-/// deque lines (and, under the deterministic sequencer, stop consuming
-/// scheduling turns) while stragglers finish.
-const IDLE_BACKOFF_MIN: u32 = 32;
-const IDLE_BACKOFF_MAX: u32 = 4096;
+/// Idle backoff bounds for [`TaskPool::take`] and for kernels that
+/// drive [`TaskPool::try_take`] themselves, in modeled compute cycles.
+/// An empty-handed retry charges the current backoff and doubles it up
+/// to [`IDLE_BACKOFF_MAX`], so threads that ran out of work stop
+/// hammering the deque lines (and, under the deterministic sequencer,
+/// stop consuming scheduling turns) while stragglers finish.
+pub const IDLE_BACKOFF_MIN: u32 = 32;
+/// The cap of the idle backoff (see [`IDLE_BACKOFF_MIN`]).
+pub const IDLE_BACKOFF_MAX: u32 = 4096;
 
 /// Victim backlog at which a probe upgrades from a single steal to
 /// [`WorkDeque::steal_half`]. Below this the victim's owner drains its
@@ -461,7 +463,7 @@ impl TaskPool {
     }
 
     /// Takes one task: own deque first (LIFO), then steals (FIFO) from
-    /// up to [`PROBE_VICTIMS`] victims of this thread's seeded order,
+    /// up to `PROBE_VICTIMS` (4) victims of this thread's seeded order,
     /// starting at a rotating cursor so successive attempts cover
     /// everyone.
     ///
@@ -528,7 +530,7 @@ impl TaskPool {
     /// Take for *fixed* task sets — every task was seeded before the
     /// run ([`TaskPool::push_plain`]) and nothing is pushed while it
     /// drains. Own deque first (LIFO), then one bounded probe round
-    /// ([`PROBE_VICTIMS_FIXED`] seeded victims); `None` is terminal.
+    /// (`PROBE_VICTIMS_FIXED` (2) seeded victims); `None` is terminal.
     ///
     /// No completion accounting, no shared counter, no idle spinning,
     /// and crucially no full exit sweep: a thread whose own deque and

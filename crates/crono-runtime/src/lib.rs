@@ -63,7 +63,7 @@ pub use addr::{alloc_region, Addr, AddressSpace, Region, LINE_SIZE};
 pub use budget::BudgetCtx;
 pub use cancel::{run_workers, RunGate, Workers};
 pub use ctx::ThreadCtx;
-pub use deque::{Steal, TaskPool, WorkDeque};
+pub use deque::{Steal, TaskPool, WorkDeque, IDLE_BACKOFF_MAX, IDLE_BACKOFF_MIN};
 pub use locks::{LockSet, LOCK_EPOCH_CYCLES};
 pub use sync::{
     CachePadded, Mutex, MutexGuard, RwLock, RwLockReadGuard, RwLockWriteGuard,

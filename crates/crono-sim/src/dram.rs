@@ -118,8 +118,8 @@ impl Dram {
     }
 
     /// Migration surcharge in cycles for an access at cycle `cycle`:
-    /// re-homed accesses inside [`MIGRATION_WINDOW`] after the
-    /// controller death pay one extra DRAM latency (the survivor pulls
+    /// re-homed accesses inside `MIGRATION_WINDOW` (8 DRAM epochs) after
+    /// the controller death pay one extra DRAM latency (the survivor pulls
     /// the migrating line image first); afterwards the line lives on the
     /// survivor and only the permanent queueing pressure remains.
     pub fn migration_surcharge(&self, rehomed: bool, cycle: u64) -> u64 {

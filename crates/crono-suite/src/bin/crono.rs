@@ -188,8 +188,10 @@ tracing enabled and writes one trace JSON per benchmark into DIR
 `--ablation NAME` traces an optimized kernel variant instead of the
 paper-faithful default (sim or native backend).
 `--resume` (ablation, faults and scale; needs --out) reloads the sweep's
-checkpoint from DIR and skips the points that already completed; the
-checkpoint is removed once the sweep finishes.
+checkpoint from DIR and replays the points that already completed, so
+the resumed sweep writes the same table as an uninterrupted run of the
+same command; points checkpointed by an older build are recomputed, and
+the checkpoint is removed once the sweep finishes.
 ";
 
 /// The usage text: one synopsis line per signature, rendered from
@@ -438,10 +440,10 @@ fn paper_command(command: &str, a: &Args) -> Result<ExitCode, String> {
             "fig9" => vec![fig9::generate(&scale, 3, progress)],
             "ablation" => vec![match backend {
                 TraceBackend::Native => {
-                    ablation::generate_native_resumable(&scale, filter, progress, ckpt.as_mut())
+                    ablation::generate_native(&scale, filter, progress, ckpt.as_mut())
                 }
                 TraceBackend::Sim => {
-                    ablation::generate_resumable(&scale, &config, filter, progress, ckpt.as_mut())
+                    ablation::generate(&scale, &config, filter, progress, ckpt.as_mut())
                 }
             }],
             "compare" => crono_suite::paper::compare(s()),

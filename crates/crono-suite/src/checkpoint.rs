@@ -1,12 +1,13 @@
 //! Resumable sweeps: a tiny on-disk checkpoint of completed sweep
-//! points.
+//! points, and [`cell`], the one place a sweep replays or computes one.
 //!
-//! Long experiment sweeps (`crono faults`, `crono ablation`) run many
-//! independent points; a crash or Ctrl-C halfway through used to throw
-//! everything away. A [`Checkpoint`] persists each finished point as one
-//! `key\tvalue` line, written atomically (temp file + `rename`) after
-//! every point, so a re-run with `--resume` skips the points that
-//! already completed and only computes the rest.
+//! Long experiment sweeps (`crono faults`, `crono ablation`, `crono
+//! scale`) run many independent points; a crash or Ctrl-C halfway
+//! through used to throw everything away. A [`Checkpoint`] persists each
+//! finished point as one `key\tvalue` line, written atomically (temp
+//! file + `rename`) after every point, so a re-run with `--resume` skips
+//! the points that already completed, computes the rest, and writes the
+//! same table as an uninterrupted run (see [`cell`]).
 //!
 //! The format is deliberately dumb — a TSV of opaque strings — so the
 //! file survives version skew: unknown keys are carried along, and a
@@ -15,6 +16,79 @@
 use std::collections::BTreeMap;
 use std::io::{self, Write as _};
 use std::path::{Path, PathBuf};
+
+use crono_runtime::{alloc_region, AddressSpace};
+
+/// A sweep point's result as checkpoint text.
+pub trait CellValue: Sized {
+    /// The value as text without tabs or newlines.
+    fn encode(&self) -> String;
+
+    /// Parses what [`encode`](CellValue::encode) wrote; `None` if
+    /// malformed.
+    fn decode(text: &str) -> Option<Self>;
+}
+
+/// Space-separated numbers (the ablation cells).
+impl<const N: usize> CellValue for [u64; N] {
+    fn encode(&self) -> String {
+        self.map(|x| x.to_string()).join(" ")
+    }
+
+    fn decode(text: &str) -> Option<Self> {
+        let nums: Option<Vec<u64>> = text.split(' ').map(|x| x.parse().ok()).collect();
+        nums?.try_into().ok()
+    }
+}
+
+/// One resumable sweep point: replays `key`'s value from `ckpt`, or
+/// runs `compute` and records its value (a failed write only warns).
+/// With `progress`, prints that label, then ` (resumed)` on a replay.
+///
+/// A simulated point's numbers depend on everything its thread
+/// allocated before it, so the value is stored as `@<cursor> <value>`,
+/// with the thread's address-space cursor after the point, and a replay
+/// reserves the addresses up to that cursor (it never moves back).
+/// Cursors are whole lines, so every point a resumed sweep still
+/// computes starts at the address an uninterrupted sweep gives it. A
+/// value without a cursor (from an older build) is recomputed.
+///
+/// # Errors
+///
+/// Propagates `compute`'s error; nothing is recorded then.
+pub fn cell<T: CellValue, E>(
+    ckpt: Option<&mut Checkpoint>,
+    key: &str,
+    progress: Option<&str>,
+    compute: impl FnOnce() -> Result<T, E>,
+) -> Result<T, E> {
+    let replay = ckpt.as_deref().and_then(|c| c.get(key)).and_then(|v| {
+        let (after, value) = v.strip_prefix('@')?.split_once(' ')?;
+        Some((after.parse::<u64>().ok()?, T::decode(value)?))
+    });
+    if let Some(label) = progress {
+        let resumed = if replay.is_some() { " (resumed)" } else { "" };
+        eprintln!("{label}{resumed}");
+    }
+    if let Some((after, value)) = replay {
+        let now = AddressSpace::current().cursor();
+        if after > now {
+            alloc_region(after - now);
+        }
+        return Ok(value);
+    }
+    let value = compute()?;
+    if let Some(c) = ckpt {
+        let after = AddressSpace::current().cursor();
+        if let Err(e) = c.record(key, &format!("@{after} {}", value.encode())) {
+            eprintln!(
+                "warning: could not checkpoint {key} to {}: {e}",
+                c.path().display()
+            );
+        }
+    }
+    Ok(value)
+}
 
 /// An on-disk map of completed sweep points (see the module docs).
 #[derive(Debug)]
@@ -49,7 +123,7 @@ impl Checkpoint {
     }
 
     /// The recorded value for `key`, if that point already completed.
-    pub fn get(&self, key: &str) -> Option<&str> {
+    pub(crate) fn get(&self, key: &str) -> Option<&str> {
         self.entries.get(key).map(String::as_str)
     }
 
@@ -65,7 +139,7 @@ impl Checkpoint {
     ///
     /// Panics if `key` or `value` contains a tab or newline (they would
     /// corrupt the line format).
-    pub fn record(&mut self, key: &str, value: &str) -> io::Result<()> {
+    pub(crate) fn record(&mut self, key: &str, value: &str) -> io::Result<()> {
         assert!(
             !key.contains(['\t', '\n']) && !value.contains(['\t', '\n']),
             "checkpoint keys/values must not contain tabs or newlines"
@@ -116,6 +190,7 @@ impl Checkpoint {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::convert::Infallible;
 
     fn tmp_path(name: &str) -> PathBuf {
         let mut p = std::env::temp_dir();
@@ -160,6 +235,44 @@ mod tests {
     fn missing_file_is_empty_checkpoint() {
         let ck = Checkpoint::open(tmp_path("nonexistent")).unwrap();
         assert!(ck.is_empty());
+    }
+
+    #[test]
+    fn replay_reserves_the_range_the_point_allocated() {
+        let path = tmp_path("cursor");
+        let _ = std::fs::remove_file(&path);
+        // Each run starts on a fresh thread, so in a fresh address space.
+        let run = |path: PathBuf, computed: u64| {
+            std::thread::spawn(move || {
+                let mut ck = Checkpoint::open(path).unwrap();
+                let Ok(v) = cell(Some(&mut ck), "k", None, || {
+                    alloc_region(3 * 64);
+                    Ok::<_, Infallible>([computed])
+                });
+                (v, alloc_region(1).base())
+            })
+            .join()
+            .expect("cell thread")
+        };
+        let first = run(path.clone(), 7);
+        let reopened = Checkpoint::open(&path).unwrap();
+        assert!(reopened.get("k").is_some_and(|v| v.starts_with('@')));
+        // The second run replays the point (7, not 8), and its next
+        // region lands where it did after the computed point.
+        assert_eq!(run(path.clone(), 8), first);
+        std::fs::remove_file(&path).unwrap();
+    }
+
+    #[test]
+    fn value_without_a_cursor_is_recomputed() {
+        let path = tmp_path("no-cursor");
+        let _ = std::fs::remove_file(&path);
+        let mut ck = Checkpoint::open(&path).unwrap();
+        ck.record("k", "1 2").unwrap();
+        let Ok(v) = cell(Some(&mut ck), "k", None, || Ok::<_, Infallible>([3u64, 4]));
+        assert_eq!(v, [3, 4]);
+        assert!(ck.get("k").unwrap().ends_with(" 3 4"));
+        std::fs::remove_file(&path).unwrap();
     }
 
     #[test]

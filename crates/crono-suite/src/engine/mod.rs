@@ -11,7 +11,7 @@
 //!
 //! * **Reentrant kernels.** `crono_algos::bfs::run_seq` /
 //!   `sssp::run_seq` are plain library calls taking any
-//!   [`ThreadCtx`](crono_runtime::ThreadCtx) — many queries run
+//!   [`ThreadCtx`] — many queries run
 //!   concurrently on one machine, each charging its own context.
 //! * **Work-stealing dispatch.** Each batch becomes a fixed task set on
 //!   a seeded [`TaskPool`] drained with [`TaskPool::take`], so a long
@@ -41,7 +41,7 @@
 //!   bound, so a closed-loop client observes backpressure.
 //! * **Deadlines.** A query's deadline is a *modeled-instruction*
 //!   budget, enforced by wrapping the worker's context in
-//!   [`BudgetCtx`](crono_runtime::BudgetCtx): an over-budget kernel
+//!   [`BudgetCtx`]: an over-budget kernel
 //!   observes cancellation at its next loop head and drains out, and
 //!   the query reports [`QueryError::DeadlineExceeded`] while every
 //!   other query in the batch completes normally. A whole-batch

@@ -8,8 +8,14 @@
 //! characterizes everything else (the figures themselves always use the
 //! defaults). [`generate_native`] produces the same comparison on the
 //! real-machine backend (wall-clock + MTEPS, fig9-style).
+//!
+//! Every `(ablation, benchmark, threads)` cell runs through
+//! [`checkpoint::cell`](cell), so `crono ablation --resume` replays the
+//! finished cells and writes the same table as an uninterrupted run.
 
-use crate::checkpoint::Checkpoint;
+use std::convert::Infallible;
+
+use crate::checkpoint::{cell, Checkpoint};
 use crate::report::{f2, Table};
 use crate::runner::{run_parallel, run_parallel_ablated};
 use crate::scale::Scale;
@@ -46,20 +52,59 @@ fn deterministic_group(ablation: Ablation) -> bool {
     )
 }
 
+/// `default / optimized`, the speedup or reduction cell (`0.00` when the
+/// optimized count is zero).
+fn ratio(default: u64, optimized: u64) -> String {
+    if optimized == 0 {
+        f2(0.0)
+    } else {
+        f2(default as f64 / optimized as f64)
+    }
+}
+
+/// Pushes the default, optimized and speedup rows of one (ablation,
+/// benchmark) comparison, one `[default, optimized]` cell per swept
+/// thread count. With `mteps`, each row gains the native table's last
+/// column: MTEPS of the top thread count's cell, or its speedup.
+fn push_comparison(
+    table: &mut Table,
+    ablation: Ablation,
+    bench_label: &str,
+    cells: &[[u64; 2]],
+    mteps: Option<&dyn Fn(u64) -> String>,
+) {
+    let label = |kernel: &str| {
+        vec![
+            ablation.name().to_string(),
+            bench_label.to_string(),
+            kernel.to_string(),
+        ]
+    };
+    let mut default = label("default");
+    default.extend(cells.iter().map(|c| c[0].to_string()));
+    let mut optimized = label("optimized");
+    optimized.extend(cells.iter().map(|c| c[1].to_string()));
+    let mut speedup = label("speedup");
+    speedup.extend(cells.iter().map(|&[d, o]| ratio(d, o)));
+    if let Some(mteps) = mteps {
+        let [d, o] = *cells.last().expect("swept");
+        default.push(mteps(d));
+        optimized.push(mteps(o));
+        speedup.push(ratio(d, o));
+    }
+    for row in [default, optimized, speedup] {
+        table.push_row(row);
+    }
+}
+
 /// One table: per (ablation, benchmark), completion cycles of the
 /// default and optimized kernels at each swept core count, plus the
 /// speedup row (`default / optimized`, so > 1 means the optimization
-/// wins on simulated time).
-pub fn generate(scale: &Scale, config: &SimConfig, progress: bool) -> Table {
-    generate_resumable(scale, config, None, progress, None)
-}
-
-/// As [`generate`], restricted to one ablation group when `filter` is
-/// set (`crono ablation --ablation NAME`), and recording each finished
-/// `(ablation, benchmark, threads)` cell in `ckpt` so an interrupted
-/// sweep can resume (`crono ablation --resume`) without re-running
-/// completed cells.
-pub fn generate_resumable(
+/// wins on simulated time). `filter` restricts it to one ablation group
+/// (`crono ablation --ablation NAME`), and each finished `(ablation,
+/// benchmark, threads)` cell is recorded in `ckpt` so an interrupted
+/// sweep can resume (`crono ablation --resume`).
+pub fn generate(
     scale: &Scale,
     config: &SimConfig,
     filter: Option<Ablation>,
@@ -96,8 +141,7 @@ pub fn generate_resumable(
                 m
             }
         };
-        let mut default_row = Vec::new();
-        let mut optimized_row = Vec::new();
+        let mut cells = Vec::new();
         for &t in &threads {
             // Keyed on the *built* graph's vertex count, not the scale's
             // nominal one — the R-MAT input rounds up to a power of two.
@@ -107,63 +151,26 @@ pub fn generate_resumable(
                 w.graph.num_vertices(),
                 config.num_cores
             );
-            if let Some(cell) = ckpt.as_deref().and_then(|c| c.get(&key)) {
-                if let Some((b, o)) = cell.split_once(' ') {
-                    if let (Ok(b), Ok(o)) = (b.parse(), o.parse()) {
-                        if progress {
-                            eprintln!(
-                                "[ablation] {ablation}/{bench_label}: {t} threads (resumed)"
-                            );
-                        }
-                        default_row.push(b);
-                        optimized_row.push(o);
-                        continue;
-                    }
-                }
-            }
-            if progress {
-                eprintln!("[ablation] {ablation}/{bench_label}: {t} threads");
-            }
-            let base = median(
-                (0..reps)
-                    .map(|_| run_parallel(bench, &machine(t), w).completion)
-                    .collect(),
-            );
-            let opt = median(
-                (0..reps)
-                    .map(|_| {
-                        run_parallel_ablated(bench, &machine(t), w, Some(ablation)).completion
-                    })
-                    .collect(),
-            );
-            if let Some(c) = ckpt.as_deref_mut() {
-                if let Err(e) = c.record(&key, &format!("{base} {opt}")) {
-                    eprintln!(
-                        "warning: could not checkpoint {key} to {}: {e}",
-                        c.path().display()
-                    );
-                }
-            }
-            default_row.push(base);
-            optimized_row.push(opt);
+            let label =
+                progress.then(|| format!("[ablation] {ablation}/{bench_label}: {t} threads"));
+            let Ok(c) = cell(ckpt.as_deref_mut(), &key, label.as_deref(), || {
+                let base = median(
+                    (0..reps)
+                        .map(|_| run_parallel(bench, &machine(t), w).completion)
+                        .collect(),
+                );
+                let opt = median(
+                    (0..reps)
+                        .map(|_| {
+                            run_parallel_ablated(bench, &machine(t), w, Some(ablation)).completion
+                        })
+                        .collect(),
+                );
+                Ok::<_, Infallible>([base, opt])
+            });
+            cells.push(c);
         }
-        let label = |kernel: &str| {
-            vec![ablation.name().to_string(), bench_label.clone(), kernel.to_string()]
-        };
-        let mut row = label("default");
-        row.extend(default_row.iter().map(u64::to_string));
-        table.push_row(row);
-        let mut row = label("optimized");
-        row.extend(optimized_row.iter().map(u64::to_string));
-        table.push_row(row);
-        let mut row = label("speedup");
-        row.extend(
-            default_row
-                .iter()
-                .zip(&optimized_row)
-                .map(|(&d, &o)| if o == 0 { f2(0.0) } else { f2(d as f64 / o as f64) }),
-        );
-        table.push_row(row);
+        push_comparison(&mut table, ablation, &bench_label, &cells, None);
     };
     for ablation in Ablation::ALL {
         if filter.is_some_and(|f| f != ablation) {
@@ -198,40 +205,25 @@ pub fn generate_resumable(
                 rmat_w.graph.num_vertices(),
                 config.num_cores
             );
-            if let Some(cell) = ckpt.as_deref().and_then(|c| c.get(&key)) {
-                let nums: Vec<u64> =
-                    cell.split(' ').filter_map(|x| x.parse().ok()).collect();
-                if let Ok(arr) = <[u64; 4]>::try_from(nums) {
-                    if progress {
-                        eprintln!("[ablation] dirop_bfs/{bench_label} counters: {t} threads (resumed)");
-                    }
-                    cells.push(arr);
-                    continue;
-                }
-            }
-            if progress {
-                eprintln!("[ablation] dirop_bfs/{bench_label} counters: {t} threads");
-            }
-            let machine = || SimMachine::new(config.clone(), t).deterministic();
-            let base = run_parallel(Benchmark::Bfs, &machine(), &rmat_w);
-            let opt =
-                run_parallel_ablated(Benchmark::Bfs, &machine(), &rmat_w, Some(Ablation::DiropBfs));
-            let arr = [
-                base.misses.sharing_misses,
-                opt.misses.sharing_misses,
-                base.energy.router_flit_hops + base.energy.link_flit_hops,
-                opt.energy.router_flit_hops + opt.energy.link_flit_hops,
-            ];
-            if let Some(c) = ckpt.as_deref_mut() {
-                let val = format!("{} {} {} {}", arr[0], arr[1], arr[2], arr[3]);
-                if let Err(e) = c.record(&key, &val) {
-                    eprintln!(
-                        "warning: could not checkpoint {key} to {}: {e}",
-                        c.path().display()
-                    );
-                }
-            }
-            cells.push(arr);
+            let label = progress
+                .then(|| format!("[ablation] dirop_bfs/{bench_label} counters: {t} threads"));
+            let Ok(c) = cell(ckpt.as_deref_mut(), &key, label.as_deref(), || {
+                let machine = || SimMachine::new(config.clone(), t).deterministic();
+                let base = run_parallel(Benchmark::Bfs, &machine(), &rmat_w);
+                let opt = run_parallel_ablated(
+                    Benchmark::Bfs,
+                    &machine(),
+                    &rmat_w,
+                    Some(Ablation::DiropBfs),
+                );
+                Ok::<_, Infallible>([
+                    base.misses.sharing_misses,
+                    opt.misses.sharing_misses,
+                    base.energy.router_flit_hops + base.energy.link_flit_hops,
+                    opt.energy.router_flit_hops + opt.energy.link_flit_hops,
+                ])
+            });
+            cells.push(c);
         }
         let mut counter_row = |kernel: &str, pick: &dyn Fn(&[u64; 4]) -> String| {
             let mut row = vec![
@@ -242,7 +234,6 @@ pub fn generate_resumable(
             row.extend(cells.iter().map(pick));
             table.push_row(row);
         };
-        let ratio = |d: u64, o: u64| if o == 0 { f2(0.0) } else { f2(d as f64 / o as f64) };
         counter_row("default:l1_sharing", &|c| c[0].to_string());
         counter_row("optimized:l1_sharing", &|c| c[1].to_string());
         counter_row("reduction:l1_sharing", &|c| ratio(c[0], c[1]));
@@ -272,16 +263,10 @@ fn native_elements(bench: Benchmark, w: &Workload) -> Option<u64> {
 /// wall-clock nanoseconds of the default and optimized kernels at each
 /// native thread count, the speedup row, and MTEPS at the highest
 /// thread count — fig9-style validation that the simulator's ablation
-/// trends hold on hardware.
-pub fn generate_native(scale: &Scale, filter: Option<Ablation>, progress: bool) -> Table {
-    generate_native_resumable(scale, filter, progress, None)
-}
-
-/// As [`generate_native`], with resumable checkpointing (the cells
-/// share `ablation.resume.tsv` with the simulated sweep under
-/// `ablation_native|`-prefixed keys, so `--resume` works for either
-/// backend).
-pub fn generate_native_resumable(
+/// trends hold on hardware. `filter` and `ckpt` work as in
+/// [`generate`]; the cells share `ablation.resume.tsv` with the
+/// simulated sweep under `ablation_native|`-prefixed keys.
+pub fn generate_native(
     scale: &Scale,
     filter: Option<Ablation>,
     progress: bool,
@@ -306,8 +291,7 @@ pub fn generate_native_resumable(
             continue;
         }
         for &bench in ablation.benchmarks() {
-            let mut default_row = Vec::new();
-            let mut optimized_row = Vec::new();
+            let mut cells = Vec::new();
             for &t in &threads {
                 let key = format!(
                     "ablation_native|{}|{}|v{}|t{t}",
@@ -315,44 +299,25 @@ pub fn generate_native_resumable(
                     bench.label(),
                     scale.sparse_vertices
                 );
-                if let Some(cell) = ckpt.as_deref().and_then(|c| c.get(&key)) {
-                    if let Some((b, o)) = cell.split_once(' ') {
-                        if let (Ok(b), Ok(o)) = (b.parse(), o.parse()) {
-                            if progress {
-                                eprintln!(
-                                    "[ablation] native {ablation}/{bench}: {t} threads (resumed)"
-                                );
-                            }
-                            default_row.push(b);
-                            optimized_row.push(o);
-                            continue;
-                        }
-                    }
-                }
-                if progress {
-                    eprintln!("[ablation] native {ablation}/{bench}: {t} threads");
-                }
-                let machine = NativeMachine::new(t);
-                let base = fastest(
-                    (0..REPS).map(|_| run_parallel(bench, &machine, &w).completion).collect(),
-                );
-                let opt = fastest(
-                    (0..REPS)
-                        .map(|_| {
-                            run_parallel_ablated(bench, &machine, &w, Some(ablation)).completion
-                        })
-                        .collect(),
-                );
-                if let Some(c) = ckpt.as_deref_mut() {
-                    if let Err(e) = c.record(&key, &format!("{base} {opt}")) {
-                        eprintln!(
-                            "warning: could not checkpoint {key} to {}: {e}",
-                            c.path().display()
-                        );
-                    }
-                }
-                default_row.push(base);
-                optimized_row.push(opt);
+                let label =
+                    progress.then(|| format!("[ablation] native {ablation}/{bench}: {t} threads"));
+                let Ok(c) = cell(ckpt.as_deref_mut(), &key, label.as_deref(), || {
+                    let machine = NativeMachine::new(t);
+                    let base = fastest(
+                        (0..REPS)
+                            .map(|_| run_parallel(bench, &machine, &w).completion)
+                            .collect(),
+                    );
+                    let opt = fastest(
+                        (0..REPS)
+                            .map(|_| {
+                                run_parallel_ablated(bench, &machine, &w, Some(ablation)).completion
+                            })
+                            .collect(),
+                    );
+                    Ok::<_, Infallible>([base, opt])
+                });
+                cells.push(c);
             }
             // Native `completion` is wall-clock nanoseconds.
             let mteps = |wall_ns: u64| {
@@ -360,34 +325,7 @@ pub fn generate_native_resumable(
                     .map(|e| f2(e as f64 * 1e3 / wall_ns.max(1) as f64))
                     .unwrap_or_else(|| "-".to_string())
             };
-            let label = |kernel: &str| {
-                vec![
-                    ablation.name().to_string(),
-                    bench.label().to_string(),
-                    kernel.to_string(),
-                ]
-            };
-            let mut row = label("default");
-            row.extend(default_row.iter().map(u64::to_string));
-            row.push(mteps(*default_row.last().expect("swept")));
-            table.push_row(row);
-            let mut row = label("optimized");
-            row.extend(optimized_row.iter().map(u64::to_string));
-            row.push(mteps(*optimized_row.last().expect("swept")));
-            table.push_row(row);
-            let mut row = label("speedup");
-            row.extend(
-                default_row
-                    .iter()
-                    .zip(&optimized_row)
-                    .map(|(&d, &o)| if o == 0 { f2(0.0) } else { f2(d as f64 / o as f64) }),
-            );
-            let (&d, &o) = (
-                default_row.last().expect("swept"),
-                optimized_row.last().expect("swept"),
-            );
-            row.push(if o == 0 { f2(0.0) } else { f2(d as f64 / o as f64) });
-            table.push_row(row);
+            push_comparison(&mut table, ablation, bench.label(), &cells, Some(&mteps));
         }
     }
     table
@@ -396,12 +334,13 @@ pub fn generate_native_resumable(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::path::PathBuf;
 
     #[test]
     fn covers_every_ablated_benchmark_at_every_thread_count() {
         let scale = Scale::test();
         let config = SimConfig::tiny(16);
-        let t = generate(&scale, &config, false);
+        let t = generate(&scale, &config, None, false, None);
         // 10 ablated benchmarks + the R-MAT BFS comparison, 3 rows each
         // (default / optimized / speedup), plus 6 counter rows for the
         // direction-optimizing BFS group.
@@ -424,7 +363,7 @@ mod tests {
             (Ablation::LockfreeBound, &["TSP"][..]),
             (Ablation::FrontierRepr, &["BFS", "SSSP_DIJK"][..]),
         ] {
-            let t = generate_resumable(&scale, &config, Some(ablation), false, None);
+            let t = generate(&scale, &config, Some(ablation), false, None);
             assert_eq!(t.rows.len(), 3 * benches.len(), "{ablation}");
             let labels: Vec<[&str; 2]> =
                 t.rows.iter().map(|r| [r[0].as_str(), r[1].as_str()]).collect();
@@ -441,7 +380,7 @@ mod tests {
     fn dirop_group_tabulates_rmat_counters() {
         let scale = Scale::test();
         let config = SimConfig::tiny(16);
-        let t = generate_resumable(&scale, &config, Some(Ablation::DiropBfs), false, None);
+        let t = generate(&scale, &config, Some(Ablation::DiropBfs), false, None);
         assert_eq!(t.rows.len(), 12);
         assert!(t.rows.iter().all(|r| r[0] == "dirop_bfs"));
         let kernels: Vec<&str> = t
@@ -475,8 +414,7 @@ mod tests {
         let tsv = || {
             std::thread::spawn(|| {
                 let (scale, config) = (Scale::test(), SimConfig::tiny(16));
-                generate_resumable(&scale, &config, Some(Ablation::LockfreeBound), false, None)
-                    .to_tsv()
+                generate(&scale, &config, Some(Ablation::LockfreeBound), false, None).to_tsv()
             })
             .join()
             .expect("ablation thread")
@@ -486,10 +424,37 @@ mod tests {
         assert_eq!(first, tsv(), "lockfree_bound cells byte-identical");
     }
 
+    /// Interrupted after one cell, the `dirop_bfs` group (both kinds of
+    /// simulated cell) resumes to the table an uninterrupted sweep
+    /// writes. Each half runs on a fresh thread, as each `crono
+    /// ablation` run starts in a fresh process.
+    #[test]
+    fn resumed_sweep_writes_the_uninterrupted_table() {
+        let path = std::env::temp_dir().join(format!(
+            "crono-ablation-interrupted-{}.tsv",
+            std::process::id()
+        ));
+        let _ = std::fs::remove_file(&path);
+        let sweep = |path: PathBuf| {
+            std::thread::spawn(move || {
+                let mut ck = Checkpoint::open(path).unwrap();
+                let (scale, config) = (Scale::test(), SimConfig::tiny(16));
+                generate(&scale, &config, Some(Ablation::DiropBfs), false, Some(&mut ck)).to_tsv()
+            })
+            .join()
+            .expect("sweep thread")
+        };
+        let uninterrupted = sweep(path.clone());
+        let text = std::fs::read_to_string(&path).unwrap();
+        std::fs::write(&path, format!("{}\n", text.lines().next().unwrap())).unwrap();
+        assert_eq!(sweep(path.clone()), uninterrupted);
+        std::fs::remove_file(&path).unwrap();
+    }
+
     #[test]
     fn native_table_has_wall_clock_and_mteps() {
         let scale = Scale::test();
-        let t = generate_native(&scale, Some(Ablation::TaskSteal), false);
+        let t = generate_native(&scale, Some(Ablation::TaskSteal), false, None);
         assert_eq!(t.rows.len(), 9, "APSP, BETW_CENT, DFS × 3 rows");
         // Columns: 3 labels + native thread counts + MTEPS.
         let cols = 3 + scale.native_thread_counts.len() + 1;

@@ -32,7 +32,7 @@
 use crate::engine::{EngineOptions, QueryError, ServeEngine};
 use crate::report::{f2, Table};
 use crate::scale::Scale;
-use crate::serve::{bombard, BombardOptions, Mix, Outcomes};
+use crate::serve::{bombard, BombardOptions, Mix, Tally};
 use crate::workload::Workload;
 use crono_sim::{FaultPlan, LinkDir, RoutingPolicy, SimConfig, SimMachine};
 
@@ -128,66 +128,6 @@ fn phases(dc: &DegradedConfig) -> Vec<Phase> {
     ]
 }
 
-/// Per-phase tallies over the bombard outcome stream.
-struct PhaseStats {
-    queries: u64,
-    ok: u64,
-    cache_hits: u64,
-    errors: u64,
-    costs: Vec<u64>,
-}
-
-impl PhaseStats {
-    /// Tallies the stream. A cancellation naming a dead link is the
-    /// routing policy failing the whole sweep, not a per-query error:
-    /// the caller aborts with it (the `--routing xy` typed-error path).
-    fn collect(outcomes: &Outcomes) -> Result<PhaseStats, String> {
-        let mut s = PhaseStats {
-            queries: 0,
-            ok: 0,
-            cache_hits: 0,
-            errors: 0,
-            costs: Vec::new(),
-        };
-        for (_, o) in outcomes {
-            s.queries += 1;
-            match o {
-                Ok(r) => {
-                    s.ok += 1;
-                    if r.cached {
-                        s.cache_hits += 1;
-                    }
-                    s.costs.push(r.cost);
-                }
-                Err(QueryError::Cancelled(msg)) if msg.contains("dead") && msg.contains("link") => {
-                    return Err(msg.clone());
-                }
-                Err(_) => s.errors += 1,
-            }
-        }
-        s.costs.sort_unstable();
-        Ok(s)
-    }
-
-    /// Nearest-rank percentile in modeled microseconds (1 GHz).
-    fn p_us(&self, p: usize) -> f64 {
-        if self.costs.is_empty() {
-            return f64::INFINITY;
-        }
-        self.costs[(self.costs.len() - 1) * p / 100] as f64 / 1_000.0
-    }
-
-    /// Idealized QPS of `workers` survivors retiring the observed costs
-    /// back-to-back at 1 GHz.
-    fn qps(&self, workers: usize) -> f64 {
-        let total: u64 = self.costs.iter().sum();
-        if total == 0 {
-            return 0.0;
-        }
-        self.ok as f64 * workers as f64 * 1e9 / total as f64
-    }
-}
-
 /// The routing policy's CLI/TSV name.
 fn routing_name(r: RoutingPolicy) -> &'static str {
     match r {
@@ -263,14 +203,25 @@ pub fn generate(dc: &DegradedConfig, progress: bool) -> Result<Table, String> {
                 mix: Mix::Default,
             },
         );
-        let stats = PhaseStats::collect(&outcomes).map_err(|detail| {
-            format!(
+        // A cancellation naming a dead link is the routing policy
+        // failing the whole sweep, not a per-query error: abort with it
+        // (the `--routing xy` typed-error path).
+        if let Some(detail) = outcomes.iter().find_map(|(_, o)| match o {
+            Err(QueryError::Cancelled(msg)) if msg.contains("dead") && msg.contains("link") => {
+                Some(msg)
+            }
+            _ => None,
+        }) {
+            return Err(format!(
                 "phase {}: routing policy {:?} cannot serve around the dead link: {detail}",
                 phase.label,
                 routing_name(dc.routing)
-            )
-        })?;
-        let p99 = stats.p_us(99);
+            ));
+        }
+        let stats = Tally::of(outcomes.iter().map(|(_, o)| o));
+        // A phase that answered nothing has an infinite p99 and fails.
+        let p_us = |p| stats.p_us(p).unwrap_or(f64::INFINITY);
+        let p99 = p_us(99);
         let slo = if p99 <= dc.slo_p99_us { "pass" } else { "FAIL" };
         table.push_row(vec![
             phase.label.to_string(),
@@ -280,9 +231,9 @@ pub fn generate(dc: &DegradedConfig, progress: bool) -> Result<Table, String> {
             stats.ok.to_string(),
             stats.errors.to_string(),
             stats.cache_hits.to_string(),
-            f2(stats.p_us(50)),
+            f2(p_us(50)),
             f2(p99),
-            f2(stats.qps(phase.workers)),
+            f2(stats.qps(phase.workers).unwrap_or(0.0)),
             slo.to_string(),
         ]);
     }

@@ -11,10 +11,14 @@
 //! on a fresh thread's address space; later runs on one thread see
 //! shifted symbolic addresses).
 //!
-//! With a [`Checkpoint`] attached, every finished point is persisted
-//! atomically and a re-run (`--resume`) skips the points already done.
+//! With a [`Checkpoint`] attached, every point runs through
+//! [`checkpoint::cell`](cell): a finished point is persisted atomically,
+//! and a re-run (`--resume`) replays the points already done and writes
+//! the same table as an uninterrupted run.
 
-use crate::checkpoint::Checkpoint;
+use std::convert::Infallible;
+
+use crate::checkpoint::{cell, CellValue, Checkpoint};
 use crate::report::{f2, Table};
 use crate::runner::run_parallel;
 use crate::scale::Scale;
@@ -59,7 +63,7 @@ struct Point {
     faults: FaultCounters,
 }
 
-impl Point {
+impl CellValue for Point {
     fn encode(&self) -> String {
         format!(
             "{} {} {} {} {} {}",
@@ -93,8 +97,8 @@ impl Point {
 
 /// One table: per (benchmark, fault rate), completion cycles, slowdown
 /// over the fault-free baseline, and the injected-event counters.
-/// Finished points are recorded in `ckpt` (when given) and re-used on a
-/// later resumed run.
+/// Finished points are recorded in `ckpt` (when given) and replayed on
+/// a later resumed run.
 pub fn generate(
     scale: &Scale,
     config: &SimConfig,
@@ -135,39 +139,17 @@ pub fn generate(
                 fc.seed,
                 threads
             );
-            let cached = ckpt
-                .as_deref()
-                .and_then(|c| c.get(&key))
-                .and_then(Point::decode);
-            let point = match cached {
-                Some(p) => {
-                    if progress {
-                        eprintln!("[faults] {bench} rate={rate}: resumed from checkpoint");
-                    }
-                    p
-                }
-                None => {
-                    if progress {
-                        eprintln!("[faults] {bench} rate={rate}: {threads} threads");
-                    }
-                    let plan = FaultPlan::scaled(fc.seed, rate);
-                    let machine = SimMachine::new(config.clone(), threads).fault_plan(plan);
-                    let report = run_parallel(bench, &machine, &w);
-                    let p = Point {
-                        completion: report.completion,
-                        faults: report.faults,
-                    };
-                    if let Some(c) = ckpt.as_deref_mut() {
-                        if let Err(e) = c.record(&key, &p.encode()) {
-                            eprintln!(
-                                "warning: could not checkpoint {key} to {}: {e}",
-                                c.path().display()
-                            );
-                        }
-                    }
-                    p
-                }
-            };
+            let label =
+                progress.then(|| format!("[faults] {bench} rate={rate}: {threads} threads"));
+            let Ok(point) = cell(ckpt.as_deref_mut(), &key, label.as_deref(), || {
+                let plan = FaultPlan::scaled(fc.seed, rate);
+                let machine = SimMachine::new(config.clone(), threads).fault_plan(plan);
+                let report = run_parallel(bench, &machine, &w);
+                Ok::<_, Infallible>(Point {
+                    completion: report.completion,
+                    faults: report.faults,
+                })
+            });
             let base = *baseline.get_or_insert(point.completion);
             let slowdown = if base == 0 {
                 f2(0.0)
@@ -193,6 +175,7 @@ pub fn generate(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::path::PathBuf;
 
     fn quick_config() -> FaultsConfig {
         FaultsConfig {
@@ -263,12 +246,38 @@ mod tests {
             .collect();
         let mut ck = Checkpoint::open(&path).unwrap();
         assert!(ck.get(&keys[0]).is_some(), "key format matches generate()");
-        ck.record(&keys[1], "999999 7 0 0 0 0").unwrap();
+        ck.record(&keys[1], "@1048576 999999 7 0 0 0 0").unwrap();
         let resumed = generate(&scale, &config, &fc, false, Some(&mut ck));
         assert_eq!(resumed.rows[1][2], "999999");
         assert_eq!(resumed.rows[1][4], "7");
         // Untouched rows are identical to the first run.
         assert_eq!(resumed.rows[0], first.rows[0]);
+        std::fs::remove_file(&path).unwrap();
+    }
+
+    /// Interrupted after its first point, the `--quick` sweep resumes to
+    /// the table an uninterrupted sweep writes. Each half runs on a fresh
+    /// thread, as each `crono faults` run starts in a fresh process.
+    #[test]
+    fn resumed_sweep_writes_the_uninterrupted_table() {
+        let path = std::env::temp_dir().join(format!(
+            "crono-faults-interrupted-{}.tsv",
+            std::process::id()
+        ));
+        let _ = std::fs::remove_file(&path);
+        let sweep = |path: PathBuf| {
+            std::thread::spawn(move || {
+                let mut ck = Checkpoint::open(path).unwrap();
+                let (scale, config) = (Scale::test(), SimConfig::tiny(16));
+                generate(&scale, &config, &quick_config(), false, Some(&mut ck)).to_tsv()
+            })
+            .join()
+            .expect("sweep thread")
+        };
+        let uninterrupted = sweep(path.clone());
+        let text = std::fs::read_to_string(&path).unwrap();
+        std::fs::write(&path, format!("{}\n", text.lines().next().unwrap())).unwrap();
+        assert_eq!(sweep(path.clone()), uninterrupted);
         std::fs::remove_file(&path).unwrap();
     }
 }

@@ -1,14 +1,14 @@
 //! Scale track (`crono scale`): out-of-core sharded build followed by
 //! the shard-aware kernels, reporting per-shard modeled throughput.
 //!
-//! The flow is **build → sim placement rows → native kernel rows**, and
-//! that order is load-bearing: the simulator rows depend on the calling
-//! thread's symbolic address space (`crono_runtime::AddressSpace`), so
-//! they always run before any other task pool or shared array is
-//! allocated on that thread. They are also checkpointed as a single
-//! unit — a resumed run either replays both placements from the
-//! checkpoint or re-executes both, so the space's cursor at each sim run
-//! is identical in every run and `scale.tsv` stays byte-deterministic.
+//! The flow is **sim placement rows → build → native kernel rows**, and
+//! the simulator rows run first: they depend on the calling thread's
+//! symbolic address space (`crono_runtime::AddressSpace`), so they run
+//! before any other task pool or shared array is allocated on that
+//! thread, which keeps `scale.tsv`'s numbers. Each row group runs
+//! through [`checkpoint::cell`](cell), which also replays the address
+//! range a checkpointed group allocated, so a resumed run writes the
+//! same table as an uninterrupted one.
 //!
 //! Everything in the table is modeled (instruction-count cycles at the
 //! suite's 1 GHz convention) or structural (vertex/edge/byte counts):
@@ -17,7 +17,7 @@
 
 use std::path::PathBuf;
 
-use crate::checkpoint::Checkpoint;
+use crate::checkpoint::{cell, CellValue, Checkpoint};
 use crate::report::{f2, Table};
 use crate::trace::{assemble, TraceBackend};
 use crono_algos::scale::{sharded_bfs, sharded_pagerank, sharded_sssp, ScaleOutcome};
@@ -190,22 +190,24 @@ fn headers() -> Vec<String> {
     .collect()
 }
 
-/// Encodes finished rows into one checkpoint value (`record` rejects
-/// tabs/newlines, so cells join with `|` and rows with `;`).
-fn encode_rows(rows: &[Vec<String>]) -> String {
-    rows.iter()
-        .map(|r| r.join("|"))
-        .collect::<Vec<_>>()
-        .join(";")
-}
+/// A finished row group as one checkpoint value: cells join with `|`
+/// and rows with `;`, and every row must have the table's width.
+impl CellValue for Vec<Vec<String>> {
+    fn encode(&self) -> String {
+        self.iter()
+            .map(|r| r.join("|"))
+            .collect::<Vec<_>>()
+            .join(";")
+    }
 
-fn decode_rows(s: &str) -> Option<Vec<Vec<String>>> {
-    let rows: Vec<Vec<String>> = s
-        .split(';')
-        .map(|r| r.split('|').map(str::to_string).collect())
-        .collect();
-    let width = headers().len();
-    rows.iter().all(|r| r.len() == width).then_some(rows)
+    fn decode(s: &str) -> Option<Self> {
+        let rows: Vec<Vec<String>> = s
+            .split(';')
+            .map(|r| r.split('|').map(str::to_string).collect())
+            .collect();
+        let width = headers().len();
+        rows.iter().all(|r| r.len() == width).then_some(rows)
+    }
 }
 
 /// Per-shard + total rows for one kernel run.
@@ -248,16 +250,12 @@ fn kernel_rows<T>(
 /// The two simulator placement rows: the same small sharded BFS under
 /// locality-aware block placement and locality-hostile hashed placement,
 /// with the coherence-broadcast and NoC-flit counters from the traced
-/// simulator run. Runs both placements back to back (see module docs
-/// for why they checkpoint as one unit).
-fn sim_placement_rows(progress: bool) -> Vec<Vec<String>> {
+/// simulator run. Runs both placements back to back.
+fn sim_placement_rows() -> Vec<Vec<String>> {
     let g = road_network(16, 16, 8, 0.2, 0.05, 42);
     let n = g.num_vertices();
     let mut rows = Vec::new();
     for (tag, placement) in [("block", Placement::Block), ("hashed", Placement::Hashed)] {
-        if progress {
-            eprintln!("[scale] sim bfs: {tag} placement, 8 threads");
-        }
         let partition = Partition::one_d(n, 4).with_placement(placement);
         let sharded = ShardedGraph::<CsrGraph>::from_csr(&g, partition)
             .expect("road network fits its own partition");
@@ -327,37 +325,22 @@ fn generate_as<G: Packable + Sync>(
         "Scale: out-of-core sharded build and shard-aware kernels",
         headers(),
     );
-    let mut cached_groups = 0usize;
-    let mut group = |name: &str,
-                     ckpt: &mut Option<&mut Checkpoint>,
-                     run: &mut dyn FnMut() -> Result<Vec<Vec<String>>, String>|
-     -> Result<Vec<Vec<String>>, String> {
-        let key = format!("{label}|{name}");
-        if let Some(rows) = ckpt
-            .as_deref()
-            .and_then(|c| c.get(&key))
-            .and_then(decode_rows)
-        {
-            if progress {
-                eprintln!("[scale] {name}: resumed from checkpoint");
-            }
-            cached_groups += 1;
-            return Ok(rows);
-        }
-        let rows = run()?;
-        if let Some(c) = ckpt.as_deref_mut() {
-            if let Err(e) = c.record(&key, &encode_rows(&rows)) {
-                eprintln!(
-                    "warning: could not checkpoint {key} to {}: {e}",
-                    c.path().display()
-                );
-            }
-        }
-        Ok(rows)
-    };
+    let mut group =
+        |name: &str, says: &str, run: &mut dyn FnMut() -> Result<Vec<Vec<String>>, String>| {
+            cell(
+                ckpt.as_deref_mut(),
+                &format!("{label}|{name}"),
+                progress.then_some(says),
+                run,
+            )
+        };
 
     // 1. Simulator placement rows — always first (address-space cursor).
-    let sim_rows = group("sim", &mut ckpt, &mut || Ok(sim_placement_rows(progress)))?;
+    let sim_rows = group(
+        "sim",
+        "[scale] sim bfs: block and hashed placement, 8 threads",
+        &mut || Ok(sim_placement_rows()),
+    )?;
 
     // 2. Build + native kernels. The graph is built lazily so a fully
     // checkpointed resume never pays for the stream.
@@ -392,7 +375,7 @@ fn generate_as<G: Packable + Sync>(
         Ok(())
     };
 
-    let build_rows = group("build", &mut ckpt, &mut || {
+    let build_rows = group("build", "[scale] build", &mut || {
         ensure_graph(&mut graph)?;
         let g = graph.as_ref().expect("just built");
         let m = g.num_directed_edges();
@@ -430,40 +413,28 @@ fn generate_as<G: Packable + Sync>(
     })?;
 
     let machine = NativeMachine::new(cfg.threads);
-    let bfs_rows = group("bfs", &mut ckpt, &mut || {
+    let threads = format!("{} threads", cfg.threads);
+    let bfs_rows = group("bfs", &format!("[scale] bfs: {threads}"), &mut || {
         ensure_graph(&mut graph)?;
-        if progress {
-            eprintln!("[scale] bfs: {} threads", cfg.threads);
-        }
         let out = sharded_bfs(&machine, graph.as_ref().expect("built"), 0);
         Ok(kernel_rows("bfs", &label, &out, cfg.threads))
     })?;
-    let sssp_rows = group("sssp", &mut ckpt, &mut || {
+    let sssp_rows = group("sssp", &format!("[scale] sssp: {threads}"), &mut || {
         ensure_graph(&mut graph)?;
-        if progress {
-            eprintln!("[scale] sssp: {} threads", cfg.threads);
-        }
         let out = sharded_sssp(&machine, graph.as_ref().expect("built"), 0);
         Ok(kernel_rows("sssp", &label, &out, cfg.threads))
     })?;
-    let pagerank_rows = group("pagerank", &mut ckpt, &mut || {
+    let iters = cfg.pagerank_iters;
+    let says = format!("[scale] pagerank: {iters} iterations, {threads}");
+    let pagerank_rows = group("pagerank", &says, &mut || {
         ensure_graph(&mut graph)?;
-        if progress {
-            eprintln!(
-                "[scale] pagerank: {} iterations, {} threads",
-                cfg.pagerank_iters, cfg.threads
-            );
-        }
-        let out = sharded_pagerank(&machine, graph.as_ref().expect("built"), cfg.pagerank_iters);
+        let out = sharded_pagerank(&machine, graph.as_ref().expect("built"), iters);
         Ok(kernel_rows("pagerank", &label, &out, cfg.threads))
     })?;
 
     if progress {
         if let Some(rss) = peak_rss_bytes() {
             eprintln!("[scale] process peak RSS: {} MiB", rss >> 20);
-        }
-        if cached_groups > 0 {
-            eprintln!("[scale] {cached_groups} row group(s) replayed from checkpoint");
         }
     }
 
@@ -556,7 +527,7 @@ mod tests {
 
     #[test]
     fn sim_rows_show_block_placement_is_cheaper() {
-        let rows = sim_placement_rows(false);
+        let rows = sim_placement_rows();
         assert_eq!(rows.len(), 2);
         let flits: Vec<u64> = rows.iter().map(|r| r[9].parse().unwrap()).collect();
         assert!(

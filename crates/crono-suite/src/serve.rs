@@ -229,46 +229,58 @@ fn percentile(sorted: &[u64], p: usize) -> u64 {
     sorted[(sorted.len() - 1) * p / 100]
 }
 
+/// The serving tally of a stream of query outcomes: counts, and the
+/// answered queries' modeled costs in ascending order. [`summarize`]
+/// renders one per query kind, and `crono faults --degraded` one per
+/// phase.
 #[derive(Default)]
-struct KindStats {
-    queries: u64,
-    ok: u64,
-    cache_hits: u64,
+pub(crate) struct Tally {
+    pub(crate) queries: u64,
+    pub(crate) ok: u64,
+    pub(crate) cache_hits: u64,
     batched: u64,
-    errors: u64,
+    pub(crate) errors: u64,
     costs: Vec<u64>,
 }
 
-impl KindStats {
-    fn absorb(&mut self, outcome: &Result<Response, QueryError>) {
-        self.queries += 1;
-        match outcome {
-            Ok(r) => {
-                self.ok += 1;
-                if r.cached {
-                    self.cache_hits += 1;
+impl Tally {
+    /// Tallies `outcomes`.
+    pub(crate) fn of<'a>(
+        outcomes: impl IntoIterator<Item = &'a Result<Response, QueryError>>,
+    ) -> Tally {
+        let mut t = Tally::default();
+        for outcome in outcomes {
+            t.queries += 1;
+            match outcome {
+                Ok(r) => {
+                    t.ok += 1;
+                    t.cache_hits += u64::from(r.cached);
+                    t.batched += u64::from(r.batched > 1);
+                    t.costs.push(r.cost);
                 }
-                if r.batched > 1 {
-                    self.batched += 1;
-                }
-                self.costs.push(r.cost);
+                Err(_) => t.errors += 1,
             }
-            Err(_) => self.errors += 1,
         }
+        t.costs.sort_unstable();
+        t
     }
 
-    fn row(&mut self, label: &str, threads: usize) -> Vec<String> {
-        self.costs.sort_unstable();
-        let total_cost: u64 = self.costs.iter().sum();
-        // Modeled 1 GHz: 1 instruction = 1 cycle = 1 ns.
-        let us = |cycles: u64| f2(cycles as f64 / 1_000.0);
-        let qps = if total_cost == 0 {
-            "-".to_string()
-        } else {
-            // Idealized: `threads` workers retiring the observed
-            // per-query costs back-to-back, 1e9 cycles per second.
-            f2(self.ok as f64 * threads as f64 * 1e9 / total_cost as f64)
-        };
+    /// Nearest-rank percentile `p` of the answered queries' costs in
+    /// modeled microseconds (1 GHz: 1 instruction = 1 cycle = 1 ns), or
+    /// `None` when no query was answered.
+    pub(crate) fn p_us(&self, p: usize) -> Option<f64> {
+        (!self.costs.is_empty()).then(|| percentile(&self.costs, p) as f64 / 1_000.0)
+    }
+
+    /// Idealized QPS: `workers` workers retiring the observed costs
+    /// back-to-back, 1e9 cycles per second. `None` when they cost
+    /// nothing.
+    pub(crate) fn qps(&self, workers: usize) -> Option<f64> {
+        let total: u64 = self.costs.iter().sum();
+        (total > 0).then(|| self.ok as f64 * workers as f64 * 1e9 / total as f64)
+    }
+
+    fn row(&self, label: &str, threads: usize) -> Vec<String> {
         vec![
             label.to_string(),
             self.queries.to_string(),
@@ -276,9 +288,9 @@ impl KindStats {
             self.cache_hits.to_string(),
             self.batched.to_string(),
             self.errors.to_string(),
-            us(percentile(&self.costs, 50)),
-            us(percentile(&self.costs, 99)),
-            qps,
+            f2(self.p_us(50).unwrap_or(0.0)),
+            f2(self.p_us(99).unwrap_or(0.0)),
+            self.qps(threads).map_or_else(|| "-".to_string(), f2),
         ]
     }
 }
@@ -295,19 +307,17 @@ pub fn summarize(outcomes: &Outcomes, threads: usize) -> Table {
         ],
     );
     for kind in QueryKind::ALL {
-        let mut stats = KindStats::default();
-        for (_, o) in outcomes.iter().filter(|(q, _)| q.kind == kind) {
-            stats.absorb(o);
-        }
+        let stats = Tally::of(
+            outcomes
+                .iter()
+                .filter(|(q, _)| q.kind == kind)
+                .map(|(_, o)| o),
+        );
         if stats.queries > 0 {
             table.push_row(stats.row(kind.name(), threads));
         }
     }
-    let mut total = KindStats::default();
-    for (_, o) in outcomes {
-        total.absorb(o);
-    }
-    table.push_row(total.row("TOTAL", threads));
+    table.push_row(Tally::of(outcomes.iter().map(|(_, o)| o)).row("TOTAL", threads));
     table
 }
 

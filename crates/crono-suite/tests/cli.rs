@@ -262,7 +262,7 @@ fn faults_resume_reuses_checkpointed_points() {
     // proving the simulation for that point was skipped.
     std::fs::write(
         dir.join("faults.resume.tsv"),
-        "BFS|v512|c16|s42|t8|r0.05\t999999 7 1 2 3 4\n",
+        "BFS|v512|c16|s42|t8|r0.05\t@1048576 999999 7 1 2 3 4\n",
     )
     .expect("plant checkpoint");
     let out = crono()
@@ -596,7 +596,7 @@ fn scale_resume_replays_planted_rows() {
     let label = "rmat-s9-d8-b2-1d-compressed-t2-seed42";
     std::fs::write(
         dir.join("scale.resume.tsv"),
-        format!("{label}|bfs\tbfs|{label}|0|-|424242|-|1.00|424.24|-|-\n"),
+        format!("{label}|bfs\t@1048576 bfs|{label}|0|-|424242|-|1.00|424.24|-|-\n"),
     )
     .expect("plant checkpoint");
     let out = crono()

@@ -45,7 +45,7 @@ pub struct TraceConfig {
     /// Emit per-router NoC geometry instants (`noc_route`): each home
     /// transaction additionally records its home slice's mesh
     /// coordinates and flit count, packed into the instant's `arg` (see
-    /// [`crate::heatmap`]). Off by default — the extra event per
+    /// [`Heatmap`](crate::Heatmap)). Off by default — the extra event per
     /// transaction changes counter fingerprints, so geometry is strictly
     /// opt-in (the `crono trace`/`crono heatmap` path turns it on).
     pub noc_geometry: bool,

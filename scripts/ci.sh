@@ -27,6 +27,10 @@ echo "==> clippy: whole workspace, all targets, warnings denied"
 # Every workspace crate is lint-clean; keep it so.
 cargo clippy -q --offline --workspace --all-targets -- -D warnings
 
+echo "==> rustdoc: whole workspace, warnings denied"
+# Public docs must not link to private or missing items.
+RUSTDOCFLAGS="-D warnings" cargo doc -q --offline --no-deps --workspace
+
 echo "==> benchmark crate: cargo test --release (perfbench/ is its own workspace)"
 # Neither step above builds perfbench/, so a library change that breaks
 # it would otherwise surface only at the next benchmark run.
