@@ -15,9 +15,7 @@
 
 use crate::{costs, AlgoOutcome};
 use crono_graph::{AdjacencyMatrix, VertexId};
-use crono_runtime::{
-    Machine, ReadArray, SharedU32s, SharedU64s, TaskPool, ThreadCtx, TrackedVec,
-};
+use crono_runtime::{Machine, ReadArray, SharedU32s, SharedU64s, TaskPool, ThreadCtx, TrackedVec};
 
 /// Seed for the work-stealing variant's victim selection (fixed so two
 /// runs of the same input are schedule-identical).
@@ -187,7 +185,11 @@ pub fn parallel_steal<M: Machine>(
 ///
 /// Panics if `machine.num_threads() != 1`.
 pub fn sequential<M: Machine>(machine: &M, matrix: &AdjacencyMatrix) -> AlgoOutcome<ApspOutput> {
-    assert_eq!(machine.num_threads(), 1, "sequential reference needs 1 thread");
+    assert_eq!(
+        machine.num_threads(),
+        1,
+        "sequential reference needs 1 thread"
+    );
     parallel(machine, matrix)
 }
 

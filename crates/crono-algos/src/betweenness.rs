@@ -151,22 +151,26 @@ pub fn parallel_steal<M: Machine>(
     let sources = TaskPool::new(threads, n / threads + 1, STEAL_SEED);
     let vertices = TaskPool::new(threads, n / threads + 1, STEAL_SEED ^ 1);
     for v in 0..n {
-        let pushed = sources.push_plain(v % threads, v as u64)
-            && vertices.push_plain(v % threads, v as u64);
+        let pushed =
+            sources.push_plain(v % threads, v as u64) && vertices.push_plain(v % threads, v as u64);
         debug_assert!(pushed, "deques are sized for all vertices");
     }
 
     let outcome = machine.run(|ctx| {
         // Phase 1: APSP rows as stealable tasks.
         while !ctx.cancelled() {
-            let Some(s) = sources.take_fixed(ctx) else { break };
+            let Some(s) = sources.take_fixed(ctx) else {
+                break;
+            };
             ctx.record_active(1);
             dijkstra_row(ctx, &shared, n, s as usize, &dist);
         }
         ctx.barrier();
         // Phase 2: per-vertex centrality tasks (dynamic, not chunked).
         while !ctx.cancelled() {
-            let Some(v) = vertices.take_fixed(ctx) else { break };
+            let Some(v) = vertices.take_fixed(ctx) else {
+                break;
+            };
             let v = v as usize;
             ctx.record_active(1);
             let mut count = 0u64;
@@ -357,7 +361,11 @@ pub fn sequential<M: Machine>(
     machine: &M,
     matrix: &AdjacencyMatrix,
 ) -> AlgoOutcome<BetweennessOutput> {
-    assert_eq!(machine.num_threads(), 1, "sequential reference needs 1 thread");
+    assert_eq!(
+        machine.num_threads(),
+        1,
+        "sequential reference needs 1 thread"
+    );
     parallel(machine, matrix)
 }
 

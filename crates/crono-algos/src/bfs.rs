@@ -173,7 +173,11 @@ pub fn sequential<M: Machine>(
     graph: &CsrGraph,
     source: VertexId,
 ) -> AlgoOutcome<BfsOutput> {
-    assert_eq!(machine.num_threads(), 1, "sequential reference needs 1 thread");
+    assert_eq!(
+        machine.num_threads(),
+        1,
+        "sequential reference needs 1 thread"
+    );
     let shared = SharedGraph::new(graph);
     let mut outcome = machine.run(|ctx| run_seq(ctx, &shared, source));
     let level = outcome.per_thread.pop().expect("one thread ran");
@@ -509,14 +513,10 @@ pub fn parallel_dirop_traced<M: Machine>(
                     // Queue window -> bitmap: wipe both ping-pong maps,
                     // then mirror the frontier into the level's `cur`.
                     let end = taken + frontier_count as usize;
-                    pull_fronts[0].clear_words(
-                        ctx,
-                        chunk(pull_fronts[0].num_words(), tid, nthreads),
-                    );
-                    pull_fronts[1].clear_words(
-                        ctx,
-                        chunk(pull_fronts[1].num_words(), tid, nthreads),
-                    );
+                    pull_fronts[0]
+                        .clear_words(ctx, chunk(pull_fronts[0].num_words(), tid, nthreads));
+                    pull_fronts[1]
+                        .clear_words(ctx, chunk(pull_fronts[1].num_words(), tid, nthreads));
                     ctx.barrier();
                     let cur = &pull_fronts[(depth as usize + 1) % 2];
                     for k in chunk(end - taken, tid, nthreads) {
@@ -558,11 +558,7 @@ pub fn parallel_dirop_traced<M: Machine>(
         }
         modes
     });
-    let modes = outcome
-        .per_thread
-        .first()
-        .cloned()
-        .unwrap_or_default();
+    let modes = outcome.per_thread.first().cloned().unwrap_or_default();
     (
         AlgoOutcome {
             output: summarize(level.to_vec()),
@@ -597,7 +593,14 @@ mod tests {
         // Path 0-1-2-3.
         let g = CsrGraph::from_edges(
             4,
-            vec![(0, 1, 1), (1, 0, 1), (1, 2, 1), (2, 1, 1), (2, 3, 1), (3, 2, 1)],
+            vec![
+                (0, 1, 1),
+                (1, 0, 1),
+                (1, 2, 1),
+                (2, 1, 1),
+                (2, 3, 1),
+                (3, 2, 1),
+            ],
         );
         let out = sequential(&NativeMachine::new(1), &g, 0);
         assert_eq!(out.output.level, vec![0, 1, 2, 3]);
@@ -648,10 +651,8 @@ mod tests {
             .run(|ctx| {
                 let view = SharedGraph::new(&g);
                 let multi = run_multi(ctx, &view, &sources);
-                let singles: Vec<Vec<u32>> = sources
-                    .iter()
-                    .map(|&s| run_seq(ctx, &view, s))
-                    .collect();
+                let singles: Vec<Vec<u32>> =
+                    sources.iter().map(|&s| run_seq(ctx, &view, s)).collect();
                 (multi, singles)
             })
             .per_thread

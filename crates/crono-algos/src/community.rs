@@ -173,7 +173,11 @@ pub fn sequential<M: Machine>(
     graph: &CsrGraph,
     max_rounds: u32,
 ) -> AlgoOutcome<CommunityOutput> {
-    assert_eq!(machine.num_threads(), 1, "sequential reference needs 1 thread");
+    assert_eq!(
+        machine.num_threads(),
+        1,
+        "sequential reference needs 1 thread"
+    );
     parallel(machine, graph, max_rounds)
 }
 

@@ -136,11 +136,7 @@ fn afforest_link<C: ThreadCtx>(ctx: &mut C, comp: &SharedU32s, u: u32, v: u32) -
 /// Flattens every vertex in `range` onto its current root (pointer
 /// chasing with full shortening; concurrent calls only ever write labels
 /// closer to a root, so races are benign).
-fn afforest_compress<C: ThreadCtx>(
-    ctx: &mut C,
-    comp: &SharedU32s,
-    range: std::ops::Range<usize>,
-) {
+fn afforest_compress<C: ThreadCtx>(ctx: &mut C, comp: &SharedU32s, range: std::ops::Range<usize>) {
     for v in range {
         ctx.compute(costs::LABEL_OP);
         let mut c = comp.get(ctx, v);
@@ -284,7 +280,11 @@ pub fn parallel_afforest<M: Machine>(machine: &M, graph: &CsrGraph) -> AlgoOutco
 ///
 /// Panics if `machine.num_threads() != 1`.
 pub fn sequential<M: Machine>(machine: &M, graph: &CsrGraph) -> AlgoOutcome<ConnCompOutput> {
-    assert_eq!(machine.num_threads(), 1, "sequential reference needs 1 thread");
+    assert_eq!(
+        machine.num_threads(),
+        1,
+        "sequential reference needs 1 thread"
+    );
     parallel(machine, graph)
 }
 

@@ -12,11 +12,11 @@
 use crate::graph_view::SharedGraph;
 use crate::{costs, AlgoOutcome};
 use crono_graph::{CsrGraph, VertexId};
+use crono_runtime::Mutex;
 use crono_runtime::{
     LockSet, Machine, SharedFlags, SharedU64s, TaskPool, ThreadCtx, IDLE_BACKOFF_MAX,
     IDLE_BACKOFF_MIN,
 };
-use crono_runtime::Mutex;
 
 /// Per-thread deque capacity for the stealing variant; deeper branches
 /// overflow into the owner's private stack, bounding shared memory at
@@ -87,7 +87,11 @@ pub fn sequential<M: Machine>(
     source: VertexId,
     target: Option<VertexId>,
 ) -> AlgoOutcome<DfsOutput> {
-    assert_eq!(machine.num_threads(), 1, "sequential reference needs 1 thread");
+    assert_eq!(
+        machine.num_threads(),
+        1,
+        "sequential reference needs 1 thread"
+    );
     let shared = SharedGraph::new(graph);
     let mut outcome = machine.run(|ctx| run_seq(ctx, &shared, source, target));
     AlgoOutcome {
@@ -191,8 +195,7 @@ pub fn parallel<M: Machine>(
     });
     AlgoOutcome {
         output: DfsOutput {
-            found: found.get_plain(0)
-                || target.is_some_and(|t| claimed.get_plain(t as usize)),
+            found: found.get_plain(0) || target.is_some_and(|t| claimed.get_plain(t as usize)),
             visited: visit_count.get_plain(0) as usize,
         },
         report: outcome.report,
@@ -292,8 +295,7 @@ pub fn parallel_steal<M: Machine>(
     });
     AlgoOutcome {
         output: DfsOutput {
-            found: found.get_plain(0)
-                || target.is_some_and(|t| claimed.get_plain(t as usize)),
+            found: found.get_plain(0) || target.is_some_and(|t| claimed.get_plain(t as usize)),
             visited: visit_count.get_plain(0) as usize,
         },
         report: outcome.report,

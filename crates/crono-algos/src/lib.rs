@@ -258,9 +258,7 @@ impl Ablation {
         match self {
             Ablation::FrontierRepr => &[Benchmark::Bfs, Benchmark::SsspDijk],
             Ablation::PagerankUpdate => &[Benchmark::PageRank],
-            Ablation::TaskSteal => {
-                &[Benchmark::Apsp, Benchmark::BetwCent, Benchmark::Dfs]
-            }
+            Ablation::TaskSteal => &[Benchmark::Apsp, Benchmark::BetwCent, Benchmark::Dfs],
             Ablation::LockfreeBound => &[Benchmark::Tsp],
             Ablation::DiropBfs => &[Benchmark::Bfs],
             Ablation::DeltaSssp => &[Benchmark::SsspDijk],

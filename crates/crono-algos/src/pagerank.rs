@@ -287,7 +287,11 @@ pub fn sequential<M: Machine>(
     graph: &CsrGraph,
     iterations: u32,
 ) -> AlgoOutcome<PageRankOutput> {
-    assert_eq!(machine.num_threads(), 1, "sequential reference needs 1 thread");
+    assert_eq!(
+        machine.num_threads(),
+        1,
+        "sequential reference needs 1 thread"
+    );
     parallel(machine, graph, iterations)
 }
 
@@ -408,7 +412,11 @@ mod tests {
         let out = parallel_pull(&NativeMachine::new(2), &g, 10);
         let oracle = reference(&g, 10);
         assert_eq!(
-            out.output.ranks.iter().map(|r| r.to_bits()).collect::<Vec<_>>(),
+            out.output
+                .ranks
+                .iter()
+                .map(|r| r.to_bits())
+                .collect::<Vec<_>>(),
             oracle.iter().map(|r| r.to_bits()).collect::<Vec<_>>()
         );
         assert!((out.output.ranks[3] - DAMPING_R).abs() < 1e-12);

@@ -239,7 +239,9 @@ pub fn pick_delta(graph: &CsrGraph) -> u32 {
             count += 1;
         }
     }
-    total.checked_div(count).map_or(1, |mean| (mean as u32).max(1))
+    total
+        .checked_div(count)
+        .map_or(1, |mean| (mean as u32).max(1))
 }
 
 /// Parallel SSSP by *delta-stepping* (Meyer & Sanders; the GAP-style
@@ -929,12 +931,7 @@ mod tests {
             let expect: Vec<Vec<u32>> = sources.iter().map(|&s| seq_on(&g, s)).collect();
             for threads in [1usize, 4, 16] {
                 let got = multi_on(threads, &g, &sources);
-                assert_eq!(
-                    got,
-                    expect,
-                    "dataset {} threads {threads}",
-                    dataset.label()
-                );
+                assert_eq!(got, expect, "dataset {} threads {threads}", dataset.label());
             }
         }
     }
@@ -973,7 +970,18 @@ mod tests {
         }
         assert_eq!(got[0][3], UNREACHABLE);
         assert_eq!(got[1][0], UNREACHABLE);
-        assert_eq!(got[2], vec![UNREACHABLE, UNREACHABLE, UNREACHABLE, UNREACHABLE, UNREACHABLE, UNREACHABLE, 0]);
+        assert_eq!(
+            got[2],
+            vec![
+                UNREACHABLE,
+                UNREACHABLE,
+                UNREACHABLE,
+                UNREACHABLE,
+                UNREACHABLE,
+                UNREACHABLE,
+                0
+            ]
+        );
     }
 
     #[test]

@@ -137,7 +137,11 @@ pub fn parallel<M: Machine>(machine: &M, graph: &CsrGraph) -> AlgoOutcome<Triang
 ///
 /// Panics if `machine.num_threads() != 1`.
 pub fn sequential<M: Machine>(machine: &M, graph: &CsrGraph) -> AlgoOutcome<TriangleOutput> {
-    assert_eq!(machine.num_threads(), 1, "sequential reference needs 1 thread");
+    assert_eq!(
+        machine.num_threads(),
+        1,
+        "sequential reference needs 1 thread"
+    );
     parallel(machine, graph)
 }
 
@@ -168,8 +172,8 @@ pub fn reference(graph: &CsrGraph) -> u64 {
 mod tests {
     use super::*;
     use crono_graph::gen::{rmat, uniform_random, RmatParams};
-    use crono_runtime::NativeMachine;
     use crono_graph::EdgeList;
+    use crono_runtime::NativeMachine;
 
     #[test]
     fn single_triangle() {

@@ -10,8 +10,8 @@
 
 use crate::{costs, AlgoOutcome};
 use crono_graph::gen::TspInstance;
-use crono_runtime::{LockSet, Machine, ReadArray, SharedU64s, ThreadCtx};
 use crono_runtime::Mutex;
+use crono_runtime::{LockSet, Machine, ReadArray, SharedU64s, ThreadCtx};
 
 /// Result of a TSP run.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -243,7 +243,11 @@ impl LockfreeState<'_, '_> {
                 ctx.compute(1);
                 continue;
             }
-            if self.tour_version.compare_exchange(ctx, 0, v, v + 1).is_err() {
+            if self
+                .tour_version
+                .compare_exchange(ctx, 0, v, v + 1)
+                .is_err()
+            {
                 continue;
             }
             // We own the seqlock. Only write if our bound is still THE
@@ -394,7 +398,11 @@ pub fn parallel_lockfree<M: Machine>(
 ///
 /// Panics if `machine.num_threads() != 1`.
 pub fn sequential<M: Machine>(machine: &M, instance: &TspInstance) -> AlgoOutcome<TspOutput> {
-    assert_eq!(machine.num_threads(), 1, "sequential reference needs 1 thread");
+    assert_eq!(
+        machine.num_threads(),
+        1,
+        "sequential reference needs 1 thread"
+    );
     parallel(machine, instance)
 }
 

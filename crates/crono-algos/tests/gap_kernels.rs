@@ -15,9 +15,7 @@
 use crono_algos::{bfs, connected, pagerank, sssp};
 use crono_graph::dsu::Dsu;
 use crono_graph::gen::catalog::Dataset;
-use crono_graph::gen::{
-    preferential_attachment, rmat, road_network, uniform_random, RmatParams,
-};
+use crono_graph::gen::{preferential_attachment, rmat, road_network, uniform_random, RmatParams};
 use crono_graph::{CsrGraph, VertexId};
 use crono_runtime::{NativeMachine, RunReport};
 use crono_sim::{SimConfig, SimMachine};
@@ -63,10 +61,7 @@ fn delta_sssp_matches_sequential_on_every_generator() {
         let seq = sssp::sequential(&NativeMachine::new(1), &g, 0);
         for threads in THREADS {
             let par = sssp::parallel_delta(&NativeMachine::new(threads), &g, 0);
-            assert_eq!(
-                par.output.dist, seq.output.dist,
-                "{name} threads={threads}"
-            );
+            assert_eq!(par.output.dist, seq.output.dist, "{name} threads={threads}");
         }
     }
 }
@@ -102,7 +97,11 @@ fn dirop_switches_to_pull_on_rmat() {
     assert_eq!(schedules[0], schedules[1]);
     assert_eq!(schedules[1], schedules[2]);
     let modes = &schedules[0];
-    assert_eq!(modes[0], bfs::Direction::Push, "level 0 is a single-vertex push");
+    assert_eq!(
+        modes[0],
+        bfs::Direction::Push,
+        "level 0 is a single-vertex push"
+    );
     assert!(
         modes.contains(&bfs::Direction::Pull),
         "dense R-MAT never triggered bottom-up: {modes:?}"
@@ -123,7 +122,11 @@ fn dirop_road_grid_schedule_is_pinned() {
     let mut schedules = Vec::new();
     for threads in THREADS {
         let (out, modes) = bfs::parallel_dirop_traced(&NativeMachine::new(threads), &g, 0);
-        assert!(out.output.levels >= 10, "grid should be deep, got {}", out.output.levels);
+        assert!(
+            out.output.levels >= 10,
+            "grid should be deep, got {}",
+            out.output.levels
+        );
         schedules.push(modes);
     }
     assert_eq!(schedules[0], schedules[1]);

@@ -155,7 +155,11 @@ fn dfs_claims_exactly_the_reachable_set() {
         let mut rng = SmallRng::seed_from_u64(0xD800 + case);
         let (g, threads) = arb_graph(&mut rng);
         let out = dfs::parallel(&NativeMachine::new(threads), &g, 0, None).output;
-        assert_eq!(out.visited, g.num_vertices(), "generator graphs are connected");
+        assert_eq!(
+            out.visited,
+            g.num_vertices(),
+            "generator graphs are connected"
+        );
     }
 }
 

@@ -143,7 +143,12 @@ fn golden_distance() {
     let machine = NativeMachine::new(4);
     let plain = ShardedGraph::<CsrGraph>::from_csr(&g, Partition::one_d(n, 4)).unwrap();
     let packed = ShardedGraph::<CompressedCsr>::from_csr(&g, Partition::one_d(n, 4)).unwrap();
-    let fp_plain = fingerprint(sharded_bfs(&machine, &plain, 0).output.iter().map(|&l| l as u64));
+    let fp_plain = fingerprint(
+        sharded_bfs(&machine, &plain, 0)
+            .output
+            .iter()
+            .map(|&l| l as u64),
+    );
     let fp_packed = fingerprint(
         sharded_bfs(&machine, &packed, 0)
             .output
@@ -156,7 +161,10 @@ fn golden_distance() {
     );
     // And both must equal the sequential oracle's fingerprint.
     let fp_seq = fingerprint(bfs_reference(&g).iter().map(|&l| l as u64));
-    assert_eq!(fp_plain, fp_seq, "sharded BFS diverged from sequential oracle");
+    assert_eq!(
+        fp_plain, fp_seq,
+        "sharded BFS diverged from sequential oracle"
+    );
 }
 
 /// Fingerprint of one run's modeled cost: each shard's id, edges and

@@ -144,7 +144,10 @@ fn every_benchmark_records_active_vertices() {
     ];
     for (name, report) in traces {
         let trace = report.active_vertex_trace();
-        assert!(!trace.is_empty(), "{name} recorded no active-vertex samples");
+        assert!(
+            !trace.is_empty(),
+            "{name} recorded no active-vertex samples"
+        );
         assert!(
             trace.iter().all(|&(t, _)| t <= report.completion),
             "{name} has samples beyond completion"

@@ -82,7 +82,10 @@ impl EnergyParams {
             ("link", self.link_flit_pj),
             ("dram", self.dram_access_pj),
         ] {
-            assert!(v >= 0.0 && v.is_finite(), "{name} energy must be finite and non-negative");
+            assert!(
+                v >= 0.0 && v.is_finite(),
+                "{name} energy must be finite and non-negative"
+            );
         }
     }
 }
@@ -116,7 +119,11 @@ pub struct EnergyBreakdown {
 impl EnergyBreakdown {
     /// Total dynamic energy in picojoules.
     pub fn total(&self) -> f64 {
-        self.l1i + self.l1d + self.l2 + self.directory + self.network_router
+        self.l1i
+            + self.l1d
+            + self.l2
+            + self.directory
+            + self.network_router
             + self.network_link
             + self.dram
     }

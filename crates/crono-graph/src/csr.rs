@@ -63,10 +63,7 @@ impl CsrGraph {
     /// edges overflows `u32`. Production paths (readers, generators, the
     /// CLI) go through [`Self::try_from_edges`]; this constructor exists
     /// for tests and literal fixtures where a panic is the right report.
-    pub fn from_edges(
-        num_vertices: usize,
-        edges: Vec<(VertexId, VertexId, Weight)>,
-    ) -> CsrGraph {
+    pub fn from_edges(num_vertices: usize, edges: Vec<(VertexId, VertexId, Weight)>) -> CsrGraph {
         match CsrGraph::try_from_edges(num_vertices, edges) {
             Ok(g) => g,
             Err(GraphError::VertexOutOfRange { .. }) => panic!("edge endpoint out of range"),

@@ -89,7 +89,7 @@ impl Dataset {
                 let rows = side.max(2);
                 let cols = (v / rows).max(2);
                 let target_avg = 2.0 * e as f64 / v as f64; // directed
-                // A full grid has ~4 directed edges per vertex.
+                                                            // A full grid has ~4 directed edges per vertex.
                 let drop = (1.0 - target_avg / 4.0).clamp(0.05, 0.6);
                 road_network(rows, cols, DEFAULT_MAX_WEIGHT, drop, 0.02, seed)
             }

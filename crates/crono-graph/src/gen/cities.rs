@@ -1,5 +1,5 @@
-use crate::Weight;
 use crate::rng::SmallRng;
+use crate::Weight;
 
 /// A Euclidean traveling-salesman instance.
 ///
@@ -119,8 +119,8 @@ mod tests {
     fn tour_length_closes_the_loop() {
         let t = tsp_cities(4, 1);
         let len = t.tour_length(&[0, 1, 2, 3]);
-        let manual = (t.distance(0, 1) + t.distance(1, 2) + t.distance(2, 3) + t.distance(3, 0))
-            as u64;
+        let manual =
+            (t.distance(0, 1) + t.distance(1, 2) + t.distance(2, 3) + t.distance(3, 0)) as u64;
         assert_eq!(len, manual);
     }
 

@@ -11,14 +11,14 @@
 
 mod cities;
 mod preferential;
-mod road;
 mod rmat;
+mod road;
 mod uniform;
 
 pub mod catalog;
 
 pub use cities::{tsp_cities, TspInstance};
 pub use preferential::preferential_attachment;
-pub use road::road_network;
 pub use rmat::{rmat, RmatParams};
+pub use road::road_network;
 pub use uniform::uniform_random;

@@ -1,5 +1,5 @@
-use crate::{CsrGraph, EdgeList, VertexId, Weight};
 use crate::rng::SmallRng;
+use crate::{CsrGraph, EdgeList, VertexId, Weight};
 
 /// Barabási–Albert preferential-attachment graph.
 ///

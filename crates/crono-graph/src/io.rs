@@ -57,7 +57,11 @@ pub fn read_edge_list<R: Read>(reader: R, undirected: bool) -> Result<CsrGraph, 
             edges.push((dst, src, w));
         }
     }
-    let n = if edges.is_empty() { 0 } else { max_v as usize + 1 };
+    let n = if edges.is_empty() {
+        0
+    } else {
+        max_v as usize + 1
+    };
     Ok(CsrGraph::try_from_edges(n, edges)?.certified_symmetric(undirected))
 }
 
@@ -524,8 +528,12 @@ mod tests {
 
     #[test]
     fn matrix_market_missing_header_rejected() {
-        let err = read_matrix_market("1 1 0
-".as_bytes()).unwrap_err();
+        let err = read_matrix_market(
+            "1 1 0
+"
+            .as_bytes(),
+        )
+        .unwrap_err();
         assert!(err.to_string().contains("header"));
     }
 

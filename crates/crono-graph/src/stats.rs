@@ -175,7 +175,14 @@ mod tests {
     fn clustering_of_triangle_is_one() {
         let g = CsrGraph::from_edges(
             3,
-            vec![(0, 1, 1), (1, 0, 1), (1, 2, 1), (2, 1, 1), (0, 2, 1), (2, 0, 1)],
+            vec![
+                (0, 1, 1),
+                (1, 0, 1),
+                (1, 2, 1),
+                (2, 1, 1),
+                (0, 2, 1),
+                (2, 0, 1),
+            ],
         );
         assert!((clustering_coefficient(&g) - 1.0).abs() < 1e-12);
     }
@@ -207,6 +214,9 @@ mod tests {
     fn rmat_histogram_has_long_tail() {
         let g = rmat(11, 16_384, 4, RmatParams::default(), 6);
         let h = degree_histogram(&g);
-        assert!(h.len() >= 6, "expected degrees spanning many octaves: {h:?}");
+        assert!(
+            h.len() >= 6,
+            "expected degrees spanning many octaves: {h:?}"
+        );
     }
 }

@@ -590,7 +590,10 @@ mod tests {
         let dir = temp_dir("range");
         let err = build_sharded::<CsrGraph, _>(p, vec![(0, 9, 1)], &StreamConfig::new(&dir))
             .expect_err("out-of-range endpoint must fail");
-        assert!(matches!(err, GraphError::VertexOutOfRange { vertex: 9, .. }));
+        assert!(matches!(
+            err,
+            GraphError::VertexOutOfRange { vertex: 9, .. }
+        ));
         let _ = std::fs::remove_dir_all(&dir);
     }
 

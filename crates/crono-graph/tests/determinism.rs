@@ -210,7 +210,11 @@ fn print_golden_values_for_refresh() {
     let m = rmat(7, 256, 8, RmatParams::default(), 42);
     let p = preferential_attachment(100, 3, 8, 42);
     let c = tsp_cities(12, 42);
-    println!("UNIFORM fp={:#018X} hist={:?}", fingerprint(&u), degree_histogram(&u));
+    println!(
+        "UNIFORM fp={:#018X} hist={:?}",
+        fingerprint(&u),
+        degree_histogram(&u)
+    );
     println!(
         "ROAD edges={} fp={:#018X} hist={:?}",
         r.num_directed_edges(),
@@ -223,7 +227,11 @@ fn print_golden_values_for_refresh() {
         fingerprint(&m),
         degree_histogram(&m)
     );
-    println!("PREF fp={:#018X} hist={:?}", fingerprint(&p), degree_histogram(&p));
+    println!(
+        "PREF fp={:#018X} hist={:?}",
+        fingerprint(&p),
+        degree_histogram(&p)
+    );
     println!("CITIES fp={:#018X}", cities_fingerprint(&c));
 }
 
@@ -237,12 +245,12 @@ const GOLDEN_ROAD_HIST: &[usize] = &[0, 1, 27, 69, 43, 4];
 const GOLDEN_RMAT_EDGES: usize = 422;
 const GOLDEN_RMAT_FP: u64 = 0xF2F0_5565_330D_DBE5;
 const GOLDEN_RMAT_HIST: &[usize] = &[
-    34, 30, 15, 13, 8, 6, 6, 2, 2, 1, 3, 0, 0, 0, 1, 1, 1, 1, 2, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0,
-    0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1,
+    34, 30, 15, 13, 8, 6, 6, 2, 2, 1, 3, 0, 0, 0, 1, 1, 1, 1, 2, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0,
+    0, 0, 0, 0, 0, 0, 0, 0, 0, 1,
 ];
 const GOLDEN_PREF_FP: u64 = 0x417F_B3FF_DF83_1245;
 const GOLDEN_PREF_HIST: &[usize] = &[
-    0, 0, 0, 35, 22, 13, 7, 6, 2, 1, 2, 0, 0, 4, 1, 1, 2, 1, 0, 0, 2, 0, 0, 0, 0, 0, 0, 0, 0,
-    0, 0, 1,
+    0, 0, 0, 35, 22, 13, 7, 6, 2, 1, 2, 0, 0, 4, 1, 1, 2, 1, 0, 0, 2, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0,
+    1,
 ];
 const GOLDEN_CITIES_FP: u64 = 0x2862_1765_54F6_60D9;

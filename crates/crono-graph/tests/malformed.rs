@@ -8,7 +8,11 @@ use crono_graph::GraphError;
 
 /// Every fixture must come back as `Err` (and, because these run in the
 /// normal test harness, without panicking or aborting).
-fn assert_all_rejected(format: &str, parse: impl Fn(&str) -> Result<(), GraphError>, corpus: &[&str]) {
+fn assert_all_rejected(
+    format: &str,
+    parse: impl Fn(&str) -> Result<(), GraphError>,
+    corpus: &[&str],
+) {
     for (i, fixture) in corpus.iter().enumerate() {
         match parse(fixture) {
             Ok(()) => panic!("{format} fixture #{i} unexpectedly parsed: {fixture:?}"),
@@ -27,11 +31,11 @@ fn edge_list_rejects_malformed_lines() {
         "edge list",
         |s| read_edge_list(s.as_bytes(), false).map(drop),
         &[
-            "0\n",                  // missing destination
-            "0 1 x\n",              // non-numeric weight
-            "a b\n",                // non-numeric endpoints
+            "0\n",                   // missing destination
+            "0 1 x\n",               // non-numeric weight
+            "a b\n",                 // non-numeric endpoints
             "0 99999999999999999\n", // endpoint overflows the vertex id type
-            "0 -1\n",               // negative vertex id
+            "0 -1\n",                // negative vertex id
         ],
     );
 }
@@ -61,19 +65,19 @@ fn dimacs_rejects_malformed_lines() {
 fn matrix_market_rejects_malformed_lines() {
     let h = "%%MatrixMarket matrix coordinate real general\n";
     let cases: Vec<String> = vec![
-        String::new(),                                   // empty file
-        "1 1 0\n".to_string(),                           // missing header
+        String::new(),                                    // empty file
+        "1 1 0\n".to_string(),                            // missing header
         "%%MatrixMarket vector coordinate\n".to_string(), // not a matrix
-        format!("{h}"),                                  // missing size line
-        format!("{h}2 2\n"),                             // truncated size line
-        format!("{h}2 3 1\n1 2 1.0\n"),                  // rectangular
-        format!("{h}2 2 1\n1 2\n"),                      // missing value
-        format!("{h}2 2 1\n0 1 1.0\n"),                  // 0-based indices
-        format!("{h}2 2 1\n1 3 1.0\n"),                  // index out of range
-        format!("{h}2 2 1\n1 2 nan\n"),                  // non-finite value
-        format!("{h}2 2 1\n1 2 -1.0\n"),                 // negative weight
-        format!("{h}2 2 2\n1 2 1.0\n"),                  // fewer entries than declared
-        format!("{h}2 2 1\n1 2 1.0\n2 1 1.0\n"),         // more entries than declared
+        format!("{h}"),                                   // missing size line
+        format!("{h}2 2\n"),                              // truncated size line
+        format!("{h}2 3 1\n1 2 1.0\n"),                   // rectangular
+        format!("{h}2 2 1\n1 2\n"),                       // missing value
+        format!("{h}2 2 1\n0 1 1.0\n"),                   // 0-based indices
+        format!("{h}2 2 1\n1 3 1.0\n"),                   // index out of range
+        format!("{h}2 2 1\n1 2 nan\n"),                   // non-finite value
+        format!("{h}2 2 1\n1 2 -1.0\n"),                  // negative weight
+        format!("{h}2 2 2\n1 2 1.0\n"),                   // fewer entries than declared
+        format!("{h}2 2 1\n1 2 1.0\n2 1 1.0\n"),          // more entries than declared
         // Legal Matrix Market, but no graph reading here: each used to be
         // read as something else.
         "%%MatrixMarket matrix coordinate pattern skew-symmetric\n2 2 1\n2 1\n".to_string(),
@@ -120,10 +124,16 @@ fn hostile_declared_sizes_do_not_reserve_memory() {
     // A 16-byte file declaring four billion arcs must fail fast on the
     // arc-count check instead of reserving gigabytes for the claim.
     let err = read_dimacs("p sp 4000000000 4000000000\n".as_bytes()).unwrap_err();
-    assert!(err.to_string().contains("declared 4000000000 arcs"), "{err}");
+    assert!(
+        err.to_string().contains("declared 4000000000 arcs"),
+        "{err}"
+    );
 
     // Same for a matrix-market size line claiming four billion entries.
     let text = "%%MatrixMarket matrix coordinate real general\n4000000 4000000 4000000000\n";
     let err = read_matrix_market(text.as_bytes()).unwrap_err();
-    assert!(err.to_string().contains("declared 4000000000 entries"), "{err}");
+    assert!(
+        err.to_string().contains("declared 4000000000 entries"),
+        "{err}"
+    );
 }

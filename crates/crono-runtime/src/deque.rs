@@ -515,7 +515,8 @@ impl TaskPool {
                 match stolen {
                     Steal::Taken(task) => {
                         // Resume at the productive victim next time.
-                        self.cursors[tid].store(((start + k) % order.len()) as u64, Ordering::Relaxed);
+                        self.cursors[tid]
+                            .store(((start + k) % order.len()) as u64, Ordering::Relaxed);
                         return Some(task);
                     }
                     Steal::Empty => break,

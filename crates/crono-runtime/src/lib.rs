@@ -65,15 +65,11 @@ pub use cancel::{run_workers, RunGate, Workers};
 pub use ctx::ThreadCtx;
 pub use deque::{Steal, TaskPool, WorkDeque, IDLE_BACKOFF_MAX, IDLE_BACKOFF_MIN};
 pub use locks::{LockSet, LOCK_EPOCH_CYCLES};
-pub use sync::{
-    CachePadded, Mutex, MutexGuard, RwLock, RwLockReadGuard, RwLockWriteGuard,
-};
 pub use machine::{Machine, RunError, RunOptions, RunOutcome};
 pub use native::{NativeCtx, NativeMachine};
-pub use report::{
-    Breakdown, EnergyCounters, FaultCounters, MissStats, RunReport, ThreadReport,
-};
+pub use report::{Breakdown, EnergyCounters, FaultCounters, MissStats, RunReport, ThreadReport};
 pub use shared::{
     ReadArray, SharedBitmap, SharedF64s, SharedFlags, SharedU32s, SharedU64s, SlidingQueue,
     TrackedVec,
 };
+pub use sync::{CachePadded, Mutex, MutexGuard, RwLock, RwLockReadGuard, RwLockWriteGuard};

@@ -48,7 +48,10 @@ impl NativeMachine {
     /// Panics if `threads == 0`.
     pub fn new(threads: usize) -> Self {
         assert!(threads > 0, "need at least one thread");
-        NativeMachine { threads, trace: None }
+        NativeMachine {
+            threads,
+            trace: None,
+        }
     }
 
     /// As [`NativeMachine::new`], with per-thread event tracing enabled.
@@ -60,7 +63,10 @@ impl NativeMachine {
     /// Panics if `threads == 0`.
     pub fn with_tracing(threads: usize, trace: TraceConfig) -> Self {
         assert!(threads > 0, "need at least one thread");
-        NativeMachine { threads, trace: Some(trace) }
+        NativeMachine {
+            threads,
+            trace: Some(trace),
+        }
     }
 }
 

@@ -1008,8 +1008,9 @@ mod tests {
         let q = SlidingQueue::new(threads * per_thread);
         NativeMachine::new(threads).run(|ctx| {
             let tid = ctx.thread_id();
-            let vals: Vec<u32> =
-                (0..per_thread).map(|k| (tid * per_thread + k) as u32).collect();
+            let vals: Vec<u32> = (0..per_thread)
+                .map(|k| (tid * per_thread + k) as u32)
+                .collect();
             // Two chunks per thread, to exercise interleaved claims.
             q.push_chunk(ctx, &vals[..per_thread / 2]);
             q.push_chunk(ctx, &vals[per_thread / 2..]);

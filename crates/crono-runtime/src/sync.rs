@@ -228,11 +228,15 @@ mod tests {
 
     #[test]
     fn cache_padded_separates_lines() {
-        let v: Vec<CachePadded<AtomicUsize>> =
-            (0..2).map(|_| CachePadded::new(AtomicUsize::new(0))).collect();
+        let v: Vec<CachePadded<AtomicUsize>> = (0..2)
+            .map(|_| CachePadded::new(AtomicUsize::new(0)))
+            .collect();
         let a = &*v[0] as *const AtomicUsize as usize;
         let b = &*v[1] as *const AtomicUsize as usize;
-        assert!(b - a >= 128, "adjacent elements {a:#x}/{b:#x} share padding");
+        assert!(
+            b - a >= 128,
+            "adjacent elements {a:#x}/{b:#x} share padding"
+        );
         v[1].fetch_add(3, Ordering::Relaxed);
         assert_eq!(v[1].load(Ordering::Relaxed), 3);
         assert_eq!(v[0].load(Ordering::Relaxed), 0);

@@ -133,12 +133,14 @@ fn pool_spawning_workload_terminates_exactly() {
         }
         for (id, (&c, &r)) in counts.iter().zip(reachable.iter()).enumerate() {
             assert_eq!(
-                c,
-                r as u64,
+                c, r as u64,
                 "threads={threads}: task {id} ran {c} times (reachable={r})"
             );
         }
-        assert_eq!((missed, duped), (counts.iter().filter(|&&c| c == 0).count(), 0));
+        assert_eq!(
+            (missed, duped),
+            (counts.iter().filter(|&&c| c == 0).count(), 0)
+        );
     }
 }
 

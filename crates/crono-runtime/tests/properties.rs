@@ -6,8 +6,8 @@
 
 use crono_graph::rng::SmallRng;
 use crono_runtime::{
-    alloc_region, LockSet, Machine, NativeMachine, SharedF64s, SharedU32s, SharedU64s,
-    ThreadCtx, TrackedVec, LINE_SIZE,
+    alloc_region, LockSet, Machine, NativeMachine, SharedF64s, SharedU32s, SharedU64s, ThreadCtx,
+    TrackedVec, LINE_SIZE,
 };
 
 const CASES: u64 = 32;

@@ -7,9 +7,7 @@
 //! counts as the same kernel under a tracing-enabled machine — recording
 //! never perturbs the measured workload.
 
-use crono_runtime::{
-    Addr, LockSet, Machine, NativeMachine, SharedU64s, ThreadCtx,
-};
+use crono_runtime::{Addr, LockSet, Machine, NativeMachine, SharedU64s, ThreadCtx};
 use crono_trace::TraceConfig;
 
 /// A minimal context that relies entirely on the trait's default trace
@@ -101,7 +99,10 @@ fn native_tracing_off_matches_traced_instruction_counts() {
     let plain = run(&NativeMachine::new(4));
     let plain_again = run(&NativeMachine::new(4));
     let traced = run(&NativeMachine::with_tracing(4, TraceConfig::default()));
-    assert_eq!(plain, plain_again, "kernel instruction counts deterministic");
+    assert_eq!(
+        plain, plain_again,
+        "kernel instruction counts deterministic"
+    );
     assert_eq!(
         plain, traced,
         "tracing must never perturb the instruction stream"

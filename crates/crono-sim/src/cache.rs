@@ -29,7 +29,9 @@ impl<T> SetAssocCache<T> {
     pub fn new(num_sets: usize, associativity: usize) -> Self {
         assert!(num_sets > 0 && associativity > 0, "degenerate cache");
         SetAssocCache {
-            sets: (0..num_sets).map(|_| Vec::with_capacity(associativity)).collect(),
+            sets: (0..num_sets)
+                .map(|_| Vec::with_capacity(associativity))
+                .collect(),
             associativity,
             tick: 0,
         }
@@ -53,7 +55,10 @@ impl<T> SetAssocCache<T> {
     /// Looks up `line` without touching LRU (directory peeks).
     pub fn peek(&self, line: u64) -> Option<&T> {
         let idx = self.set_index(line);
-        self.sets[idx].iter().find(|e| e.line == line).map(|e| &e.payload)
+        self.sets[idx]
+            .iter()
+            .find(|e| e.line == line)
+            .map(|e| &e.payload)
     }
 
     /// Inserts `line` (which must not be resident), evicting the LRU line

@@ -36,9 +36,7 @@ impl CoreModel {
     pub fn max_outstanding_misses(&self) -> usize {
         match *self {
             CoreModel::InOrder => 1,
-            CoreModel::OutOfOrder { load_queue, .. } => {
-                (load_queue as usize / 8).clamp(4, 16)
-            }
+            CoreModel::OutOfOrder { load_queue, .. } => (load_queue as usize / 8).clamp(4, 16),
         }
     }
 

@@ -55,7 +55,9 @@ impl Dram {
         let service = config.dram_service_cycles();
         Dram {
             ctrl_cores: (0..n).map(|i| i * stride).collect(),
-            slots: (0..n * DRAM_EPOCH_SLOTS).map(|_| AtomicU64::new(0)).collect(),
+            slots: (0..n * DRAM_EPOCH_SLOTS)
+                .map(|_| AtomicU64::new(0))
+                .collect(),
             latency: config.dram_latency_cycles(),
             service,
             lines_per_epoch: (DRAM_EPOCH_CYCLES / service).max(1),
@@ -278,7 +280,10 @@ mod tests {
     fn rehoming_is_deterministic() {
         let mk = || {
             let mut d = dram();
-            d.set_dead_ctrl(Some(DeadDramCtrl { ctrl: 0, at_cycle: 5 }));
+            d.set_dead_ctrl(Some(DeadDramCtrl {
+                ctrl: 0,
+                at_cycle: 5,
+            }));
             d
         };
         let (a, b) = (mk(), mk());
@@ -295,9 +300,16 @@ mod tests {
             at_cycle: 1_000,
         }));
         assert_eq!(d.migration_surcharge(true, 1_000), 100);
-        assert_eq!(d.migration_surcharge(true, 1_000 + MIGRATION_WINDOW - 1), 100);
+        assert_eq!(
+            d.migration_surcharge(true, 1_000 + MIGRATION_WINDOW - 1),
+            100
+        );
         assert_eq!(d.migration_surcharge(true, 1_000 + MIGRATION_WINDOW), 0);
-        assert_eq!(d.migration_surcharge(false, 1_000), 0, "natural accesses free");
+        assert_eq!(
+            d.migration_surcharge(false, 1_000),
+            0,
+            "natural accesses free"
+        );
         let healthy = dram();
         assert_eq!(healthy.migration_surcharge(true, 0), 0);
     }

@@ -374,7 +374,10 @@ mod tests {
         };
         let low = count(0.001);
         let high = count(0.1);
-        assert!(high > low, "rate 0.1 ({high}) should out-fire 0.001 ({low})");
+        assert!(
+            high > low,
+            "rate 0.1 ({high}) should out-fire 0.001 ({low})"
+        );
         // Sanity: 0.1 over 20k sites lands in a generous window.
         assert!((1000..3500).contains(&high), "got {high}");
     }
@@ -453,6 +456,12 @@ mod tests {
         let armed = p.with_dead_core(0, u64::MAX);
         assert!(armed.has_permanent());
         assert!(!armed.is_zero(), "armed plan is not the zero plan");
-        assert_eq!(armed.dead_core, Some(DeadCore { core: 0, at_cycle: u64::MAX }));
+        assert_eq!(
+            armed.dead_core,
+            Some(DeadCore {
+                core: 0,
+                at_cycle: u64::MAX
+            })
+        );
     }
 }

@@ -137,10 +137,7 @@ impl L2Slice {
                 });
             }
         }
-        let entry = self
-            .cache
-            .lookup(line)
-            .expect("line resident after insert");
+        let entry = self.cache.lookup(line).expect("line resident after insert");
         HomeLine {
             entry,
             was_miss,
@@ -220,7 +217,10 @@ mod tests {
         let h = s.prepare(4 * 16);
         let v = h.victim.expect("a victim was evicted");
         assert_eq!(v.line, 0);
-        let mut t = v.invalidate.expect("victim had sharers").expect("precise sharers");
+        let mut t = v
+            .invalidate
+            .expect("victim had sharers")
+            .expect("precise sharers");
         t.sort_unstable();
         assert_eq!(t, vec![1, 2]);
     }
@@ -256,6 +256,9 @@ mod tests {
         for line in 0..16_000u64 {
             counts[home_of(line, 16)] += 1;
         }
-        assert!(counts.iter().all(|&c| c > 500), "roughly balanced: {counts:?}");
+        assert!(
+            counts.iter().all(|&c| c > 500),
+            "roughly balanced: {counts:?}"
+        );
     }
 }

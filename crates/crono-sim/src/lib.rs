@@ -59,9 +59,7 @@ mod sharer;
 pub use cache::SetAssocCache;
 pub use config::{CacheConfig, CoreModel, DramConfig, MeshConfig, RoutingPolicy, SimConfig};
 pub use dram::{Dram, DramAccess};
-pub use fault::{
-    DeadCore, DeadDramCtrl, DeadLink, EccOutcome, FaultPlan, FaultPlanError, LinkDir,
-};
+pub use fault::{DeadCore, DeadDramCtrl, DeadLink, EccOutcome, FaultPlan, FaultPlanError, LinkDir};
 pub use l1::{L1Cache, L1Lookup, L1State, MissClass};
 pub use l2::{home_of, DirEntry, HomeLine, L2Slice, VictimInfo, HOME_EPOCH_CYCLES};
 pub use machine::{SimCtx, SimMachine};

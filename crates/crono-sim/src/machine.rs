@@ -23,11 +23,11 @@ use crate::l1::{L1Cache, L1Lookup, L1State, MissClass};
 use crate::l2::{home_of, L2Slice};
 use crate::noc::{Mesh, Traversal};
 use crate::sequencer::Sequencer;
+use crono_runtime::Mutex;
 use crono_runtime::{
     run_workers, Addr, Breakdown, EnergyCounters, FaultCounters, LockSet, Machine, MissStats,
     RunError, RunGate, RunOptions, RunOutcome, RunReport, ThreadCtx, ThreadReport,
 };
-use crono_runtime::Mutex;
 use crono_trace::{ThreadTracer, TraceConfig};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -621,7 +621,14 @@ impl SimCtx {
     /// the dead link — records the typed route error for
     /// `try_run_with` and unwinds this worker (the run fails with
     /// [`RunError::Unroutable`], never a hang).
-    fn routed(&mut self, mesh: &Mesh, from: usize, to: usize, depart: u64, flits: u64) -> Traversal {
+    fn routed(
+        &mut self,
+        mesh: &Mesh,
+        from: usize,
+        to: usize,
+        depart: u64,
+        flits: u64,
+    ) -> Traversal {
         let t = match mesh.try_traverse(from, to, depart, flits) {
             Ok(t) => t,
             Err(e) => {
@@ -834,8 +841,7 @@ impl SimCtx {
                 if let Some(o) = entry.owner {
                     if o != me {
                         let go = self.route(&shared.mesh, home, o as usize, t, ctrl);
-                        let back =
-                            self.route(&shared.mesh, o as usize, home, go.arrival, data);
+                        let back = self.route(&shared.mesh, o as usize, home, go.arrival, data);
                         sharers_time += back.arrival - t;
                         t = back.arrival;
                         shared.inboxes.push(
@@ -852,15 +858,13 @@ impl SimCtx {
                 entry.owner = None;
                 match entry.sharers.invalidation_targets() {
                     Some(list) => {
-                        let targets: Vec<u16> =
-                            list.iter().copied().filter(|&c| c != me).collect();
+                        let targets: Vec<u16> = list.iter().copied().filter(|&c| c != me).collect();
                         if !targets.is_empty() {
                             let mut done = t;
                             for tgt in targets {
-                                let go =
-                                    self.route(&shared.mesh, home, tgt as usize, t, ctrl);
-                                let ack = self
-                                    .route(&shared.mesh, tgt as usize, home, go.arrival, ctrl);
+                                let go = self.route(&shared.mesh, home, tgt as usize, t, ctrl);
+                                let ack =
+                                    self.route(&shared.mesh, tgt as usize, home, go.arrival, ctrl);
                                 done = done.max(ack.arrival);
                                 shared.inboxes.push(
                                     tgt as usize,
@@ -899,8 +903,7 @@ impl SimCtx {
                 if let Some(o) = entry.owner {
                     if o != me {
                         let go = self.route(&shared.mesh, home, o as usize, t, ctrl);
-                        let back =
-                            self.route(&shared.mesh, o as usize, home, go.arrival, data);
+                        let back = self.route(&shared.mesh, o as usize, home, go.arrival, data);
                         sharers_time += back.arrival - t;
                         t = back.arrival;
                         shared.inboxes.push(
@@ -944,7 +947,12 @@ impl SimCtx {
                 // Attribute the transaction's flits to the home router
                 // so `crono heatmap` can draw per-router traffic.
                 let (row, col) = shared.mesh.position(home);
-                tr.instant("noc", "noc_route", issue, crono_trace::pack_route(row, col, flits));
+                tr.instant(
+                    "noc",
+                    "noc_route",
+                    issue,
+                    crono_trace::pack_route(row, col, flits),
+                );
             }
             if waiting > 0 {
                 tr.instant("mem", "home_queue", issue, waiting);
@@ -1069,7 +1077,10 @@ impl ThreadCtx for SimCtx {
             Some(&(e, cycles)) if e == epoch => cycles,
             _ => 0,
         };
-        wait += set.booked_hold(idx, epoch).saturating_sub(mine).min(HOME_WAIT_CAP);
+        wait += set
+            .booked_hold(idx, epoch)
+            .saturating_sub(mine)
+            .min(HOME_WAIT_CAP);
         let overhead = self.shared.config.lock_overhead;
         self.breakdown.synchronization += wait + overhead;
         self.clock += wait + overhead;
@@ -1086,7 +1097,10 @@ impl ThreadCtx for SimCtx {
             let hold = self.clock.saturating_sub(acquired_at) + self.shared.config.lock_overhead;
             let epoch = acquired_at / crono_runtime::LOCK_EPOCH_CYCLES;
             set.book_hold(idx, epoch, hold);
-            let mine = self.my_bookings.entry(set.addr(idx).raw()).or_insert((epoch, 0));
+            let mine = self
+                .my_bookings
+                .entry(set.addr(idx).raw())
+                .or_insert((epoch, 0));
             if mine.0 == epoch {
                 mine.1 += hold;
             } else {
@@ -1327,7 +1341,10 @@ mod tests {
         });
         let clocks = outcome.per_thread;
         let first = clocks[0];
-        assert!(clocks.iter().all(|&c| c == first), "clocks equal: {clocks:?}");
+        assert!(
+            clocks.iter().all(|&c| c == first),
+            "clocks equal: {clocks:?}"
+        );
         assert!(first >= 40, "slowest thread dictates: {first}");
         let sync: u64 = outcome
             .report
@@ -1472,11 +1489,8 @@ mod tests {
     }
 
     fn run_traced() -> Vec<crono_trace::ThreadTrace> {
-        let m = SimMachine::with_tracing(
-            SimConfig::tiny(16),
-            4,
-            crono_trace::TraceConfig::default(),
-        );
+        let m =
+            SimMachine::with_tracing(SimConfig::tiny(16), 4, crono_trace::TraceConfig::default());
         let locks = LockSet::new(1);
         let counter = SharedU64s::new(1);
         let outcome = m.run(|ctx| traced_kernel(ctx, &locks, &counter));
@@ -1493,7 +1507,13 @@ mod tests {
     fn traced_run_records_all_event_sources() {
         for trace in &run_traced() {
             let names: Vec<_> = trace.events.iter().map(|e| e.name).collect();
-            for needle in ["phase", "lock_hold", "barrier_wait", "l1_miss_cold", "noc_flits"] {
+            for needle in [
+                "phase",
+                "lock_hold",
+                "barrier_wait",
+                "l1_miss_cold",
+                "noc_flits",
+            ] {
                 assert!(names.contains(&needle), "missing {needle}: {names:?}");
             }
             assert_eq!(trace.dropped, 0);
@@ -1514,7 +1534,11 @@ mod tests {
     fn traced_run_is_deterministic_across_threads() {
         let first = on_fresh_thread(run_traced);
         assert!(first.iter().all(|t| !t.events.is_empty()), "no events");
-        assert_eq!(first, on_fresh_thread(run_traced), "event streams identical");
+        assert_eq!(
+            first,
+            on_fresh_thread(run_traced),
+            "event streams identical"
+        );
     }
 
     #[test]
@@ -1592,8 +1616,8 @@ mod tests {
     // ------------------------------------------------------------------
     // Permanent faults: dead links, disabled cores, failed controllers.
 
-    use crate::fault::LinkDir;
     use crate::config::RoutingPolicy;
+    use crate::fault::LinkDir;
 
     /// A small barrier kernel over shared lines — every thread's work
     /// crosses the mesh, so a central dead link is guaranteed traffic.
@@ -1709,7 +1733,11 @@ mod tests {
             vec![0, 2, 3],
             "the dead core contributes no return value"
         );
-        assert_eq!(outcome.report.faults.cores_lost, 1, "{:?}", outcome.report.faults);
+        assert_eq!(
+            outcome.report.faults.cores_lost, 1,
+            "{:?}",
+            outcome.report.faults
+        );
         // Every round after the death still runs on the survivors.
         for i in 0..64 {
             if i % 4 != 1 {
@@ -1741,7 +1769,11 @@ mod tests {
                 mine
             })
             .expect("take-loop kernels have no barrier; the dead core exits early");
-        assert_eq!(outcome.report.faults.cores_lost, 1, "{:?}", outcome.report.faults);
+        assert_eq!(
+            outcome.report.faults.cores_lost, 1,
+            "{:?}",
+            outcome.report.faults
+        );
         let counts = seen.to_vec();
         assert!(
             counts.iter().all(|&c| c == 1),
@@ -1761,15 +1793,17 @@ mod tests {
         let run = |plan: FaultPlan| {
             let m = SimMachine::new(SimConfig::tiny(16), 4).fault_plan(plan);
             let r = m.run(|ctx| permanent_kernel(ctx, &arr)).report;
-            (r.completion, r.energy.router_flit_hops, r.faults.total_events())
+            (
+                r.completion,
+                r.energy.router_flit_hops,
+                r.faults.total_events(),
+            )
         };
         let clean = run(FaultPlan::zero(33));
-        let armed = run(
-            FaultPlan::zero(33)
-                .with_dead_link(5, LinkDir::East, u64::MAX)
-                .with_dead_core(4, u64::MAX)
-                .with_dead_dram_ctrl(0, u64::MAX),
-        );
+        let armed = run(FaultPlan::zero(33)
+            .with_dead_link(5, LinkDir::East, u64::MAX)
+            .with_dead_core(4, u64::MAX)
+            .with_dead_dram_ctrl(0, u64::MAX));
         assert_eq!(clean, armed, "armed-never-fired faults change nothing");
         assert_eq!(armed.2, 0, "no events were injected");
     }

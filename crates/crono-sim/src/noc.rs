@@ -218,7 +218,14 @@ impl Mesh {
 
     /// Charges every hop of the dimension-ordered walk starting at cycle
     /// `t0`; returns `(tail_arrival_at_router, hops)`.
-    fn charge_walk(&self, from: usize, to: usize, t0: u64, flits: u64, y_first: bool) -> (u64, u64) {
+    fn charge_walk(
+        &self,
+        from: usize,
+        to: usize,
+        t0: u64,
+        flits: u64,
+        y_first: bool,
+    ) -> (u64, u64) {
         let mut t = t0;
         let mut hops = 0u64;
         self.for_each_hop(from, to, y_first, |router, dir| {
@@ -229,7 +236,14 @@ impl Mesh {
     }
 
     /// Whether the dimension-ordered path crosses the (router, dir) link.
-    fn path_crosses(&self, from: usize, to: usize, y_first: bool, router: usize, dir: usize) -> bool {
+    fn path_crosses(
+        &self,
+        from: usize,
+        to: usize,
+        y_first: bool,
+        router: usize,
+        dir: usize,
+    ) -> bool {
         let mut crosses = false;
         self.for_each_hop(from, to, y_first, |r, d| {
             if r == router && d == dir {
@@ -239,7 +253,14 @@ impl Mesh {
         crosses
     }
 
-    fn charge_path(&self, from: usize, to: usize, depart: u64, flits: u64, y_first: bool) -> Traversal {
+    fn charge_path(
+        &self,
+        from: usize,
+        to: usize,
+        depart: u64,
+        flits: u64,
+        y_first: bool,
+    ) -> Traversal {
         let (t, hops) = self.charge_walk(from, to, depart, flits, y_first);
         Traversal {
             arrival: t + (flits - 1),
@@ -391,14 +412,15 @@ impl Mesh {
                     // future) epoch: claim it for ours.
                     (pack(this_tag, flits), 0)
                 };
-                match cell.compare_exchange_weak(cur, new, Ordering::Relaxed, Ordering::Relaxed)
-                {
+                match cell.compare_exchange_weak(cur, new, Ordering::Relaxed, Ordering::Relaxed) {
                     Ok(_) => break occupied,
                     Err(actual) => cur = actual,
                 }
             };
             // Link capacity is 1 flit/cycle: overload in this epoch queues.
-            (occupied + flits).saturating_sub(EPOCH_CYCLES).min(MAX_HOP_DELAY)
+            (occupied + flits)
+                .saturating_sub(EPOCH_CYCLES)
+                .min(MAX_HOP_DELAY)
         } else {
             0
         };
@@ -623,7 +645,11 @@ mod tests {
         );
         let (rows, cols) = m2.dims();
         assert_eq!(rows * cols, 2);
-        let dir = if cols == 2 { LinkDir::East } else { LinkDir::South };
+        let dir = if cols == 2 {
+            LinkDir::East
+        } else {
+            LinkDir::South
+        };
         let mut m2 = m2;
         m2.set_dead_link(Some(DeadLink {
             router: 0,

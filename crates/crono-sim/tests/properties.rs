@@ -109,7 +109,10 @@ fn mesh_traversal_is_minimal_and_monotonic() {
         let t = mesh.traverse(from, to, depart, flits);
         assert_eq!(t.flit_hops, mesh.hops(from, to) * flits);
         assert!(t.arrival >= depart);
-        assert_eq!(t.arrival, depart + mesh.ideal_latency(mesh.hops(from, to), flits));
+        assert_eq!(
+            t.arrival,
+            depart + mesh.ideal_latency(mesh.hops(from, to), flits)
+        );
     }
 }
 
@@ -163,7 +166,11 @@ fn l1_miss_classification_is_total() {
         let mut rng = SmallRng::seed_from_u64(0xC800 + case);
         let count = rng.random_range(1..200usize);
         let mut l1 = L1Cache::with_geometry(
-            &CacheConfig { size_bytes: 512, associativity: 2, latency: 1 },
+            &CacheConfig {
+                size_bytes: 512,
+                associativity: 2,
+                latency: 1,
+            },
             64,
         );
         let mut seen: HashSet<u64> = HashSet::new();
@@ -181,7 +188,11 @@ fn l1_miss_classification_is_total() {
                     if upgrade {
                         l1.promote(line);
                     } else {
-                        let state = if write { L1State::Modified } else { L1State::Shared };
+                        let state = if write {
+                            L1State::Modified
+                        } else {
+                            L1State::Shared
+                        };
                         l1.fill(line, state);
                     }
                     seen.insert(line);

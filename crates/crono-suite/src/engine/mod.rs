@@ -63,7 +63,7 @@ use std::collections::{HashMap, VecDeque};
 use std::fmt;
 use std::time::Duration;
 
-use crono_algos::{bfs, betweenness, costs, pagerank, sssp, SharedGraph};
+use crono_algos::{betweenness, bfs, costs, pagerank, sssp, SharedGraph};
 use crono_graph::rng::splitmix64;
 use crono_graph::{AdjacencyMatrix, CsrGraph, VertexId};
 use crono_runtime::{BudgetCtx, Machine, RunOptions, TaskPool, ThreadCtx};
@@ -591,8 +591,7 @@ impl<M: Machine> ServeEngine<M> {
         if self.centrality.is_none() && misses.iter().any(|m| m.kind == QueryKind::Centrality) {
             let matrix = AdjacencyMatrix::from_csr(&self.graph);
             let nv = matrix.num_vertices() as u32;
-            let symmetric =
-                (0..nv).all(|s| (0..s).all(|t| matrix.get(s, t) == matrix.get(t, s)));
+            let symmetric = (0..nv).all(|s| (0..s).all(|t| matrix.get(s, t) == matrix.get(t, s)));
             let built = if symmetric {
                 betweenness::try_parallel_pipelined(&self.machine, &opts, &matrix).map(|out| {
                     self.centrality = Some(out.output.centrality);
@@ -960,9 +959,10 @@ fn exec_plan<C: ThreadCtx>(
             let icost = ctx.instructions() - istart;
             let out = match result {
                 Ok(answer) => match miss.deadline {
-                    Some(budget) if icost > budget => {
-                        Err(QueryError::DeadlineExceeded { budget, cost: icost })
-                    }
+                    Some(budget) if icost > budget => Err(QueryError::DeadlineExceeded {
+                        budget,
+                        cost: icost,
+                    }),
                     _ => Ok((answer, cost, 1)),
                 },
                 Err(e) => Err(e),
@@ -1384,8 +1384,7 @@ mod tests {
         let ranks = pagerank::reference(&graph, EngineOptions::default().pagerank_iters);
         let matrix = AdjacencyMatrix::from_csr(&graph);
         let centrality = betweenness::reference(&matrix);
-        let mut engine =
-            ServeEngine::new(NativeMachine::new(4), graph, EngineOptions::default());
+        let mut engine = ServeEngine::new(NativeMachine::new(4), graph, EngineOptions::default());
         engine.submit(Query::new(QueryKind::PageRank, 9)).unwrap();
         engine.submit(Query::new(QueryKind::Centrality, 9)).unwrap();
         let batch = engine.run_batch();
@@ -1409,11 +1408,8 @@ mod tests {
     fn costs_are_deterministic_across_engines_and_thread_counts() {
         let run = |threads: usize| -> Vec<u64> {
             let graph = uniform_random(256, 1024, 8, 42);
-            let mut engine = ServeEngine::new(
-                NativeMachine::new(threads),
-                graph,
-                EngineOptions::default(),
-            );
+            let mut engine =
+                ServeEngine::new(NativeMachine::new(threads), graph, EngineOptions::default());
             for v in [3u32, 50, 100, 200] {
                 engine.submit(Query::new(QueryKind::Sssp, v)).unwrap();
             }

@@ -116,11 +116,18 @@ pub fn generate(
         .copied()
         .filter(|&t| t <= config.num_cores)
         .collect();
-    let mut table = Table::new("Ablation kernels: simulated completion, default vs optimized", {
-        let mut h = vec!["Ablation".to_string(), "Benchmark".to_string(), "Kernel".to_string()];
-        h.extend(threads.iter().map(|t| format!("{t}t")));
-        h
-    });
+    let mut table = Table::new(
+        "Ablation kernels: simulated completion, default vs optimized",
+        {
+            let mut h = vec![
+                "Ablation".to_string(),
+                "Benchmark".to_string(),
+                "Kernel".to_string(),
+            ];
+            h.extend(threads.iter().map(|t| format!("{t}t")));
+            h
+        },
+    );
     let w = Workload::synthetic(scale);
     // Untraced (lax-mode) runs are nondeterministic, so each lax cell is
     // the median of three runs; deterministic groups are byte-identical
@@ -194,7 +201,12 @@ pub fn generate(
             rw
         };
         let bench_label = format!("{}/rmat", Benchmark::Bfs.label());
-        emit(Ablation::DiropBfs, Benchmark::Bfs, bench_label.clone(), &rmat_w);
+        emit(
+            Ablation::DiropBfs,
+            Benchmark::Bfs,
+            bench_label.clone(),
+            &rmat_w,
+        );
         // Counter comparison: one deterministic run per cell (the same
         // run would already be byte-identical under the sequencer, so
         // repeats are redundant here too).
@@ -274,12 +286,19 @@ pub fn generate_native(
 ) -> Table {
     let threads = scale.native_thread_counts.clone();
     let top = *threads.last().expect("scales declare native threads");
-    let mut table = Table::new("Ablation native: wall-clock, default vs optimized kernels", {
-        let mut h = vec!["Ablation".to_string(), "Benchmark".to_string(), "Kernel".to_string()];
-        h.extend(threads.iter().map(|t| format!("{t}t ns")));
-        h.push(format!("MTEPS@{top}t"));
-        h
-    });
+    let mut table = Table::new(
+        "Ablation native: wall-clock, default vs optimized kernels",
+        {
+            let mut h = vec![
+                "Ablation".to_string(),
+                "Benchmark".to_string(),
+                "Kernel".to_string(),
+            ];
+            h.extend(threads.iter().map(|t| format!("{t}t ns")));
+            h.push(format!("MTEPS@{top}t"));
+            h
+        },
+    );
     let w = Workload::synthetic(scale);
     // Wall-clock noise suppression: keep the fastest of three runs per
     // cell (the `NativeSweep` idiom — min, not median, because external
@@ -365,10 +384,15 @@ mod tests {
         ] {
             let t = generate(&scale, &config, Some(ablation), false, None);
             assert_eq!(t.rows.len(), 3 * benches.len(), "{ablation}");
-            let labels: Vec<[&str; 2]> =
-                t.rows.iter().map(|r| [r[0].as_str(), r[1].as_str()]).collect();
-            let want: Vec<[&str; 2]> =
-                benches.iter().flat_map(|&b| [[ablation.name(), b]; 3]).collect();
+            let labels: Vec<[&str; 2]> = t
+                .rows
+                .iter()
+                .map(|r| [r[0].as_str(), r[1].as_str()])
+                .collect();
+            let want: Vec<[&str; 2]> = benches
+                .iter()
+                .flat_map(|&b| [[ablation.name(), b]; 3])
+                .collect();
             assert_eq!(labels, want);
         }
     }
@@ -439,7 +463,14 @@ mod tests {
             std::thread::spawn(move || {
                 let mut ck = Checkpoint::open(path).unwrap();
                 let (scale, config) = (Scale::test(), SimConfig::tiny(16));
-                generate(&scale, &config, Some(Ablation::DiropBfs), false, Some(&mut ck)).to_tsv()
+                generate(
+                    &scale,
+                    &config,
+                    Some(Ablation::DiropBfs),
+                    false,
+                    Some(&mut ck),
+                )
+                .to_tsv()
             })
             .join()
             .expect("sweep thread")
@@ -463,7 +494,11 @@ mod tests {
         }
         let apsp_default = &t.rows[0];
         assert_eq!(&apsp_default[..3], &["task_steal", "APSP", "default"]);
-        assert_ne!(*apsp_default.last().expect("mteps"), "-", "APSP reports MTEPS");
+        assert_ne!(
+            *apsp_default.last().expect("mteps"),
+            "-",
+            "APSP reports MTEPS"
+        );
         assert_eq!(t.file_stem(), "ablation_native");
     }
 }

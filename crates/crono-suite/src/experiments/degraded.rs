@@ -274,9 +274,11 @@ pub fn heatmap_pair(dc: &DegradedConfig) -> Result<(String, String), String> {
             .map_err(|e| format!("heatmap aggregation: {e}"))
     };
     let healthy = run(None)?;
-    let degraded = run(Some(
-        FaultPlan::zero(dc.seed).with_dead_link(DEAD_LINK_ROUTER, LinkDir::East, 0),
-    ))?;
+    let degraded = run(Some(FaultPlan::zero(dc.seed).with_dead_link(
+        DEAD_LINK_ROUTER,
+        LinkDir::East,
+        0,
+    )))?;
     Ok((healthy, degraded))
 }
 

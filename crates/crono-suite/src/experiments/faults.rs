@@ -218,10 +218,8 @@ mod tests {
 
     #[test]
     fn checkpointed_points_are_reused_on_resume() {
-        let path = std::env::temp_dir().join(format!(
-            "crono-faults-resume-{}.tsv",
-            std::process::id()
-        ));
+        let path =
+            std::env::temp_dir().join(format!("crono-faults-resume-{}.tsv", std::process::id()));
         let _ = std::fs::remove_file(&path);
         let scale = Scale::test();
         let config = SimConfig::tiny(16);

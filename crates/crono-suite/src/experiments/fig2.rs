@@ -45,8 +45,8 @@ pub fn bucketize(samples: &[(u64, u64)], completion: u64) -> [f64; BUCKETS] {
     for &(time, active) in samples {
         // Widen before multiplying: `time * BUCKETS` overflows u64 for
         // completion times above u64::MAX / BUCKETS.
-        let b = ((time as u128 * BUCKETS as u128) / completion as u128)
-            .min(BUCKETS as u128 - 1) as usize;
+        let b = ((time as u128 * BUCKETS as u128) / completion as u128).min(BUCKETS as u128 - 1)
+            as usize;
         sums[b] += active as f64;
         counts[b] += 1;
     }

@@ -22,12 +22,7 @@ const CSR_BENCHMARKS: [Benchmark; 7] = [
     Benchmark::Comm,
 ];
 
-fn best_speedup(
-    bench: Benchmark,
-    w: &Workload,
-    scale: &Scale,
-    config: &SimConfig,
-) -> (usize, f64) {
+fn best_speedup(bench: Benchmark, w: &Workload, scale: &Scale, config: &SimConfig) -> (usize, f64) {
     let seq: RunReport = run_sequential(bench, &SimMachine::new(config.clone(), 1), w);
     scale
         .probe_thread_counts()
@@ -48,14 +43,11 @@ fn best_speedup(
 
 /// The three panels of Fig. 5 as three tables.
 pub fn generate(scale: &Scale, config: &SimConfig, progress: bool) -> Vec<Table> {
-    let mut csr = Table::new(
-        "Fig. 5a: Best speedups vs sparse-graph vertex count",
-        {
-            let mut h = vec!["Benchmark".to_string()];
-            h.extend(scale.vertex_scale_points.iter().map(|v| format!("{v}v")));
-            h
-        },
-    );
+    let mut csr = Table::new("Fig. 5a: Best speedups vs sparse-graph vertex count", {
+        let mut h = vec!["Benchmark".to_string()];
+        h.extend(scale.vertex_scale_points.iter().map(|v| format!("{v}v")));
+        h
+    });
     for bench in CSR_BENCHMARKS {
         let mut row = vec![bench.label().to_string()];
         for &v in &scale.vertex_scale_points {
@@ -69,14 +61,11 @@ pub fn generate(scale: &Scale, config: &SimConfig, progress: bool) -> Vec<Table>
         csr.push_row(row);
     }
 
-    let mut matrix = Table::new(
-        "Fig. 5b: Best speedups vs APSP/BETW_CENT vertex count",
-        {
-            let mut h = vec!["Benchmark".to_string()];
-            h.extend(scale.matrix_scale_points.iter().map(|v| format!("{v}v")));
-            h
-        },
-    );
+    let mut matrix = Table::new("Fig. 5b: Best speedups vs APSP/BETW_CENT vertex count", {
+        let mut h = vec!["Benchmark".to_string()];
+        h.extend(scale.matrix_scale_points.iter().map(|v| format!("{v}v")));
+        h
+    });
     for bench in [Benchmark::Apsp, Benchmark::BetwCent] {
         let mut row = vec![bench.label().to_string()];
         for &v in &scale.matrix_scale_points {

@@ -120,7 +120,11 @@ impl ScaleTrackConfig {
             self.degree,
             self.blocks,
             if self.two_d { "2d" } else { "1d" },
-            if self.compressed { "compressed" } else { "plain" },
+            if self.compressed {
+                "compressed"
+            } else {
+                "plain"
+            },
             if self.mirrored { "-mirrored" } else { "" },
             self.threads,
             self.seed
@@ -464,7 +468,8 @@ mod tests {
     }
 
     fn temp_dir(tag: &str) -> PathBuf {
-        let dir = std::env::temp_dir().join(format!("crono-scaletrack-{}-{tag}", std::process::id()));
+        let dir =
+            std::env::temp_dir().join(format!("crono-scaletrack-{}-{tag}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         dir
     }

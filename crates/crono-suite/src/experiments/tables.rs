@@ -42,9 +42,9 @@ pub fn table2(config: &SimConfig) -> Table {
                 rob,
                 load_queue,
                 store_queue,
-            } => format!(
-                "Single-Issue, Out-of-Order (ROB {rob}, LQ {load_queue}, SQ {store_queue})"
-            ),
+            } => {
+                format!("Single-Issue, Out-of-Order (ROB {rob}, LQ {load_queue}, SQ {store_queue})")
+            }
         },
     );
     kv(
@@ -97,7 +97,11 @@ pub fn table2(config: &SimConfig) -> Table {
             "Electrical 2-D Mesh, XY routing, {}-cycle hop, {}-bit flits, link contention {}",
             config.mesh.hop_latency,
             config.mesh.flit_bits,
-            if config.mesh.link_contention { "on" } else { "off" }
+            if config.mesh.link_contention {
+                "on"
+            } else {
+                "off"
+            }
         ),
     );
     t

@@ -38,7 +38,8 @@ pub fn check_claims(sweep: &Sweep) -> Vec<(&'static str, bool)> {
         "APSP and BETW_CENT scale best (near-linear, vertex capture)",
         best(Benchmark::Apsp) > best(Benchmark::Bfs)
             && best(Benchmark::BetwCent) > best(Benchmark::Bfs)
-            && best(Benchmark::Apsp) > 0.4 * sweep.scale.thread_counts.last().copied().unwrap_or(256) as f64,
+            && best(Benchmark::Apsp)
+                > 0.4 * sweep.scale.thread_counts.last().copied().unwrap_or(256) as f64,
     ));
     claims.push((
         "DFS scales worst among the search benchmarks",
@@ -100,12 +101,12 @@ pub fn compare(sweep: &Sweep) -> Vec<Table> {
             f2(measured / paper),
         ]);
     }
-    let mut claims = Table::new(
-        "Qualitative claims of §V",
-        vec!["Claim", "Holds"],
-    );
+    let mut claims = Table::new("Qualitative claims of §V", vec!["Claim", "Holds"]);
     for (claim, holds) in check_claims(sweep) {
-        claims.push_row(vec![claim.to_string(), if holds { "yes" } else { "NO" }.to_string()]);
+        claims.push_row(vec![
+            claim.to_string(),
+            if holds { "yes" } else { "NO" }.to_string(),
+        ]);
     }
     vec![t, claims]
 }

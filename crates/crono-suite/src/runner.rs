@@ -319,18 +319,20 @@ mod tests {
     fn sweep_indexes_are_complete() {
         let scale = Scale::test();
         let config = SimConfig::tiny(16);
-        let sweep = Sweep::run_filtered(
-            &scale,
-            &config,
-            false,
-            &[Benchmark::Bfs, Benchmark::TriCnt],
-        );
+        let sweep =
+            Sweep::run_filtered(&scale, &config, false, &[Benchmark::Bfs, Benchmark::TriCnt]);
         assert_eq!(sweep.benchmarks(), vec![Benchmark::Bfs, Benchmark::TriCnt]);
         assert_eq!(sweep.thread_counts(), vec![1, 4, 16]);
         let (t, s) = sweep.best(Benchmark::Bfs).expect("BFS was swept");
         assert!(scale.thread_counts.contains(&t));
         assert!(s > 0.0);
-        assert!(sweep.best_report(Benchmark::Bfs).expect("BFS was swept").completion > 0);
+        assert!(
+            sweep
+                .best_report(Benchmark::Bfs)
+                .expect("BFS was swept")
+                .completion
+                > 0
+        );
     }
 
     /// Regression: the accessors used to index the maps directly and

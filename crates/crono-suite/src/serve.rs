@@ -303,7 +303,15 @@ pub fn summarize(outcomes: &Outcomes, threads: usize) -> Table {
     let mut table = Table::new(
         "Serve: point-query latency and throughput (modeled, 1 GHz)",
         vec![
-            "Kind", "Queries", "OK", "CacheHits", "Batched", "Errors", "p50_us", "p99_us", "QPS",
+            "Kind",
+            "Queries",
+            "OK",
+            "CacheHits",
+            "Batched",
+            "Errors",
+            "p50_us",
+            "p99_us",
+            "QPS",
         ],
     );
     for kind in QueryKind::ALL {

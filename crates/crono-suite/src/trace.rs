@@ -93,7 +93,15 @@ pub fn run_traced(
     sim_config: &SimConfig,
     trace_config: &TraceConfig,
 ) -> Trace {
-    run_traced_ablated(bench, scale, threads, backend, sim_config, trace_config, None)
+    run_traced_ablated(
+        bench,
+        scale,
+        threads,
+        backend,
+        sim_config,
+        trace_config,
+        None,
+    )
 }
 
 /// As [`run_traced`], but substituting the optimized kernel variant when

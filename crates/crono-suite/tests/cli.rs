@@ -113,7 +113,16 @@ fn trace_bfs_is_valid_and_byte_identical_across_runs() {
     let run = |file: &str| {
         let path = dir.join(file);
         let out = crono()
-            .args(["trace", "--bench", "bfs", "--threads", "16", "--scale", "test", "--quiet"])
+            .args([
+                "trace",
+                "--bench",
+                "bfs",
+                "--threads",
+                "16",
+                "--scale",
+                "test",
+                "--quiet",
+            ])
             .arg("--out")
             .arg(&path)
             .output()
@@ -157,7 +166,16 @@ fn trace_native_backend_runs() {
     let dir = std::env::temp_dir().join(format!("crono-trace-native-{}", std::process::id()));
     let path = dir.join("native.json");
     let out = crono()
-        .args(["trace", "--bench", "conn_comp", "--threads", "2", "--backend", "native", "--quiet"])
+        .args([
+            "trace",
+            "--bench",
+            "conn_comp",
+            "--threads",
+            "2",
+            "--backend",
+            "native",
+            "--quiet",
+        ])
         .arg("--out")
         .arg(&path)
         .output()
@@ -239,13 +257,19 @@ fn faults_quick_is_deterministic_and_counts_events() {
     assert_eq!(a, b, "seeded fault sweeps must be byte-identical");
     let mut lines = a.lines();
     let header = lines.next().expect("header row");
-    assert!(header.contains("NocRetx") && header.contains("Slowdown"), "{header}");
+    assert!(
+        header.contains("NocRetx") && header.contains("Slowdown"),
+        "{header}"
+    );
     // Row order is baseline (rate 0, no events) then rate 0.05, which
     // must have injected visible NoC retransmits.
     let base: Vec<&str> = lines.next().expect("baseline row").split('\t').collect();
     let faulty: Vec<&str> = lines.next().expect("faulty row").split('\t').collect();
     assert_eq!(base[1], "0");
-    assert_eq!(base[4], "0", "fault-free baseline injected events: {base:?}");
+    assert_eq!(
+        base[4], "0",
+        "fault-free baseline injected events: {base:?}"
+    );
     let retx: u64 = faulty[4].parse().expect("NocRetx column");
     assert!(retx > 0, "rate 0.05 injected nothing: {faulty:?}");
     // The checkpoint is removed once the sweep completes.
@@ -276,10 +300,18 @@ fn faults_resume_reuses_checkpointed_points() {
         String::from_utf8_lossy(&out.stderr)
     );
     let tsv = std::fs::read_to_string(dir.join("faults.tsv")).expect("tsv written");
-    let faulty: Vec<&str> = tsv.lines().nth(2).expect("rate 0.05 row").split('\t').collect();
+    let faulty: Vec<&str> = tsv
+        .lines()
+        .nth(2)
+        .expect("rate 0.05 row")
+        .split('\t')
+        .collect();
     assert_eq!(faulty[2], "999999", "planted completion not reused: {tsv}");
     assert_eq!(faulty[4], "7", "planted counters not reused: {tsv}");
-    assert!(!dir.join("faults.resume.tsv").exists(), "checkpoint kept after success");
+    assert!(
+        !dir.join("faults.resume.tsv").exists(),
+        "checkpoint kept after success"
+    );
     std::fs::remove_dir_all(&dir).ok();
 }
 
@@ -408,7 +440,15 @@ fn serve_replays_a_mixed_workload_and_writes_serve_tsv() {
     )
     .expect("write workload");
     let out = crono()
-        .args(["serve", "--scale", "test", "--threads", "4", "--quiet", "--workload"])
+        .args([
+            "serve",
+            "--scale",
+            "test",
+            "--threads",
+            "4",
+            "--quiet",
+            "--workload",
+        ])
         .arg(&wl)
         .arg("--out")
         .arg(&dir)
@@ -421,7 +461,10 @@ fn serve_replays_a_mixed_workload_and_writes_serve_tsv() {
     );
     let tsv = std::fs::read_to_string(dir.join("serve.tsv")).expect("serve.tsv written");
     let lines: Vec<&str> = tsv.lines().collect();
-    assert!(lines[0].contains("p50_us") && lines[0].contains("QPS"), "{tsv}");
+    assert!(
+        lines[0].contains("p50_us") && lines[0].contains("QPS"),
+        "{tsv}"
+    );
     let width = lines[0].split('\t').count();
     assert!(
         lines.iter().all(|l| l.split('\t').count() == width),
@@ -473,8 +516,19 @@ fn bombard_is_byte_identical_across_processes() {
         let out_dir = dir.join(sub);
         let out = crono()
             .args([
-                "bombard", "--scale", "test", "--threads", "4", "--queries", "96",
-                "--clients", "8", "--seed", "11", "--quiet", "--out",
+                "bombard",
+                "--scale",
+                "test",
+                "--threads",
+                "4",
+                "--queries",
+                "96",
+                "--clients",
+                "8",
+                "--seed",
+                "11",
+                "--quiet",
+                "--out",
             ])
             .arg(&out_dir)
             .output()
@@ -627,7 +681,10 @@ fn scale_resume_replays_planted_rows() {
         tsv.lines().any(|l| l.contains("424242")),
         "planted bfs row not replayed: {tsv}"
     );
-    assert!(!dir.join("scale.resume.tsv").exists(), "checkpoint kept after success");
+    assert!(
+        !dir.join("scale.resume.tsv").exists(),
+        "checkpoint kept after success"
+    );
     std::fs::remove_dir_all(&dir).ok();
 }
 
@@ -652,7 +709,17 @@ fn gen_streams_an_edge_list_the_scale_build_accepts() {
     std::fs::create_dir_all(&dir).expect("temp dir");
     let path = dir.join("edges.txt");
     let out = crono()
-        .args(["gen", "--graph", "uniform", "--graph-scale", "8", "--degree", "4", "--quiet", "--out"])
+        .args([
+            "gen",
+            "--graph",
+            "uniform",
+            "--graph-scale",
+            "8",
+            "--degree",
+            "4",
+            "--quiet",
+            "--out",
+        ])
         .arg(&path)
         .output()
         .expect("binary runs");
@@ -680,7 +747,17 @@ fn gen_streams_an_edge_list_the_scale_build_accepts() {
     // Identical seeds stream identical bytes.
     let path2 = dir.join("edges2.txt");
     let out2 = crono()
-        .args(["gen", "--graph", "uniform", "--graph-scale", "8", "--degree", "4", "--quiet", "--out"])
+        .args([
+            "gen",
+            "--graph",
+            "uniform",
+            "--graph-scale",
+            "8",
+            "--degree",
+            "4",
+            "--quiet",
+            "--out",
+        ])
         .arg(&path2)
         .output()
         .expect("binary runs");

@@ -137,9 +137,12 @@ impl Scanner<'_> {
             .unwrap_or(self.rest.len());
         let (digits, rest) = self.rest.split_at(end);
         self.rest = rest;
-        digits
-            .parse()
-            .map_err(|_| format!("expected number at {:?}", &digits.chars().take(20).collect::<String>()))
+        digits.parse().map_err(|_| {
+            format!(
+                "expected number at {:?}",
+                &digits.chars().take(20).collect::<String>()
+            )
+        })
     }
 }
 
@@ -166,8 +169,14 @@ impl CounterDelta {
     /// absent from the baseline regresses on any appearance).
     pub fn regressed(&self, tolerance: f64) -> bool {
         let exceeded = |a: u64, b: u64| b > a && (b - a) as f64 > tolerance * a as f64;
-        let a = self.a.unwrap_or(CounterStat { count: 0, arg_sum: 0 });
-        let b = self.b.unwrap_or(CounterStat { count: 0, arg_sum: 0 });
+        let a = self.a.unwrap_or(CounterStat {
+            count: 0,
+            arg_sum: 0,
+        });
+        let b = self.b.unwrap_or(CounterStat {
+            count: 0,
+            arg_sum: 0,
+        });
         exceeded(a.count, b.count) || exceeded(a.arg_sum, b.arg_sum)
     }
 }
@@ -203,7 +212,10 @@ impl TraceDiff {
 
     /// The rows that [`CounterDelta::regressed`] beyond `tolerance`.
     pub fn regressions(&self, tolerance: f64) -> Vec<&CounterDelta> {
-        self.rows.iter().filter(|r| r.regressed(tolerance)).collect()
+        self.rows
+            .iter()
+            .filter(|r| r.regressed(tolerance))
+            .collect()
     }
 
     /// A human-readable delta table: one line per changed event, with a
@@ -310,8 +322,12 @@ mod tests {
     fn appearing_event_regresses_missing_is_fine() {
         let empty = CounterSummary::default();
         let some = CounterSummary::parse(&sample_trace(false)).unwrap();
-        assert!(!TraceDiff::between(&empty, &some).regressions(0.0).is_empty());
-        assert!(TraceDiff::between(&some, &empty).regressions(0.0).is_empty());
+        assert!(!TraceDiff::between(&empty, &some)
+            .regressions(0.0)
+            .is_empty());
+        assert!(TraceDiff::between(&some, &empty)
+            .regressions(0.0)
+            .is_empty());
     }
 
     #[test]

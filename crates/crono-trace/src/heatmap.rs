@@ -41,7 +41,11 @@ pub fn pack_route(row: usize, col: usize, flits: u64) -> u64 {
 /// Inverse of [`pack_route`]: `(row, col, flits)`.
 pub fn unpack_route(arg: u64) -> (usize, usize, u64) {
     let router = arg >> 20;
-    ((router >> 6) as usize, (router & COORD_MAX) as usize, arg & FLITS_MAX)
+    (
+        (router >> 6) as usize,
+        (router & COORD_MAX) as usize,
+        arg & FLITS_MAX,
+    )
 }
 
 /// Flit traffic accumulated at one mesh router.
@@ -133,8 +137,7 @@ impl Heatmap {
                 .split("\"value\":")
                 .nth(1)
                 .and_then(|rest| {
-                    let digits: String =
-                        rest.chars().take_while(char::is_ascii_digit).collect();
+                    let digits: String = rest.chars().take_while(char::is_ascii_digit).collect();
                     digits.parse::<u64>().ok()
                 })
                 .ok_or_else(|| format!("malformed noc_route instant: {line}"))?;
@@ -191,9 +194,25 @@ mod tests {
             pack_route(2, 0, 7),
         ]);
         assert_eq!((map.rows(), map.cols()), (3, 2));
-        assert_eq!(map.at(0, 1), RouterTraffic { flits: 15, events: 2 });
-        assert_eq!(map.at(2, 0), RouterTraffic { flits: 7, events: 1 });
-        assert_eq!(map.at(1, 1), RouterTraffic::default(), "untouched router is zero");
+        assert_eq!(
+            map.at(0, 1),
+            RouterTraffic {
+                flits: 15,
+                events: 2
+            }
+        );
+        assert_eq!(
+            map.at(2, 0),
+            RouterTraffic {
+                flits: 7,
+                events: 1
+            }
+        );
+        assert_eq!(
+            map.at(1, 1),
+            RouterTraffic::default(),
+            "untouched router is zero"
+        );
         assert_eq!(map.total_flits(), 22);
         assert_eq!(map.total_events(), 3);
     }
@@ -222,8 +241,18 @@ mod tests {
             pack_route(0, 1, 6),
         );
         let map = Heatmap::from_chrome_json(&json).expect("parse");
-        assert_eq!(map.at(0, 1), RouterTraffic { flits: 10, events: 2 });
-        assert_eq!(map.total_events(), 2, "noc_flits instants are not misparsed");
+        assert_eq!(
+            map.at(0, 1),
+            RouterTraffic {
+                flits: 10,
+                events: 2
+            }
+        );
+        assert_eq!(
+            map.total_events(),
+            2,
+            "noc_flits instants are not misparsed"
+        );
     }
 
     #[test]

@@ -59,7 +59,10 @@ impl TraceConfig {
     /// Panics if `capacity == 0`.
     pub fn with_capacity(capacity: usize) -> Self {
         assert!(capacity > 0, "trace ring needs capacity > 0");
-        TraceConfig { capacity, ..Self::default() }
+        TraceConfig {
+            capacity,
+            ..Self::default()
+        }
     }
 
     /// Returns the config with NoC geometry instants switched on/off.
@@ -73,7 +76,10 @@ impl Default for TraceConfig {
     /// 64 Ki events per thread (~2.5 MB/thread at 40 B/event), no NoC
     /// geometry instants.
     fn default() -> Self {
-        TraceConfig { capacity: 64 * 1024, noc_geometry: false }
+        TraceConfig {
+            capacity: 64 * 1024,
+            noc_geometry: false,
+        }
     }
 }
 
@@ -124,25 +130,49 @@ impl ThreadTracer {
     /// Records a span open.
     #[inline]
     pub fn begin(&mut self, cat: &'static str, name: &'static str, ts: u64) {
-        self.record(Event { ts, arg: 0, name, cat, kind: EventKind::Begin });
+        self.record(Event {
+            ts,
+            arg: 0,
+            name,
+            cat,
+            kind: EventKind::Begin,
+        });
     }
 
     /// Records a span close.
     #[inline]
     pub fn end(&mut self, cat: &'static str, name: &'static str, ts: u64) {
-        self.record(Event { ts, arg: 0, name, cat, kind: EventKind::End });
+        self.record(Event {
+            ts,
+            arg: 0,
+            name,
+            cat,
+            kind: EventKind::End,
+        });
     }
 
     /// Records an instant with payload `value`.
     #[inline]
     pub fn instant(&mut self, cat: &'static str, name: &'static str, ts: u64, value: u64) {
-        self.record(Event { ts, arg: value, name, cat, kind: EventKind::Instant });
+        self.record(Event {
+            ts,
+            arg: value,
+            name,
+            cat,
+            kind: EventKind::Instant,
+        });
     }
 
     /// Records a self-contained span `[ts, ts + dur]`.
     #[inline]
     pub fn complete(&mut self, cat: &'static str, name: &'static str, ts: u64, dur: u64) {
-        self.record(Event { ts, arg: dur, name, cat, kind: EventKind::Complete });
+        self.record(Event {
+            ts,
+            arg: dur,
+            name,
+            cat,
+            kind: EventKind::Complete,
+        });
     }
 
     /// Events currently held.

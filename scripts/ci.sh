@@ -14,6 +14,10 @@ cd "$(dirname "$0")/.."
 
 export CARGO_NET_OFFLINE=true
 
+echo "==> rustfmt: whole workspace, check only"
+# Workspace members only; perfbench/ is its own workspace.
+cargo fmt --all -- --check
+
 echo "==> cargo build --release --offline"
 cargo build --release --offline --workspace --bins
 

@@ -54,16 +54,17 @@ fn energy_model_consumes_simulator_counters() {
     let sum: f64 = shares.components().iter().map(|(_, v)| v).sum();
     assert!((sum - 1.0).abs() < 1e-9);
     // Graph workloads stress the network (the paper's Fig. 6 finding).
-    assert!(shares.network_share() > 0.1, "network share {:.3}", shares.network_share());
+    assert!(
+        shares.network_share() > 0.1,
+        "network share {:.3}",
+        shares.network_share()
+    );
 }
 
 #[test]
 fn ooo_cores_beat_in_order_on_memory_bound_work() {
     let graph = uniform_random(512, 2048, 8, 9);
-    let inorder = algos::triangle::parallel(
-        &SimMachine::new(SimConfig::tiny(16), 1),
-        &graph,
-    );
+    let inorder = algos::triangle::parallel(&SimMachine::new(SimConfig::tiny(16), 1), &graph);
     let ooo = algos::triangle::parallel(
         &SimMachine::new(
             SimConfig {
@@ -124,7 +125,9 @@ fn link_contention_costs_cycles_under_load() {
 #[test]
 fn more_threads_do_not_change_algorithmic_results() {
     let graph = uniform_random(256, 1024, 16, 12);
-    let base = algos::sssp::parallel(&NativeMachine::new(1), &graph, 0).output.dist;
+    let base = algos::sssp::parallel(&NativeMachine::new(1), &graph, 0)
+        .output
+        .dist;
     for threads in [2, 4, 8, 16] {
         let dist = algos::sssp::parallel(&small_sim(threads.min(16)), &graph, 0)
             .output
