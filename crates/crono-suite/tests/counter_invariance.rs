@@ -9,8 +9,9 @@
 //!
 //! - `tests/golden_counters.txt`: BFS and PageRank, then SSSP_DIJK, the
 //!   `frontier_repr` variants of BFS and SSSP_DIJK, the three kernels
-//!   that read in-edges (`dirop_bfs`, `afforest_cc`, `delta_sssp`) and
-//!   the `pagerank_update` variant of PageRank;
+//!   that read in-edges (`dirop_bfs`, `afforest_cc`, `delta_sssp`), the
+//!   `pagerank_update` variant of PageRank, and pull PageRank (the
+//!   serving engine's snapshot kernel, which no ablation reaches);
 //! - `tests/golden_counters_taskpar.txt`: the task-parallel defaults
 //!   (APSP, BETW_CENT, TSP, DFS), which the opt-in work-stealing
 //!   variants must leave bit-identical, then those variants themselves
@@ -30,7 +31,7 @@
 //! CRONO_GOLDEN_UPDATE=1 cargo test -p crono-suite --test counter_invariance
 //! ```
 
-use crono_algos::{Ablation, Benchmark};
+use crono_algos::{pagerank, Ablation, Benchmark};
 use crono_sim::{FaultPlan, SimConfig, SimMachine};
 use crono_suite::runner::run_parallel_ablated;
 use crono_suite::trace::{assemble, TraceBackend};
@@ -46,38 +47,47 @@ const TASKPAR_GOLDEN_PATH: &str = concat!(
     "/tests/golden_counters_taskpar.txt"
 );
 
-/// A benchmark, and the ablated kernel variant to run in its place.
-type Run = (Benchmark, Option<Ablation>);
+/// A kernel the gates run.
+#[derive(Clone, Copy)]
+enum Run {
+    /// A benchmark, and the ablated kernel variant to run in its place.
+    Suite(Benchmark, Option<Ablation>),
+    /// `pagerank::parallel_pull`, the serving engine's snapshot kernel.
+    PageRankPull,
+}
+use Run::{PageRankPull, Suite};
 
 /// The exact configuration the golden files were captured under.
 const THREAD_COUNTS: [usize; 3] = [1, 4, 16];
-const RUNS: [Run; 9] = [
-    (Benchmark::Bfs, None),
-    (Benchmark::PageRank, None),
-    (Benchmark::SsspDijk, None),
-    (Benchmark::Bfs, Some(Ablation::FrontierRepr)),
-    (Benchmark::SsspDijk, Some(Ablation::FrontierRepr)),
-    (Benchmark::Bfs, Some(Ablation::DiropBfs)),
-    (Benchmark::ConnComp, Some(Ablation::AfforestCc)),
-    (Benchmark::SsspDijk, Some(Ablation::DeltaSssp)),
-    (Benchmark::PageRank, Some(Ablation::PagerankUpdate)),
+const RUNS: [Run; 10] = [
+    Suite(Benchmark::Bfs, None),
+    Suite(Benchmark::PageRank, None),
+    Suite(Benchmark::SsspDijk, None),
+    Suite(Benchmark::Bfs, Some(Ablation::FrontierRepr)),
+    Suite(Benchmark::SsspDijk, Some(Ablation::FrontierRepr)),
+    Suite(Benchmark::Bfs, Some(Ablation::DiropBfs)),
+    Suite(Benchmark::ConnComp, Some(Ablation::AfforestCc)),
+    Suite(Benchmark::SsspDijk, Some(Ablation::DeltaSssp)),
+    Suite(Benchmark::PageRank, Some(Ablation::PagerankUpdate)),
+    PageRankPull,
 ];
 const TASKPAR_RUNS: [Run; 8] = [
-    (Benchmark::Apsp, None),
-    (Benchmark::BetwCent, None),
-    (Benchmark::Tsp, None),
-    (Benchmark::Dfs, None),
-    (Benchmark::Apsp, Some(Ablation::TaskSteal)),
-    (Benchmark::BetwCent, Some(Ablation::TaskSteal)),
-    (Benchmark::Dfs, Some(Ablation::TaskSteal)),
-    (Benchmark::Tsp, Some(Ablation::LockfreeBound)),
+    Suite(Benchmark::Apsp, None),
+    Suite(Benchmark::BetwCent, None),
+    Suite(Benchmark::Tsp, None),
+    Suite(Benchmark::Dfs, None),
+    Suite(Benchmark::Apsp, Some(Ablation::TaskSteal)),
+    Suite(Benchmark::BetwCent, Some(Ablation::TaskSteal)),
+    Suite(Benchmark::Dfs, Some(Ablation::TaskSteal)),
+    Suite(Benchmark::Tsp, Some(Ablation::LockfreeBound)),
 ];
 
 /// The line that opens `run`'s fingerprint at `threads` threads.
-fn header((bench, ablation): Run, threads: usize) -> String {
-    match ablation {
-        Some(abl) => format!("run {}+{abl} threads={threads}", bench.label()),
-        None => format!("run {} threads={threads}", bench.label()),
+fn header(run: Run, threads: usize) -> String {
+    match run {
+        Suite(bench, Some(abl)) => format!("run {}+{abl} threads={threads}", bench.label()),
+        Suite(bench, None) => format!("run {} threads={threads}", bench.label()),
+        PageRankPull => format!("run PageRank/pull threads={threads}"),
     }
 }
 
@@ -92,16 +102,24 @@ fn fingerprint(runs: &[Run], faults: Option<FaultPlan>) -> String {
     let scale = Scale::test();
     let w = Workload::synthetic(&scale);
     let mut out = String::new();
-    for &(bench, ablation) in runs {
+    for &run in runs {
         for threads in THREAD_COUNTS {
             let mut machine =
                 SimMachine::with_tracing(SimConfig::tiny(16), threads, TraceConfig::default());
             if let Some(plan) = faults {
                 machine = machine.fault_plan(plan);
             }
-            let report = run_parallel_ablated(bench, &machine, &w, ablation);
+            let (bench, report) = match run {
+                Suite(bench, ablation) => {
+                    (bench, run_parallel_ablated(bench, &machine, &w, ablation))
+                }
+                PageRankPull => (
+                    Benchmark::PageRank,
+                    pagerank::parallel_pull(&machine, &w.graph, w.pagerank_iters).report,
+                ),
+            };
             let (c, m, e) = (report.completion, report.misses, report.energy);
-            let _ = writeln!(out, "{}", header((bench, ablation), threads));
+            let _ = writeln!(out, "{}", header(run, threads));
             let _ = writeln!(out, "  completion {c}");
             let _ = writeln!(
                 out,
