@@ -13,6 +13,10 @@
 //! direct parallelization of the paper's description. (Brandes'
 //! fractional definition differs; the test-suite checks this one against
 //! a brute-force oracle.)
+//!
+//! The `task_steal` ablation ([`parallel_steal`]) changes only how the
+//! sources and vertices are dealt out, so both variants count the pairs
+//! through a vertex with one function.
 
 use crate::apsp::{capture_sources, dijkstra_row, STEAL_SEED, UNREACHABLE};
 use crate::graph_view::chunk;
@@ -85,33 +89,7 @@ pub fn try_parallel<M: Machine>(
                 break;
             }
             ctx.record_active(1);
-            let mut count = 0u64;
-            for s in 0..n {
-                if s == v {
-                    continue;
-                }
-                let sv = dist.get(ctx, s * n + v);
-                if sv == UNREACHABLE {
-                    continue;
-                }
-                for t in 0..n {
-                    ctx.compute(costs::MIN_SCAN);
-                    if t == v || t == s {
-                        continue;
-                    }
-                    let vt = dist.get(ctx, v * n + t);
-                    if vt == UNREACHABLE {
-                        continue;
-                    }
-                    if sv + vt == dist.get(ctx, s * n + t) {
-                        count += 1;
-                    }
-                }
-            }
-            if count > 0 {
-                // "updating the centralities via atomic locks"
-                centrality.fetch_add(ctx, v, count);
-            }
+            credit_pairs_through(ctx, &dist, &centrality, n, v);
         }
     })?;
     Ok(AlgoOutcome {
@@ -171,34 +149,8 @@ pub fn parallel_steal<M: Machine>(
             let Some(v) = vertices.take_fixed(ctx) else {
                 break;
             };
-            let v = v as usize;
             ctx.record_active(1);
-            let mut count = 0u64;
-            for s in 0..n {
-                if s == v {
-                    continue;
-                }
-                let sv = dist.get(ctx, s * n + v);
-                if sv == UNREACHABLE {
-                    continue;
-                }
-                for t in 0..n {
-                    ctx.compute(costs::MIN_SCAN);
-                    if t == v || t == s {
-                        continue;
-                    }
-                    let vt = dist.get(ctx, v * n + t);
-                    if vt == UNREACHABLE {
-                        continue;
-                    }
-                    if sv + vt == dist.get(ctx, s * n + t) {
-                        count += 1;
-                    }
-                }
-            }
-            if count > 0 {
-                centrality.fetch_add(ctx, v, count);
-            }
+            credit_pairs_through(ctx, &dist, &centrality, n, v as usize);
         }
     });
     AlgoOutcome {
@@ -207,6 +159,45 @@ pub fn parallel_steal<M: Machine>(
             dist: dist.to_vec(),
         },
         report: outcome.report,
+    }
+}
+
+/// Phase 2's task for vertex `v`, shared by [`try_parallel`] and
+/// [`parallel_steal`]: counts the ordered pairs `(s, t)` with a shortest
+/// path through `v` and adds them to `centrality[v]`.
+fn credit_pairs_through<C: ThreadCtx>(
+    ctx: &mut C,
+    dist: &SharedU32s,
+    centrality: &SharedU64s,
+    n: usize,
+    v: usize,
+) {
+    let mut count = 0u64;
+    for s in 0..n {
+        if s == v {
+            continue;
+        }
+        let sv = dist.get(ctx, s * n + v);
+        if sv == UNREACHABLE {
+            continue;
+        }
+        for t in 0..n {
+            ctx.compute(costs::MIN_SCAN);
+            if t == v || t == s {
+                continue;
+            }
+            let vt = dist.get(ctx, v * n + t);
+            if vt == UNREACHABLE {
+                continue;
+            }
+            if sv + vt == dist.get(ctx, s * n + t) {
+                count += 1;
+            }
+        }
+    }
+    if count > 0 {
+        // "updating the centralities via atomic locks"
+        centrality.fetch_add(ctx, v, count);
     }
 }
 

@@ -7,6 +7,12 @@
 //! atomic locks, as threads may converge on common neighbors"); a barrier
 //! separates the push phase from the apply phase that computes
 //! `PR' = r + (1 − r) · Σ`.
+//!
+//! The `pagerank_update` ablation ([`parallel_cas`]) changes only how a
+//! contribution reaches a neighbor's accumulator: a CAS instead of the
+//! striped lock. Both push variants therefore run one body, generic over
+//! that step, and the pull kernel ([`parallel_pull`]) runs the same
+//! round: visit phase, barrier, Eq. 1 apply, barrier.
 
 use crate::graph_view::{chunk, SharedGraph};
 use crate::{costs, AlgoOutcome};
@@ -37,64 +43,7 @@ pub fn parallel<M: Machine>(
     graph: &CsrGraph,
     iterations: u32,
 ) -> AlgoOutcome<PageRankOutput> {
-    assert!(iterations > 0, "need at least one iteration");
-    let n = graph.num_vertices();
-    let shared = SharedGraph::new(graph);
-    let ranks = SharedF64s::filled(n, 1.0 / n as f64);
-    let sums = SharedF64s::filled(n, 0.0);
-    let locks = LockSet::new(n.min(4096));
-
-    let outcome = machine.run(|ctx| {
-        let tid = ctx.thread_id();
-        let nthreads = ctx.num_threads();
-        for _ in 0..iterations {
-            if ctx.cancelled() {
-                break;
-            }
-            ctx.span_begin("pagerank:iter");
-            // Push phase: scatter contributions to neighbors.
-            let mut active = 0u64;
-            for v in chunk(n, tid, nthreads) {
-                let r = shared.edge_range(ctx, v as VertexId);
-                let degree = r.len();
-                if degree == 0 {
-                    continue;
-                }
-                active += 1;
-                ctx.compute(costs::RANK_UPDATE);
-                let contribution = ranks.get(ctx, v) / degree as f64;
-                for e in r {
-                    let u = shared.neighbor(ctx, e) as usize;
-                    ctx.compute(costs::RANK_UPDATE);
-                    // "updates for page ranks done via atomic locks"
-                    ctx.lock_for(&locks, u);
-                    let s = sums.get(ctx, u);
-                    sums.set(ctx, u, s + contribution);
-                    ctx.unlock_for(&locks, u);
-                }
-            }
-            if active > 0 {
-                ctx.record_active(active);
-            }
-            ctx.barrier();
-            // Apply phase: Eq. 1, then reset the accumulators.
-            for v in chunk(n, tid, nthreads) {
-                ctx.compute(costs::RANK_UPDATE);
-                let s = sums.get(ctx, v);
-                ranks.set(ctx, v, DAMPING_R + (1.0 - DAMPING_R) * s);
-                sums.set(ctx, v, 0.0);
-            }
-            ctx.barrier();
-            ctx.span_end("pagerank:iter");
-        }
-    });
-    AlgoOutcome {
-        output: PageRankOutput {
-            ranks: ranks.to_vec(),
-            iterations,
-        },
-        report: outcome.report,
-    }
+    push(machine, graph, iterations, |n| LockSet::new(n.min(4096)))
 }
 
 /// Parallel PageRank with lock-free CAS accumulation — the
@@ -114,51 +63,69 @@ pub fn parallel_cas<M: Machine>(
     graph: &CsrGraph,
     iterations: u32,
 ) -> AlgoOutcome<PageRankOutput> {
+    push(machine, graph, iterations, |_| Cas)
+}
+
+/// How a pushed contribution reaches a neighbor's accumulator: the one
+/// decision [`parallel`] and [`parallel_cas`] differ in.
+trait Accumulate: Sync {
+    /// Adds `contribution` to `sums[u]`.
+    fn add<C: ThreadCtx>(&self, ctx: &mut C, sums: &SharedF64s, u: usize, contribution: f64);
+}
+
+/// Striped per-vertex locks: "updates for page ranks done via atomic
+/// locks, as threads may converge on common neighbors".
+impl Accumulate for LockSet {
+    fn add<C: ThreadCtx>(&self, ctx: &mut C, sums: &SharedF64s, u: usize, contribution: f64) {
+        ctx.lock_for(self, u);
+        let s = sums.get(ctx, u);
+        sums.set(ctx, u, s + contribution);
+        ctx.unlock_for(self, u);
+    }
+}
+
+/// One CAS-loop RMW instead of lock / load / store / unlock: no convoy
+/// on shared high-degree neighbors.
+struct Cas;
+
+impl Accumulate for Cas {
+    fn add<C: ThreadCtx>(&self, ctx: &mut C, sums: &SharedF64s, u: usize, contribution: f64) {
+        sums.fetch_add(ctx, u, contribution);
+    }
+}
+
+/// The push body both variants share: every vertex scatters
+/// `PR(v)/degree(v)` into its neighbors' accumulators through the
+/// `Accumulate` that `acc` builds for `n` vertices.
+fn push<M: Machine, A: Accumulate>(
+    machine: &M,
+    graph: &CsrGraph,
+    iterations: u32,
+    acc: impl FnOnce(usize) -> A,
+) -> AlgoOutcome<PageRankOutput> {
     assert!(iterations > 0, "need at least one iteration");
     let n = graph.num_vertices();
     let shared = SharedGraph::new(graph);
     let ranks = SharedF64s::filled(n, 1.0 / n as f64);
     let sums = SharedF64s::filled(n, 0.0);
+    let acc = acc(n);
 
     let outcome = machine.run(|ctx| {
-        let tid = ctx.thread_id();
-        let nthreads = ctx.num_threads();
-        for _ in 0..iterations {
-            if ctx.cancelled() {
-                break;
+        rounds(ctx, iterations, &ranks, &sums, |ctx, v| {
+            let r = shared.edge_range(ctx, v as VertexId);
+            let degree = r.len();
+            if degree == 0 {
+                return false;
             }
-            ctx.span_begin("pagerank:iter");
-            let mut active = 0u64;
-            for v in chunk(n, tid, nthreads) {
-                let r = shared.edge_range(ctx, v as VertexId);
-                let degree = r.len();
-                if degree == 0 {
-                    continue;
-                }
-                active += 1;
+            ctx.compute(costs::RANK_UPDATE);
+            let contribution = ranks.get(ctx, v) / degree as f64;
+            for e in r {
+                let u = shared.neighbor(ctx, e) as usize;
                 ctx.compute(costs::RANK_UPDATE);
-                let contribution = ranks.get(ctx, v) / degree as f64;
-                for e in r {
-                    let u = shared.neighbor(ctx, e) as usize;
-                    ctx.compute(costs::RANK_UPDATE);
-                    // One CAS-loop RMW instead of lock / load / store /
-                    // unlock: no convoy on shared high-degree neighbors.
-                    sums.fetch_add(ctx, u, contribution);
-                }
+                acc.add(ctx, &sums, u, contribution);
             }
-            if active > 0 {
-                ctx.record_active(active);
-            }
-            ctx.barrier();
-            for v in chunk(n, tid, nthreads) {
-                ctx.compute(costs::RANK_UPDATE);
-                let s = sums.get(ctx, v);
-                ranks.set(ctx, v, DAMPING_R + (1.0 - DAMPING_R) * s);
-                sums.set(ctx, v, 0.0);
-            }
-            ctx.barrier();
-            ctx.span_end("pagerank:iter");
-        }
+            true
+        });
     });
     AlgoOutcome {
         output: PageRankOutput {
@@ -166,6 +133,47 @@ pub fn parallel_cas<M: Machine>(
             iterations,
         },
         report: outcome.report,
+    }
+}
+
+/// One thread's `iterations` rounds over its static chunk, shared by
+/// push and pull: `visit(ctx, v)` fills the accumulators and reports
+/// whether `v` had edges; a barrier; the Eq. 1 apply, which also resets
+/// the accumulators; a barrier.
+fn rounds<C: ThreadCtx>(
+    ctx: &mut C,
+    iterations: u32,
+    ranks: &SharedF64s,
+    sums: &SharedF64s,
+    mut visit: impl FnMut(&mut C, usize) -> bool,
+) {
+    let n = ranks.len();
+    let tid = ctx.thread_id();
+    let nthreads = ctx.num_threads();
+    for _ in 0..iterations {
+        if ctx.cancelled() {
+            break;
+        }
+        ctx.span_begin("pagerank:iter");
+        let mut active = 0u64;
+        for v in chunk(n, tid, nthreads) {
+            if visit(ctx, v) {
+                active += 1;
+            }
+        }
+        if active > 0 {
+            ctx.record_active(active);
+        }
+        ctx.barrier();
+        // Apply phase: Eq. 1, then reset the accumulators.
+        for v in chunk(n, tid, nthreads) {
+            ctx.compute(costs::RANK_UPDATE);
+            let s = sums.get(ctx, v);
+            ranks.set(ctx, v, DAMPING_R + (1.0 - DAMPING_R) * s);
+            sums.set(ctx, v, 0.0);
+        }
+        ctx.barrier();
+        ctx.span_end("pagerank:iter");
     }
 }
 
@@ -231,42 +239,21 @@ pub fn try_parallel_pull<M: Machine>(
     let sums = SharedF64s::filled(n, 0.0);
 
     let outcome = machine.try_run_with(opts, |ctx| {
-        let tid = ctx.thread_id();
-        let nthreads = ctx.num_threads();
-        for _ in 0..iterations {
-            if ctx.cancelled() {
-                break;
+        // Gather in ascending in-neighbor order.
+        rounds(ctx, iterations, &ranks, &sums, |ctx, u| {
+            let r = shared_t.edge_range(ctx, u as VertexId);
+            if r.is_empty() {
+                return false;
             }
-            ctx.span_begin("pagerank:iter");
-            // Pull phase: gather in ascending in-neighbor order.
-            let mut active = 0u64;
-            for u in chunk(n, tid, nthreads) {
-                let r = shared_t.edge_range(ctx, u as VertexId);
-                if r.is_empty() {
-                    continue;
-                }
-                active += 1;
-                let mut sum = 0.0f64;
-                for e in r {
-                    let v = shared_t.neighbor(ctx, e) as usize;
-                    ctx.compute(costs::RANK_UPDATE);
-                    sum += ranks.get(ctx, v) / degrees.get(ctx, v) as f64;
-                }
-                sums.set(ctx, u, sum);
-            }
-            if active > 0 {
-                ctx.record_active(active);
-            }
-            ctx.barrier();
-            for v in chunk(n, tid, nthreads) {
+            let mut sum = 0.0f64;
+            for e in r {
+                let v = shared_t.neighbor(ctx, e) as usize;
                 ctx.compute(costs::RANK_UPDATE);
-                let s = sums.get(ctx, v);
-                ranks.set(ctx, v, DAMPING_R + (1.0 - DAMPING_R) * s);
-                sums.set(ctx, v, 0.0);
+                sum += ranks.get(ctx, v) / degrees.get(ctx, v) as f64;
             }
-            ctx.barrier();
-            ctx.span_end("pagerank:iter");
-        }
+            sums.set(ctx, u, sum);
+            true
+        });
     })?;
     Ok(AlgoOutcome {
         output: PageRankOutput {

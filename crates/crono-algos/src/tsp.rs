@@ -7,11 +7,15 @@
 //! time; each thread searches its branches depth-first, prunes against
 //! the shared global bound, and publishes improvements under the bound
 //! lock.
+//!
+//! The `lockfree_bound` ablation ([`parallel_lockfree`]) changes only
+//! that last step: the bound falls by `fetch_min` and the tour is stored
+//! under a seqlock. Both variants therefore run one search and one
+//! branch loop, generic over how an improvement is published.
 
 use crate::{costs, AlgoOutcome};
 use crono_graph::gen::TspInstance;
-use crono_runtime::Mutex;
-use crono_runtime::{LockSet, Machine, ReadArray, SharedU64s, ThreadCtx};
+use crono_runtime::{LockSet, Machine, Mutex, ReadArray, SharedU64s, ThreadCtx};
 
 /// Result of a TSP run.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -42,16 +46,127 @@ fn lower_bound<C: ThreadCtx>(
     bound
 }
 
-struct SearchState<'a, 'b> {
-    dist: &'a ReadArray<'b, u32>,
-    n: usize,
-    min_out: Vec<u64>,
-    best: &'a SharedU64s,
-    best_tour: &'a Mutex<Vec<usize>>,
-    bound_lock: &'a LockSet,
+/// How a thread publishes a tour that beats the global bound: the one
+/// decision [`parallel`] and [`parallel_lockfree`] differ in.
+trait Incumbent: Sync {
+    /// An incumbent holding `tour`, the seed the bound starts from.
+    fn seeded(tour: Vec<usize>) -> Self;
+    /// Offers the complete tour `path` of length `total`.
+    fn publish<C: ThreadCtx>(&self, ctx: &mut C, best: &SharedU64s, path: &[usize], total: u64);
+    /// The tour of the final bound, once the workers have joined.
+    fn into_tour(self) -> Vec<usize>;
 }
 
-impl SearchState<'_, '_> {
+/// The paper's incumbent: bound and tour change together under the
+/// bound lock.
+struct Locked {
+    tour: Mutex<Vec<usize>>,
+    lock: LockSet,
+}
+
+impl Incumbent for Locked {
+    fn seeded(tour: Vec<usize>) -> Self {
+        Locked {
+            tour: Mutex::new(tour),
+            lock: LockSet::new(1),
+        }
+    }
+
+    fn publish<C: ThreadCtx>(&self, ctx: &mut C, best: &SharedU64s, path: &[usize], total: u64) {
+        // Publish under the global-bound lock (paper: atomic lock).
+        // The host mutex guard spans the whole modeled lock..unlock
+        // window, so the simulated `lock_hold` span and the real mutual
+        // exclusion cover the same region.
+        ctx.lock(&self.lock, 0);
+        {
+            let mut tour = self.tour.lock();
+            if total < best.get(ctx, 0) {
+                best.set(ctx, 0, total);
+                *tour = path.to_vec();
+            }
+        }
+        ctx.unlock(&self.lock, 0);
+    }
+
+    fn into_tour(self) -> Vec<usize> {
+        self.tour.into_inner()
+    }
+}
+
+/// The lock-free incumbent: the bound falls by `fetch_min` and the tour
+/// is stored under a seqlock-style version word, so traces contain no
+/// `lock_hold` span at all.
+struct Seqlock {
+    /// Even = stable, odd = a writer is active.
+    version: SharedU64s,
+    /// The tour matching the last published bound (`n` slots).
+    slots: SharedU64s,
+}
+
+impl Incumbent for Seqlock {
+    fn seeded(tour: Vec<usize>) -> Self {
+        let version = SharedU64s::new(1);
+        let slots = SharedU64s::new(tour.len());
+        for (i, &city) in tour.iter().enumerate() {
+            slots.set_plain(i, city as u64);
+        }
+        Seqlock { version, slots }
+    }
+
+    fn publish<C: ThreadCtx>(&self, ctx: &mut C, best: &SharedU64s, path: &[usize], total: u64) {
+        // A plain load screens out tours that cannot improve the bound
+        // (most leaves), so only genuine improvements pay the atomic
+        // min on the bound line. The screen is safe: if `total >= bound`
+        // the `fetch_min` would have been a no-op anyway, and a
+        // concurrent improvement between screen and CAS just makes
+        // `fetch_min` return `old <= total`, suppressing the publish
+        // exactly as it should. Only a strict improvement wins the right
+        // to publish the tour (ties keep the incumbent), so at most one
+        // thread per bound value enters the seqlock.
+        if total >= best.get(ctx, 0) || best.fetch_min(ctx, 0, total) <= total {
+            return;
+        }
+        loop {
+            let v = self.version.get(ctx, 0);
+            if v % 2 == 1 {
+                // A writer is mid-publication; model the retry spin.
+                ctx.compute(1);
+                continue;
+            }
+            if self.version.compare_exchange(ctx, 0, v, v + 1).is_err() {
+                continue;
+            }
+            // We own the seqlock. Only write if our bound is still THE
+            // bound — a concurrent thread may have beaten `total`
+            // between our fetch_min and now, and its tour must win.
+            if best.get(ctx, 0) == total {
+                for (i, &city) in path.iter().enumerate() {
+                    self.slots.set(ctx, i, city as u64);
+                }
+            }
+            self.version.set(ctx, 0, v + 2);
+            return;
+        }
+    }
+
+    /// Workers have joined, so the version is even and the slots hold
+    /// the tour of the final bound.
+    fn into_tour(self) -> Vec<usize> {
+        (0..self.slots.len())
+            .map(|i| self.slots.get_plain(i) as usize)
+            .collect()
+    }
+}
+
+struct Search<'a, 'b, I> {
+    dist: &'a ReadArray<'b, u32>,
+    n: usize,
+    min_out: &'a [u64],
+    best: &'a SharedU64s,
+    incumbent: &'a I,
+}
+
+impl<I: Incumbent> Search<'_, '_, I> {
     fn search<C: ThreadCtx>(
         &self,
         ctx: &mut C,
@@ -62,23 +177,12 @@ impl SearchState<'_, '_> {
         let current = *path.last().expect("path never empty");
         if path.len() == self.n {
             let total = cost + self.dist.get(ctx, current * self.n) as u64;
-            // Publish under the global-bound lock (paper: atomic lock).
-            // The host mutex guard spans the whole modeled
-            // lock..unlock window, so the simulated `lock_hold` span
-            // and the real mutual exclusion cover the same region.
-            ctx.lock(self.bound_lock, 0);
-            {
-                let mut tour = self.best_tour.lock();
-                if total < self.best.get(ctx, 0) {
-                    self.best.set(ctx, 0, total);
-                    *tour = path.clone();
-                }
-            }
-            ctx.unlock(self.bound_lock, 0);
+            self.incumbent.publish(ctx, self.best, path, total);
             return;
         }
-        // Prune against the shared global bound.
-        let bound = lower_bound(ctx, &self.min_out, self.n, cost, visited_mask, current);
+        // Prune against the shared global bound. A stale read only
+        // delays pruning: the bound never rises.
+        let bound = lower_bound(ctx, self.min_out, self.n, cost, visited_mask, current);
         if bound >= self.best.get(ctx, 0) {
             return;
         }
@@ -165,27 +269,58 @@ pub fn greedy_tour(instance: &TspInstance) -> (Vec<usize>, u64) {
 ///
 /// Panics if the instance has fewer than 3 or more than 63 cities.
 pub fn parallel<M: Machine>(machine: &M, instance: &TspInstance) -> AlgoOutcome<TspOutput> {
+    branch_and_bound::<M, Locked>(machine, instance)
+}
+
+/// Parallel branch-and-bound TSP with lock-free bound publication
+/// ([`Ablation::LockfreeBound`](crate::Ablation::LockfreeBound)).
+///
+/// Same static round-robin branches as [`parallel`], but the global
+/// bound is maintained without the paper's atomic lock: threads prune
+/// against plain loads of the bound word, publish improvements with a
+/// single `fetch_min`, and store the winning tour under a seqlock-style
+/// version check. Traces of this variant contain **zero** `lock_hold`
+/// spans. Branch-and-bound prunes depend on bound arrival order, so
+/// simulated *timing* varies with schedule — but the optimal length and
+/// a matching tour are schedule-independent.
+///
+/// # Panics
+///
+/// Panics if the instance has fewer than 3 or more than 63 cities.
+pub fn parallel_lockfree<M: Machine>(
+    machine: &M,
+    instance: &TspInstance,
+) -> AlgoOutcome<TspOutput> {
+    branch_and_bound::<M, Seqlock>(machine, instance)
+}
+
+/// The body both variants share: static round-robin branches, each
+/// searched depth-first against the shared bound, improvements
+/// published through `I`.
+fn branch_and_bound<M: Machine, I: Incumbent>(
+    machine: &M,
+    instance: &TspInstance,
+) -> AlgoOutcome<TspOutput> {
     let n = instance.num_cities();
     assert!((3..=63).contains(&n), "tsp supports 3..=63 cities");
     let dist = ReadArray::new(instance.distance_matrix());
     let best = SharedU64s::new(1);
-    // Seed the bound with the greedy tour (heuristic threshold, §IV-A).
+    // Seed bound and tour with the greedy heuristic (threshold, §IV-A),
+    // so the tour is valid even if no branch improves on it.
     let (seed_tour, seed_len) = greedy_tour(instance);
     best.set_plain(0, seed_len);
-    let best_tour = Mutex::new(seed_tour);
-    let bound_lock = LockSet::new(1);
+    let incumbent = I::seeded(seed_tour);
     let prefixes = branch_prefixes(n);
     let min_out = min_out(instance);
+    let state = Search {
+        dist: &dist,
+        n,
+        min_out: &min_out,
+        best: &best,
+        incumbent: &incumbent,
+    };
 
     let outcome = machine.run(|ctx| {
-        let state = SearchState {
-            dist: &dist,
-            n,
-            min_out: min_out.clone(),
-            best: &best,
-            best_tour: &best_tour,
-            bound_lock: &bound_lock,
-        };
         // Branches designated at static time: round-robin over threads.
         let mut b = ctx.thread_id();
         while b < prefixes.len() {
@@ -211,182 +346,7 @@ pub fn parallel<M: Machine>(machine: &M, instance: &TspInstance) -> AlgoOutcome<
     AlgoOutcome {
         output: TspOutput {
             best_len: best.get_plain(0),
-            tour: best_tour.into_inner(),
-        },
-        report: outcome.report,
-    }
-}
-
-/// Lock-free search state: the bound is published with `fetch_min` and
-/// the tour under a seqlock-style version word — no [`LockSet`] at all,
-/// so traces of this variant contain zero `lock_hold` spans.
-struct LockfreeState<'a, 'b> {
-    dist: &'a ReadArray<'b, u32>,
-    n: usize,
-    min_out: Vec<u64>,
-    /// `best[0]` is the global bound, monotonically lowered via CAS.
-    best: &'a SharedU64s,
-    /// Seqlock version word: even = stable, odd = writer active.
-    tour_version: &'a SharedU64s,
-    /// The tour matching the last published bound (`n` slots).
-    tour_slots: &'a SharedU64s,
-}
-
-impl LockfreeState<'_, '_> {
-    /// Publishes `path` (length `total`) under the seqlock, unless a
-    /// strictly better bound landed in the meantime.
-    fn publish_tour<C: ThreadCtx>(&self, ctx: &mut C, path: &[usize], total: u64) {
-        loop {
-            let v = self.tour_version.get(ctx, 0);
-            if v % 2 == 1 {
-                // A writer is mid-publication; model the retry spin.
-                ctx.compute(1);
-                continue;
-            }
-            if self
-                .tour_version
-                .compare_exchange(ctx, 0, v, v + 1)
-                .is_err()
-            {
-                continue;
-            }
-            // We own the seqlock. Only write if our bound is still THE
-            // bound — a concurrent thread may have beaten `total`
-            // between our fetch_min and now, and its tour must win.
-            if self.best.get(ctx, 0) == total {
-                for (i, &city) in path.iter().enumerate() {
-                    self.tour_slots.set(ctx, i, city as u64);
-                }
-            }
-            self.tour_version.set(ctx, 0, v + 2);
-            return;
-        }
-    }
-
-    fn search<C: ThreadCtx>(
-        &self,
-        ctx: &mut C,
-        path: &mut Vec<usize>,
-        visited_mask: u64,
-        cost: u64,
-    ) {
-        let current = *path.last().expect("path never empty");
-        if path.len() == self.n {
-            let total = cost + self.dist.get(ctx, current * self.n) as u64;
-            // Lock-free publication: a plain load screens out tours that
-            // cannot improve the bound (most leaves), so only genuine
-            // improvements pay the atomic min on the bound line. The
-            // screen is safe: if `total >= bound` the `fetch_min` would
-            // have been a no-op anyway, and a concurrent improvement
-            // between screen and CAS just makes `fetch_min` return
-            // `old <= total`, suppressing the publish exactly as it
-            // should. Only a strict improvement wins the right to
-            // publish the tour (ties keep the incumbent), so at most
-            // one thread per bound value enters the seqlock.
-            if total < self.best.get(ctx, 0) {
-                let old = self.best.fetch_min(ctx, 0, total);
-                if total < old {
-                    self.publish_tour(ctx, path, total);
-                }
-            }
-            return;
-        }
-        // Prune against a plain load of the bound — stale reads only
-        // delay pruning, never break correctness (the bound is
-        // monotone non-increasing).
-        let bound = lower_bound(ctx, &self.min_out, self.n, cost, visited_mask, current);
-        if bound >= self.best.get(ctx, 0) {
-            return;
-        }
-        ctx.record_active((self.n - path.len()) as u64);
-        for next in 1..self.n {
-            if visited_mask & (1 << next) != 0 {
-                continue;
-            }
-            ctx.compute(costs::TOUR_STEP);
-            let step = self.dist.get(ctx, current * self.n + next) as u64;
-            let ncost = cost + step;
-            if ncost >= self.best.get(ctx, 0) {
-                continue;
-            }
-            path.push(next);
-            self.search(ctx, path, visited_mask | (1 << next), ncost);
-            path.pop();
-        }
-    }
-}
-
-/// Parallel branch-and-bound TSP with lock-free bound publication
-/// ([`Ablation::LockfreeBound`](crate::Ablation::LockfreeBound)).
-///
-/// Same static round-robin branches as [`parallel`], but the global
-/// bound is maintained without the paper's atomic lock: threads prune
-/// against plain loads of the bound word, publish improvements with a
-/// single `fetch_min`, and store the winning tour under a seqlock-style
-/// version check. Traces of this variant contain **zero** `lock_hold`
-/// spans. Branch-and-bound prunes depend on bound arrival order, so
-/// simulated *timing* varies with schedule — but the optimal length and
-/// a matching tour are schedule-independent.
-///
-/// # Panics
-///
-/// Panics if the instance has fewer than 3 or more than 63 cities.
-pub fn parallel_lockfree<M: Machine>(
-    machine: &M,
-    instance: &TspInstance,
-) -> AlgoOutcome<TspOutput> {
-    let n = instance.num_cities();
-    assert!((3..=63).contains(&n), "tsp supports 3..=63 cities");
-    let dist = ReadArray::new(instance.distance_matrix());
-    let best = SharedU64s::new(1);
-    let tour_version = SharedU64s::new(1);
-    let tour_slots = SharedU64s::new(n);
-    // Seed bound and tour with the greedy heuristic (§IV-A), so the
-    // slots are valid even if no branch improves on it.
-    let (seed_tour, seed_len) = greedy_tour(instance);
-    best.set_plain(0, seed_len);
-    for (i, &city) in seed_tour.iter().enumerate() {
-        tour_slots.set_plain(i, city as u64);
-    }
-    let prefixes = branch_prefixes(n);
-    let min_out = min_out(instance);
-
-    let outcome = machine.run(|ctx| {
-        let state = LockfreeState {
-            dist: &dist,
-            n,
-            min_out: min_out.clone(),
-            best: &best,
-            tour_version: &tour_version,
-            tour_slots: &tour_slots,
-        };
-        let mut b = ctx.thread_id();
-        while b < prefixes.len() {
-            if ctx.cancelled() {
-                break;
-            }
-            let mut path = prefixes[b].clone();
-            let mut mask = 0u64;
-            let mut cost = 0u64;
-            for w in path.windows(2) {
-                cost += dist.get(ctx, w[0] * n + w[1]) as u64;
-            }
-            for &c in &path {
-                mask |= 1 << c;
-            }
-            ctx.record_active((prefixes.len() - b) as u64);
-            if cost < best.get(ctx, 0) {
-                state.search(ctx, &mut path, mask, cost);
-            }
-            b += ctx.num_threads();
-        }
-    });
-    AlgoOutcome {
-        output: TspOutput {
-            best_len: best.get_plain(0),
-            // Workers have joined, so the seqlock is even and stable;
-            // the slots hold the tour of the final bound.
-            tour: (0..n).map(|i| tour_slots.get_plain(i) as usize).collect(),
+            tour: incumbent.into_tour(),
         },
         report: outcome.report,
     }
