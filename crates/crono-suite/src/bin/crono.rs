@@ -12,7 +12,7 @@ use crono_suite::experiments::{
 };
 use crono_suite::runner::Sweep;
 use crono_suite::serve::Mix;
-use crono_suite::trace::{run_traced_ablated, TraceBackend};
+use crono_suite::trace::{run_traced, TraceBackend};
 use crono_suite::{Scale, Table};
 use crono_trace::{CounterSummary, TraceConfig, TraceDiff};
 use std::collections::BTreeMap;
@@ -393,13 +393,8 @@ fn paper_command(command: &str, a: &Args) -> Result<ExitCode, String> {
         .unwrap_or_else(Scale::small);
     let out = a.path("--out");
     let progress = !a.switch("--quiet");
-    // `ablation` matches backend names exactly; `trace` folds case.
     let backend = a
-        .pick("--backend", "backend", |v| match v {
-            "sim" => Some(TraceBackend::Sim),
-            "native" => Some(TraceBackend::Native),
-            _ => None,
-        })?
+        .pick("--backend", "backend", TraceBackend::by_name)?
         .unwrap_or(TraceBackend::Sim);
     let filter = a.value("--ablation", ablation_by_name)?;
     let mut ckpt = match command {
@@ -600,7 +595,7 @@ fn trace_command(a: &Args) -> Result<ExitCode, String> {
             scale.name
         );
     }
-    let trace = run_traced_ablated(
+    let trace = run_traced(
         bench,
         &scale,
         threads,

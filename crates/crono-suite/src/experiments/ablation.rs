@@ -17,7 +17,7 @@ use std::convert::Infallible;
 
 use crate::checkpoint::{cell, Checkpoint};
 use crate::report::{f2, Table};
-use crate::runner::{run_parallel, run_parallel_ablated};
+use crate::runner::run_parallel;
 use crate::scale::Scale;
 use crate::workload::Workload;
 use crono_algos::{Ablation, Benchmark};
@@ -163,14 +163,12 @@ pub fn generate(
             let Ok(c) = cell(ckpt.as_deref_mut(), &key, label.as_deref(), || {
                 let base = median(
                     (0..reps)
-                        .map(|_| run_parallel(bench, &machine(t), w).completion)
+                        .map(|_| run_parallel(bench, &machine(t), w, None).completion)
                         .collect(),
                 );
                 let opt = median(
                     (0..reps)
-                        .map(|_| {
-                            run_parallel_ablated(bench, &machine(t), w, Some(ablation)).completion
-                        })
+                        .map(|_| run_parallel(bench, &machine(t), w, Some(ablation)).completion)
                         .collect(),
                 );
                 Ok::<_, Infallible>([base, opt])
@@ -221,8 +219,8 @@ pub fn generate(
                 .then(|| format!("[ablation] dirop_bfs/{bench_label} counters: {t} threads"));
             let Ok(c) = cell(ckpt.as_deref_mut(), &key, label.as_deref(), || {
                 let machine = || SimMachine::new(config.clone(), t).deterministic();
-                let base = run_parallel(Benchmark::Bfs, &machine(), &rmat_w);
-                let opt = run_parallel_ablated(
+                let base = run_parallel(Benchmark::Bfs, &machine(), &rmat_w, None);
+                let opt = run_parallel(
                     Benchmark::Bfs,
                     &machine(),
                     &rmat_w,
@@ -324,14 +322,12 @@ pub fn generate_native(
                     let machine = NativeMachine::new(t);
                     let base = fastest(
                         (0..REPS)
-                            .map(|_| run_parallel(bench, &machine, &w).completion)
+                            .map(|_| run_parallel(bench, &machine, &w, None).completion)
                             .collect(),
                     );
                     let opt = fastest(
                         (0..REPS)
-                            .map(|_| {
-                                run_parallel_ablated(bench, &machine, &w, Some(ablation)).completion
-                            })
+                            .map(|_| run_parallel(bench, &machine, &w, Some(ablation)).completion)
                             .collect(),
                     );
                     Ok::<_, Infallible>([base, opt])

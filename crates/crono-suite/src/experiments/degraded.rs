@@ -267,7 +267,7 @@ pub fn heatmap_pair(dc: &DegradedConfig) -> Result<(String, String), String> {
         if let Some(p) = plan {
             machine = machine.fault_plan(p);
         }
-        let report = run_parallel(Benchmark::Bfs, &machine, &w);
+        let report = run_parallel(Benchmark::Bfs, &machine, &w, None);
         let trace = assemble(Benchmark::Bfs, scale.name, TraceBackend::Sim, report);
         Heatmap::from_chrome_json(&trace.to_chrome_json())
             .map(|h| h.to_tsv())

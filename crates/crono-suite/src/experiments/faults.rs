@@ -144,7 +144,7 @@ pub fn generate(
             let Ok(point) = cell(ckpt.as_deref_mut(), &key, label.as_deref(), || {
                 let plan = FaultPlan::scaled(fc.seed, rate);
                 let machine = SimMachine::new(config.clone(), threads).fault_plan(plan);
-                let report = run_parallel(bench, &machine, &w);
+                let report = run_parallel(bench, &machine, &w, None);
                 Ok::<_, Infallible>(Point {
                     completion: report.completion,
                     faults: report.faults,

@@ -8,7 +8,6 @@ use crate::scale::Scale;
 use crate::workload::Workload;
 use crono_algos::Benchmark;
 use crono_graph::gen::tsp_cities;
-use crono_runtime::RunReport;
 use crono_sim::{SimConfig, SimMachine};
 
 /// The CSR benchmarks swept over sparse-graph sizes.
@@ -22,22 +21,30 @@ const CSR_BENCHMARKS: [Benchmark; 7] = [
     Benchmark::Comm,
 ];
 
-fn best_speedup(bench: Benchmark, w: &Workload, scale: &Scale, config: &SimConfig) -> (usize, f64) {
-    let seq: RunReport = run_sequential(bench, &SimMachine::new(config.clone(), 1), w);
+/// `bench`'s best speedup on `w` over its sequential reference, across
+/// `scale`'s probe thread counts that fit on `config` (Fig. 5, Table IV).
+/// A run that completes in zero cycles scores 0, as in
+/// [`crate::runner::Sweep::speedup`].
+pub(crate) fn best_speedup(
+    bench: Benchmark,
+    w: &Workload,
+    scale: &Scale,
+    config: &SimConfig,
+) -> f64 {
+    let seq = run_sequential(bench, &SimMachine::new(config.clone(), 1), w);
     scale
         .probe_thread_counts()
         .iter()
         .filter(|&&t| t <= config.num_cores)
         .map(|&t| {
-            let report = run_parallel(bench, &SimMachine::new(config.clone(), t), w);
-            let speedup = if report.completion == 0 {
+            let report = run_parallel(bench, &SimMachine::new(config.clone(), t), w, None);
+            if report.completion == 0 {
                 0.0
             } else {
                 seq.completion as f64 / report.completion as f64
-            };
-            (t, speedup)
+            }
         })
-        .max_by(|a, b| a.1.total_cmp(&b.1))
+        .max_by(f64::total_cmp)
         .expect("at least one thread count")
 }
 
@@ -55,8 +62,7 @@ pub fn generate(scale: &Scale, config: &SimConfig, progress: bool) -> Vec<Table>
                 eprintln!("[fig5] {bench} @ {v} vertices");
             }
             let w = Workload::with_sparse_size(scale, v);
-            let (_, speedup) = best_speedup(bench, &w, scale, config);
-            row.push(f2(speedup));
+            row.push(f2(best_speedup(bench, &w, scale, config)));
         }
         csr.push_row(row);
     }
@@ -74,8 +80,7 @@ pub fn generate(scale: &Scale, config: &SimConfig, progress: bool) -> Vec<Table>
             }
             let mut w = Workload::synthetic(scale);
             w.matrix = Workload::matrix_input(v, scale.seed);
-            let (_, speedup) = best_speedup(bench, &w, scale, config);
-            row.push(f2(speedup));
+            row.push(f2(best_speedup(bench, &w, scale, config)));
         }
         matrix.push_row(row);
     }
@@ -92,8 +97,7 @@ pub fn generate(scale: &Scale, config: &SimConfig, progress: bool) -> Vec<Table>
         }
         let mut w = Workload::synthetic(scale);
         w.tsp = tsp_cities(c, scale.seed);
-        let (_, speedup) = best_speedup(Benchmark::Tsp, &w, scale, config);
-        row.push(f2(speedup));
+        row.push(f2(best_speedup(Benchmark::Tsp, &w, scale, config)));
     }
     tsp.push_row(row);
 

@@ -2,24 +2,18 @@
 //! the best thread count) and Fig. 8 (speedups over the sequential OOO
 //! core). Run these on a sweep built with `SimConfig::paper_ooo()`.
 
-use crate::report::{f2, pct, Table};
+use super::fig1::{best_speedup_table, breakdown_cells, BREAKDOWN_HEADERS};
+use crate::report::Table;
 use crate::runner::Sweep;
 
 /// Fig. 7: stacked normalized completion-time components at the best
 /// thread count, OOO cores.
 pub fn fig7(sweep: &Sweep) -> Table {
+    let mut headers = vec!["Benchmark", "Threads"];
+    headers.extend(BREAKDOWN_HEADERS);
     let mut t = Table::new(
         "Fig. 7: OOO normalized completion time at best thread count",
-        vec![
-            "Benchmark",
-            "Threads",
-            "Compute%",
-            "L1Cache-L2Home%",
-            "L2Home-Waiting%",
-            "L2Home-Sharers%",
-            "L2Home-OffChip%",
-            "Synchronization%",
-        ],
+        headers,
     );
     for bench in sweep.benchmarks() {
         let Some((threads, _)) = sweep.best(bench) else {
@@ -28,37 +22,14 @@ pub fn fig7(sweep: &Sweep) -> Table {
         let Some(report) = sweep.parallel.get(&(bench, threads)) else {
             continue;
         };
-        let b = report.breakdown();
-        let total = b.total().max(1) as f64;
-        t.push_row(vec![
-            bench.label().to_string(),
-            threads.to_string(),
-            pct(b.compute as f64 / total),
-            pct(b.l1_to_l2home as f64 / total),
-            pct(b.l2home_waiting as f64 / total),
-            pct(b.l2home_sharers as f64 / total),
-            pct(b.l2home_offchip as f64 / total),
-            pct(b.synchronization as f64 / total),
-        ]);
+        let mut row = vec![bench.label().to_string(), threads.to_string()];
+        row.extend(breakdown_cells(report));
+        t.push_row(row);
     }
     t
 }
 
 /// Fig. 8: speedups at the best thread count over a sequential OOO core.
 pub fn fig8(sweep: &Sweep) -> Table {
-    let mut t = Table::new(
-        "Fig. 8: Speedups over sequential OOO core",
-        vec!["Benchmark", "Best threads", "Speedup"],
-    );
-    for bench in sweep.benchmarks() {
-        let Some((threads, speedup)) = sweep.best(bench) else {
-            continue;
-        };
-        t.push_row(vec![
-            bench.label().to_string(),
-            threads.to_string(),
-            f2(speedup),
-        ]);
-    }
-    t
+    best_speedup_table("Fig. 8: Speedups over sequential OOO core", sweep)
 }

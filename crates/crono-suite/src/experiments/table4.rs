@@ -2,13 +2,13 @@
 //! three road networks, and the social network). APSP, BETW_CENT, and
 //! TSP take fixed inputs and are reported as `-`, as in the paper.
 
+use super::fig5::best_speedup;
 use crate::report::{f2, Table};
-use crate::runner::{run_parallel, run_sequential};
 use crate::scale::Scale;
 use crate::workload::Workload;
 use crono_algos::Benchmark;
 use crono_graph::gen::catalog::Dataset;
-use crono_sim::{SimConfig, SimMachine};
+use crono_sim::SimConfig;
 
 /// Benchmarks that consume the CSR dataset inputs.
 const GRAPH_BENCHMARKS: [Benchmark; 7] = [
@@ -48,17 +48,7 @@ pub fn generate(scale: &Scale, config: &SimConfig, progress: bool) -> Table {
                 if progress {
                     eprintln!("[table4] {bench} on {dataset}");
                 }
-                let seq = run_sequential(bench, &SimMachine::new(config.clone(), 1), w);
-                let best = scale
-                    .probe_thread_counts()
-                    .iter()
-                    .filter(|&&t| t <= config.num_cores)
-                    .map(|&t| {
-                        let r = run_parallel(bench, &SimMachine::new(config.clone(), t), w);
-                        seq.completion as f64 / r.completion.max(1) as f64
-                    })
-                    .fold(0.0f64, f64::max);
-                row.push(f2(best));
+                row.push(f2(best_speedup(bench, w, scale, config)));
             }
         } else {
             // APSP / BETW_CENT / TSP: only the synthetic column, as in
@@ -66,18 +56,7 @@ pub fn generate(scale: &Scale, config: &SimConfig, progress: bool) -> Table {
             if progress {
                 eprintln!("[table4] {bench} on Sparse");
             }
-            let w = &workloads[0].1;
-            let seq = run_sequential(bench, &SimMachine::new(config.clone(), 1), w);
-            let best = scale
-                .probe_thread_counts()
-                .iter()
-                .filter(|&&t| t <= config.num_cores)
-                .map(|&t| {
-                    let r = run_parallel(bench, &SimMachine::new(config.clone(), t), w);
-                    seq.completion as f64 / r.completion.max(1) as f64
-                })
-                .fold(0.0f64, f64::max);
-            row.push(f2(best));
+            row.push(f2(best_speedup(bench, &workloads[0].1, scale, config)));
             for _ in 1..Dataset::ALL.len() {
                 row.push("-".to_string());
             }

@@ -14,26 +14,11 @@ use std::collections::HashMap;
 use std::path::{Path, PathBuf};
 
 /// Runs `bench`'s *parallel* version on `machine`, discarding the
-/// algorithmic output.
-pub fn run_parallel<M: Machine>(bench: Benchmark, machine: &M, w: &Workload) -> RunReport {
-    match bench {
-        Benchmark::SsspDijk => sssp::parallel(machine, &w.graph, w.source).report,
-        Benchmark::Apsp => apsp::parallel(machine, &w.matrix).report,
-        Benchmark::BetwCent => betweenness::parallel(machine, &w.matrix).report,
-        Benchmark::Bfs => bfs::parallel(machine, &w.graph, w.source).report,
-        Benchmark::Dfs => dfs::parallel(machine, &w.graph, w.source, None).report,
-        Benchmark::Tsp => tsp::parallel(machine, &w.tsp).report,
-        Benchmark::ConnComp => connected::parallel(machine, &w.graph).report,
-        Benchmark::TriCnt => triangle::parallel(machine, &w.graph).report,
-        Benchmark::PageRank => pagerank::parallel(machine, &w.graph, w.pagerank_iters).report,
-        Benchmark::Comm => community::parallel(machine, &w.graph, w.comm_rounds).report,
-    }
-}
-
-/// As [`run_parallel`], but substituting the optimized kernel variant
-/// when `ablation` applies to `bench`; every other benchmark runs its
-/// paper-faithful default, so ablated sweeps stay comparable.
-pub fn run_parallel_ablated<M: Machine>(
+/// algorithmic output. With an `ablation` that applies to `bench`, its
+/// optimized kernel variant runs in place of the paper-faithful default;
+/// every other benchmark runs its default, so ablated sweeps stay
+/// comparable.
+pub fn run_parallel<M: Machine>(
     bench: Benchmark,
     machine: &M,
     w: &Workload,
@@ -70,7 +55,16 @@ pub fn run_parallel_ablated<M: Machine>(
         (Some(Ablation::AfforestCc), Benchmark::ConnComp) => {
             connected::parallel_afforest(machine, &w.graph).report
         }
-        _ => run_parallel(bench, machine, w),
+        (_, Benchmark::SsspDijk) => sssp::parallel(machine, &w.graph, w.source).report,
+        (_, Benchmark::Apsp) => apsp::parallel(machine, &w.matrix).report,
+        (_, Benchmark::BetwCent) => betweenness::parallel(machine, &w.matrix).report,
+        (_, Benchmark::Bfs) => bfs::parallel(machine, &w.graph, w.source).report,
+        (_, Benchmark::Dfs) => dfs::parallel(machine, &w.graph, w.source, None).report,
+        (_, Benchmark::Tsp) => tsp::parallel(machine, &w.tsp).report,
+        (_, Benchmark::ConnComp) => connected::parallel(machine, &w.graph).report,
+        (_, Benchmark::TriCnt) => triangle::parallel(machine, &w.graph).report,
+        (_, Benchmark::PageRank) => pagerank::parallel(machine, &w.graph, w.pagerank_iters).report,
+        (_, Benchmark::Comm) => community::parallel(machine, &w.graph, w.comm_rounds).report,
     }
 }
 
@@ -139,7 +133,7 @@ impl Sweep {
                     eprintln!("[sweep] {bench}: {threads} threads");
                 }
                 let machine = SimMachine::new(config.clone(), threads);
-                parallel.insert((bench, threads), run_parallel(bench, &machine, &w));
+                parallel.insert((bench, threads), run_parallel(bench, &machine, &w, None));
             }
         }
         Sweep {
@@ -228,6 +222,7 @@ impl Sweep {
                 crate::trace::TraceBackend::Sim,
                 &self.config,
                 trace_config,
+                None,
             );
             let path = dir.join(format!("{}_{threads}t.json", bench.label()));
             std::fs::write(&path, trace.to_chrome_json())?;
@@ -269,7 +264,7 @@ impl NativeSweep {
             for &threads in &scale.native_thread_counts {
                 let machine = NativeMachine::new(threads);
                 let best = (0..repeats.max(1))
-                    .map(|_| run_parallel(bench, &machine, &w))
+                    .map(|_| run_parallel(bench, &machine, &w, None))
                     .min_by_key(|r| r.completion)
                     .expect("at least one repeat");
                 parallel.insert((bench, threads), best);
@@ -300,7 +295,7 @@ mod tests {
         let w = Workload::synthetic(&Scale::test());
         let machine = NativeMachine::new(2);
         for bench in Benchmark::ALL {
-            let report = run_parallel(bench, &machine, &w);
+            let report = run_parallel(bench, &machine, &w, None);
             assert_eq!(report.threads.len(), 2, "{bench}");
         }
     }

@@ -27,12 +27,13 @@
 //!     TraceBackend::Sim,
 //!     &SimConfig::tiny(16),
 //!     &TraceConfig::default(),
+//!     None,
 //! );
 //! assert_eq!(trace.threads.len(), 4);
 //! assert!(trace.span_count(0) > 0, "every thread records bfs:level spans");
 //! ```
 
-use crate::runner::run_parallel_ablated;
+use crate::runner::run_parallel;
 use crate::scale::Scale;
 use crate::workload::Workload;
 use crono_algos::{Ablation, Benchmark};
@@ -77,7 +78,9 @@ impl TraceBackend {
 }
 
 /// Runs `bench` at `threads` threads with tracing enabled and assembles
-/// the result.
+/// the result. With an `ablation` that applies to `bench`, its optimized
+/// kernel variant runs in place of the default (the
+/// `crono trace --ablation` path).
 ///
 /// `sim_config` is only consulted by [`TraceBackend::Sim`].
 ///
@@ -86,32 +89,6 @@ impl TraceBackend {
 /// Panics if `backend` is [`TraceBackend::Sim`] and `threads` exceeds
 /// `sim_config.num_cores`.
 pub fn run_traced(
-    bench: Benchmark,
-    scale: &Scale,
-    threads: usize,
-    backend: TraceBackend,
-    sim_config: &SimConfig,
-    trace_config: &TraceConfig,
-) -> Trace {
-    run_traced_ablated(
-        bench,
-        scale,
-        threads,
-        backend,
-        sim_config,
-        trace_config,
-        None,
-    )
-}
-
-/// As [`run_traced`], but substituting the optimized kernel variant when
-/// `ablation` applies to `bench` (the `crono trace --ablation` path).
-///
-/// # Panics
-///
-/// Panics if `backend` is [`TraceBackend::Sim`] and `threads` exceeds
-/// `sim_config.num_cores`.
-pub fn run_traced_ablated(
     bench: Benchmark,
     scale: &Scale,
     threads: usize,
@@ -129,11 +106,11 @@ pub fn run_traced_ablated(
                 sim_config.num_cores
             );
             let machine = SimMachine::with_tracing(sim_config.clone(), threads, *trace_config);
-            run_parallel_ablated(bench, &machine, &w, ablation)
+            run_parallel(bench, &machine, &w, ablation)
         }
         TraceBackend::Native => {
             let machine = NativeMachine::with_tracing(threads, *trace_config);
-            run_parallel_ablated(bench, &machine, &w, ablation)
+            run_parallel(bench, &machine, &w, ablation)
         }
     };
     assemble(bench, scale.name, backend, report)
@@ -190,6 +167,7 @@ mod tests {
             TraceBackend::Sim,
             &SimConfig::tiny(16),
             &TraceConfig::default(),
+            None,
         );
         assert_eq!(trace.meta.benchmark, "BFS");
         assert_eq!(trace.meta.clock_unit, "cycles");
@@ -213,6 +191,7 @@ mod tests {
             TraceBackend::Native,
             &SimConfig::tiny(16),
             &TraceConfig::default(),
+            None,
         );
         assert_eq!(trace.meta.clock_unit, "ns");
         assert!(trace
@@ -231,6 +210,7 @@ mod tests {
             TraceBackend::Sim,
             &SimConfig::tiny(16),
             &TraceConfig::default(),
+            None,
         );
     }
 }

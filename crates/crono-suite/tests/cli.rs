@@ -423,6 +423,30 @@ fn ablation_resume_requires_out() {
     assert!(String::from_utf8_lossy(&out.stderr).contains("--out"));
 }
 
+/// `crono ablation --backend` parses its value as `crono trace` does, so
+/// the letter case of the backend name does not matter.
+#[test]
+fn ablation_backend_name_ignores_case() {
+    let out = crono()
+        .args([
+            "ablation",
+            "--backend",
+            "Native",
+            "--ablation",
+            "lockfree_bound",
+            "--scale",
+            "test",
+            "--quiet",
+        ])
+        .output()
+        .expect("binary runs");
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+}
+
 #[test]
 fn serve_replays_a_mixed_workload_and_writes_serve_tsv() {
     let dir = std::env::temp_dir().join(format!("crono-serve-cli-{}", std::process::id()));

@@ -33,7 +33,7 @@
 
 use crono_algos::{pagerank, Ablation, Benchmark};
 use crono_sim::{FaultPlan, SimConfig, SimMachine};
-use crono_suite::runner::run_parallel_ablated;
+use crono_suite::runner::run_parallel;
 use crono_suite::trace::{assemble, TraceBackend};
 use crono_suite::{Scale, Workload};
 use crono_trace::TraceConfig;
@@ -110,9 +110,7 @@ fn fingerprint(runs: &[Run], faults: Option<FaultPlan>) -> String {
                 machine = machine.fault_plan(plan);
             }
             let (bench, report) = match run {
-                Suite(bench, ablation) => {
-                    (bench, run_parallel_ablated(bench, &machine, &w, ablation))
-                }
+                Suite(bench, ablation) => (bench, run_parallel(bench, &machine, &w, ablation)),
                 PageRankPull => (
                     Benchmark::PageRank,
                     pagerank::parallel_pull(&machine, &w.graph, w.pagerank_iters).report,

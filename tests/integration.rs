@@ -150,7 +150,7 @@ fn all_ten_benchmarks_run_on_the_simulator() {
     use crono::suite::{runner::run_parallel, Scale, Workload};
     let w = Workload::synthetic(&Scale::test());
     for bench in Benchmark::ALL {
-        let report = run_parallel(bench, &small_sim(4), &w);
+        let report = run_parallel(bench, &small_sim(4), &w, None);
         assert!(report.completion > 0, "{bench} produced no cycles");
         assert_eq!(report.threads.len(), 4, "{bench}");
         assert!(report.misses.l1d_accesses > 0, "{bench} touched no memory");
