@@ -127,12 +127,14 @@ pub trait ThreadCtx {
 
     /// Convenience: lock striping. Maps an arbitrary index (e.g. a vertex
     /// id) onto a lock of `set`.
+    #[inline]
     fn lock_for(&mut self, set: &LockSet, key: usize) {
         self.lock(set, key % set.len());
     }
 
     /// Convenience: releases the stripe lock taken by
     /// [`ThreadCtx::lock_for`].
+    #[inline]
     fn unlock_for(&mut self, set: &LockSet, key: usize) {
         self.unlock(set, key % set.len());
     }

@@ -12,10 +12,12 @@ pub(crate) struct SpinLock {
 
 impl SpinLock {
     /// Acquires the lock only if it is free right now; never spins.
+    #[inline]
     pub(crate) fn try_acquire(&self) -> bool {
         !self.held.swap(true, Ordering::Acquire)
     }
 
+    #[inline]
     pub(crate) fn release(&self) {
         self.held.store(false, Ordering::Release);
     }
@@ -89,10 +91,21 @@ impl LockSet {
     /// without the lock is safe. Backends call this; benchmark code
     /// should go through [`crate::ThreadCtx::lock`] so timing is modeled
     /// too.
+    #[inline]
     pub fn acquire_or_drain(&self, idx: usize, gate: &RunGate) -> bool {
         if self.try_acquire_raw(idx) {
             return false;
         }
+        self.spin_or_drain(idx, gate);
+        true
+    }
+
+    /// The contended half of [`LockSet::acquire_or_drain`], kept out of
+    /// line so the uncontended try stays small enough to inline into
+    /// per-edge loops.
+    #[cold]
+    #[inline(never)]
+    fn spin_or_drain(&self, idx: usize, gate: &RunGate) {
         let mut spins = 0u32;
         while !gate.is_cancelled() {
             spins = spins.wrapping_add(1);
@@ -105,19 +118,20 @@ impl LockSet {
                 break;
             }
         }
-        true
     }
 
     /// Acquires the underlying spinlock only if it is free right now
     /// (never blocks), returning whether the acquisition succeeded.
     /// Deterministic backends use this to yield their scheduling turn
     /// instead of spinning while a parked thread holds the lock.
+    #[inline]
     pub fn try_acquire_raw(&self, idx: usize) -> bool {
         self.locks[idx].try_acquire()
     }
 
     /// Releases the underlying spinlock. Calling without holding the lock
     /// is a logic error.
+    #[inline]
     pub fn release_raw(&self, idx: usize) {
         self.locks[idx].release();
     }
