@@ -22,9 +22,12 @@
 //!   cache are grouped up to [`bfs::MULTI_WIDTH`] per sweep and answered
 //!   by `bfs::run_multi`, which shares one frontier walk across the
 //!   group (the MS-BFS trick: one bit lane per source). Deadline-free
-//!   SSSP misses batch the same way into `sssp::run_multi_delta`: one
-//!   delta-stepping bucket walk with a distance lane per source, sharing
-//!   the adjacency traffic the way the BFS sweep shares its frontier.
+//!   SSSP misses batch into `sssp::run_multi_delta`: delta-stepping
+//!   bucket walks with a distance lane per source, sharing the adjacency
+//!   traffic the way the BFS sweep shares its frontier. A batch's SSSP
+//!   misses are cut into sweeps of at least 8 lanes, so a batch of 16 or
+//!   more keeps two cores busy, and every sweep walks the light and
+//!   heavy halves of the graph split once per epoch.
 //! * **On-pool snapshots.** The PageRank and centrality snapshots the
 //!   point-reads consume are built by parallel kernels on the engine's
 //!   machine (`pagerank::parallel_pull`, `betweenness::parallel_pipelined`)
@@ -278,7 +281,10 @@ pub struct EngineOptions {
     pub cache_capacity: usize,
     /// Most sources per multi-source SSSP sweep (clamped to
     /// [`sssp::MULTI_WIDTH`]); 1 disables batching and answers every
-    /// SSSP miss with an independent sequential Dijkstra.
+    /// SSSP miss with an independent sequential Dijkstra. A batch's
+    /// deadline-free SSSP misses are cut into near-equal sweeps, as few
+    /// as this width allows but none narrower than 8 lanes unless the
+    /// batch itself is.
     pub ms_sssp_width: usize,
     /// Iterations for the shared PageRank snapshot.
     pub pagerank_iters: u32,
@@ -359,7 +365,35 @@ type CacheKey = (QueryKind, VertexId, u64);
 enum Plan {
     Single(usize),
     MultiBfs(Vec<usize>),
+    /// One `sssp::run_multi_delta` sweep over the epoch's light/heavy
+    /// split: a contiguous run of the batch's deadline-free SSSP misses,
+    /// cut by `sssp_sweeps`.
     MultiSssp(Vec<usize>),
+}
+
+/// Fewest lanes `sssp_sweeps` cuts a batch's SSSP misses down to. An
+/// 8-lane sweep over the light/heavy split charges per query about what
+/// a 14-lane sweep over the whole graph did (EXPERIMENTS.md "Serving
+/// throughput", width table), so a batch of 16 or more misses gives
+/// each core a sweep at little modeled cost.
+const MIN_SWEEP_LANES: usize = 8;
+
+/// Cuts the batch's deadline-free SSSP misses, in admission order, into
+/// `max(⌈k / width⌉, ⌊k / MIN_SWEEP_LANES⌋)` contiguous sweeps whose
+/// sizes differ by at most one, larger first. The cut depends only on
+/// the batch, never on the thread count, so modeled costs stay
+/// deterministic.
+fn sssp_sweeps(misses: &[usize], width: usize) -> Vec<&[usize]> {
+    let k = misses.len();
+    let count = k.div_ceil(width).max(k / MIN_SWEEP_LANES);
+    let mut rest = misses;
+    (0..count)
+        .map(|i| {
+            let (sweep, tail) = rest.split_at(k / count + usize::from(i < k % count));
+            rest = tail;
+            sweep
+        })
+        .collect()
 }
 
 /// One deduplicated unit of work and the batch slots awaiting it.
@@ -408,9 +442,10 @@ pub struct ServeEngine<M: Machine> {
     cache_stamp: u64,
     ranks: Option<Vec<f64>>,
     centrality: Option<Vec<u64>>,
-    /// Delta-stepping bucket width for the current epoch, computed on
-    /// first use (it is a pure function of the installed graph).
-    delta: Option<u32>,
+    /// The current epoch's delta-stepping set-up (bucket width and
+    /// light/heavy halves), built on the first SSSP sweep (it is a pure
+    /// function of the installed graph).
+    split: Option<sssp::DeltaSplit>,
     opts: EngineOptions,
     stats: EngineStats,
     batch_counter: u64,
@@ -429,7 +464,7 @@ impl<M: Machine> ServeEngine<M> {
             cache_stamp: 0,
             ranks: None,
             centrality: None,
-            delta: None,
+            split: None,
             opts,
             stats: EngineStats::default(),
             batch_counter: 0,
@@ -471,7 +506,7 @@ impl<M: Machine> ServeEngine<M> {
         self.cache_order.clear();
         self.ranks = None;
         self.centrality = None;
-        self.delta = None;
+        self.split = None;
     }
 
     /// Admits one query, subject to the bounded-queue admission control.
@@ -725,12 +760,12 @@ impl<M: Machine> ServeEngine<M> {
         let sssp_batchable: Vec<usize> = (0..misses.len())
             .filter(|&i| misses[i].kind == QueryKind::Sssp && misses[i].deadline.is_none())
             .collect();
-        for chunk in sssp_batchable.chunks(sssp_width) {
-            chunk.iter().for_each(|&i| grouped[i] = true);
-            if chunk.len() == 1 {
-                plans.push(Plan::Single(chunk[0]));
+        for sweep in sssp_sweeps(&sssp_batchable, sssp_width) {
+            sweep.iter().for_each(|&i| grouped[i] = true);
+            if sweep.len() == 1 {
+                plans.push(Plan::Single(sweep[0]));
             } else {
-                plans.push(Plan::MultiSssp(chunk.to_vec()));
+                plans.push(Plan::MultiSssp(sweep.to_vec()));
             }
         }
         for (i, &done) in grouped.iter().enumerate() {
@@ -738,12 +773,12 @@ impl<M: Machine> ServeEngine<M> {
                 plans.push(Plan::Single(i));
             }
         }
-        // The sweep's bucket width is a pure per-epoch function of the
-        // graph; compute it once, on first use.
-        if plans.iter().any(|p| matches!(p, Plan::MultiSssp(_))) && self.delta.is_none() {
-            self.delta = Some(sssp::pick_delta(&self.graph));
+        // The sweeps' light/heavy split is a pure per-epoch function of
+        // the graph; build it once, on first use.
+        let sweeps = plans.iter().any(|p| matches!(p, Plan::MultiSssp(_)));
+        if sweeps && self.split.is_none() {
+            self.split = Some(sssp::DeltaSplit::new(&self.graph));
         }
-        let delta = self.delta.unwrap_or(1);
 
         let mut error = None;
         if !plans.is_empty() {
@@ -758,6 +793,13 @@ impl<M: Machine> ServeEngine<M> {
             }
             self.batch_counter += 1;
             let view = SharedGraph::new(&self.graph);
+            // Built here, on the calling thread, so the sim backend
+            // allocates their regions in a fixed order.
+            let split = self.split.as_ref().filter(|_| sweeps).map(|s| SplitViews {
+                light: SharedGraph::new(s.light()),
+                heavy: SharedGraph::new(s.heavy()),
+                delta: s.delta(),
+            });
             let ranks = self.ranks.as_deref();
             let centrality = self.centrality.as_deref();
             let pr_iters = self.opts.pagerank_iters;
@@ -777,10 +819,10 @@ impl<M: Machine> ServeEngine<M> {
                             &plans_ref[t as usize],
                             misses_ref,
                             &view,
+                            split.as_ref(),
                             ranks,
                             centrality,
                             pr_iters,
-                            delta,
                             &mut done,
                         );
                     }
@@ -859,6 +901,13 @@ impl<M: Machine> ServeEngine<M> {
     }
 }
 
+/// Tracked views of the epoch's [`sssp::DeltaSplit`] for one batch.
+struct SplitViews<'a> {
+    light: SharedGraph<'a>,
+    heavy: SharedGraph<'a>,
+    delta: u32,
+}
+
 /// Executes one plan on the worker's context, appending `(miss index,
 /// outcome)` pairs to `done`. Costs are the context's instruction delta
 /// around the kernel — deterministic for a fixed query and graph, no
@@ -869,10 +918,10 @@ fn exec_plan<C: ThreadCtx>(
     plan: &Plan,
     misses: &[Miss],
     view: &SharedGraph<'_>,
+    split: Option<&SplitViews<'_>>,
     ranks: Option<&[f64]>,
     centrality: Option<&[u64]>,
     pr_iters: u32,
-    delta: u32,
     done: &mut Vec<(usize, MissOut)>,
 ) {
     match plan {
@@ -892,8 +941,9 @@ fn exec_plan<C: ThreadCtx>(
         }
         Plan::MultiSssp(group) => {
             let sources: Vec<VertexId> = group.iter().map(|&i| misses[i].vertex).collect();
+            let s = split.expect("split views are built for every SSSP sweep");
             let start = ctx.cycles();
-            let dists = sssp::run_multi_delta(ctx, view, &sources, delta);
+            let dists = sssp::run_multi_delta(ctx, &s.light, &s.heavy, &sources, s.delta);
             let total = ctx.cycles() - start;
             let share = total / sources.len() as u64;
             for (lane, &miss_idx) in group.iter().enumerate() {
@@ -1100,13 +1150,13 @@ mod tests {
         engine.run_batch()
     }
 
-    /// Batched answers on both backends equal independent per-query runs.
-    fn assert_batched_matches_independent(kind: QueryKind) {
-        let sources = [0u32, 7, 19, 42, 99, 150, 200, 255];
+    /// Batched answers on both backends equal independent per-query runs,
+    /// and every query rides a sweep `width` lanes wide.
+    fn assert_batched_matches_independent(kind: QueryKind, sources: &[VertexId], width: usize) {
         let graph = uniform_random(256, 1024, 8, 42);
-        let native = one_batch(NativeMachine::new(4), &graph, kind, &sources);
+        let native = one_batch(NativeMachine::new(4), &graph, kind, sources);
         let sim_machine = SimMachine::new(SimConfig::tiny(16), 4).deterministic();
-        let sim = one_batch(sim_machine, &graph, kind, &sources);
+        let sim = one_batch(sim_machine, &graph, kind, sources);
 
         // Reference engine: width 1 and one query per batch, so every
         // run is a plain sequential kernel.
@@ -1132,7 +1182,7 @@ mod tests {
                     panic!("{backend} batched {kind} failed");
                 };
                 assert_eq!(bat_r.answer, ref_r.answer, "{backend}, source {s}");
-                assert_eq!(bat_r.batched, sources.len(), "{backend}");
+                assert_eq!(bat_r.batched, width, "{backend}");
                 // Simulated costs are cycles, and there batching can
                 // cost more than it saves.
                 if backend == "native" {
@@ -1149,7 +1199,8 @@ mod tests {
 
     #[test]
     fn batched_multi_source_bfs_matches_independent_queries() {
-        assert_batched_matches_independent(QueryKind::Bfs);
+        let sources = [0, 7, 19, 42, 99, 150, 200, 255];
+        assert_batched_matches_independent(QueryKind::Bfs, &sources, sources.len());
     }
 
     #[test]
@@ -1329,7 +1380,32 @@ mod tests {
 
     #[test]
     fn batched_multi_source_sssp_matches_independent_queries() {
-        assert_batched_matches_independent(QueryKind::Sssp);
+        // Twenty misses ride two 10-lane sweeps.
+        let sources: Vec<VertexId> = (0..20).map(|i| i * 13).collect();
+        assert_batched_matches_independent(QueryKind::Sssp, &sources, 10);
+    }
+
+    #[test]
+    fn sssp_misses_split_into_near_equal_sweeps_of_at_least_eight_lanes() {
+        let graph = uniform_random(256, 1024, 8, 42);
+        let cases: [(u32, &[usize]); 5] = [
+            (7, &[7]),
+            (15, &[15]),
+            (16, &[8, 8]),
+            (19, &[10, 9]),
+            (33, &[9, 8, 8, 8]),
+        ];
+        for (k, sweeps) in cases {
+            let sources: Vec<VertexId> = (0..k).map(|i| i * 7).collect();
+            let batch = one_batch(NativeMachine::new(2), &graph, QueryKind::Sssp, &sources);
+            let widths: Vec<usize> = batch
+                .outcomes
+                .iter()
+                .map(|(_, o)| o.as_ref().expect("ok").batched)
+                .collect();
+            let expect: Vec<usize> = sweeps.iter().flat_map(|&w| vec![w; w]).collect();
+            assert_eq!(widths, expect, "{k} misses");
+        }
     }
 
     #[test]
@@ -1406,12 +1482,15 @@ mod tests {
 
     #[test]
     fn costs_are_deterministic_across_engines_and_thread_counts() {
+        // Twenty misses: two sweeps, which one core or two may run.
         let run = |threads: usize| -> Vec<u64> {
             let graph = uniform_random(256, 1024, 8, 42);
             let mut engine =
                 ServeEngine::new(NativeMachine::new(threads), graph, EngineOptions::default());
-            for v in [3u32, 50, 100, 200] {
-                engine.submit(Query::new(QueryKind::Sssp, v)).unwrap();
+            for v in 0..20 {
+                engine
+                    .submit(Query::new(QueryKind::Sssp, v * 12 + 3))
+                    .unwrap();
             }
             engine
                 .run_batch()
@@ -1421,7 +1500,8 @@ mod tests {
                 .collect()
         };
         let one = run(1);
-        assert_eq!(one, run(4), "modeled costs are schedule-independent");
+        assert_eq!(one, run(2), "modeled costs are schedule-independent");
+        assert_eq!(one, run(4));
         assert_eq!(one, run(8));
     }
 }
