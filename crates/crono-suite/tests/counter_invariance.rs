@@ -11,7 +11,10 @@
 //!   `frontier_repr` variants of BFS and SSSP_DIJK, the three kernels
 //!   that read in-edges (`dirop_bfs`, `afforest_cc`, `delta_sssp`), the
 //!   `pagerank_update` variant of PageRank, and pull PageRank (the
-//!   serving engine's snapshot kernel, which no ablation reaches);
+//!   serving engine's snapshot kernel, which no ablation reaches), all
+//!   at 1, 4 and 16 threads; then BFS, PageRank and SSSP_DIJK at 2
+//!   threads, the only pinned runs that fit a 2-core host, where the
+//!   sequencer spins for the run token instead of parking;
 //! - `tests/golden_counters_taskpar.txt`: the task-parallel defaults
 //!   (APSP, BETW_CENT, TSP, DFS), which the opt-in work-stealing
 //!   variants must leave bit-identical, then those variants themselves
@@ -59,6 +62,12 @@ use Run::{PageRankPull, Suite};
 
 /// The exact configuration the golden files were captured under.
 const THREAD_COUNTS: [usize; 3] = [1, 4, 16];
+/// Runs pinned at two threads, after every `RUNS` block.
+const TWO_THREAD_RUNS: [Run; 3] = [
+    Suite(Benchmark::Bfs, None),
+    Suite(Benchmark::PageRank, None),
+    Suite(Benchmark::SsspDijk, None),
+];
 const RUNS: [Run; 10] = [
     Suite(Benchmark::Bfs, None),
     Suite(Benchmark::PageRank, None),
@@ -91,19 +100,20 @@ fn header(run: Run, threads: usize) -> String {
     }
 }
 
-/// Runs each of `runs` at 1/4/16 traced threads on the fixed seeded
-/// `test`-scale inputs and renders every simulated counter as text.
+/// Runs each of `runs` at each of `thread_counts` traced threads on the
+/// fixed seeded `test`-scale inputs and renders every simulated counter
+/// as text.
 /// Deterministic only on a thread that has allocated no region before.
 ///
 /// With `faults`, the same runs execute with that [`FaultPlan`]
 /// attached — an all-zero-rate plan must leave every counter
 /// bit-identical (the zero-fault path is required to be timing-free).
-fn fingerprint(runs: &[Run], faults: Option<FaultPlan>) -> String {
+fn fingerprint(runs: &[Run], thread_counts: &[usize], faults: Option<FaultPlan>) -> String {
     let scale = Scale::test();
     let w = Workload::synthetic(&scale);
     let mut out = String::new();
     for &run in runs {
-        for threads in THREAD_COUNTS {
+        for &threads in thread_counts {
             let mut machine =
                 SimMachine::with_tracing(SimConfig::tiny(16), threads, TraceConfig::default());
             if let Some(plan) = faults {
@@ -154,6 +164,12 @@ fn fingerprint(runs: &[Run], faults: Option<FaultPlan>) -> String {
     out
 }
 
+/// The `golden_counters.txt` fingerprint: `RUNS` at 1/4/16 threads,
+/// then `TWO_THREAD_RUNS` at 2.
+fn golden_fingerprint(faults: Option<FaultPlan>) -> String {
+    fingerprint(&RUNS, &THREAD_COUNTS, faults) + &fingerprint(&TWO_THREAD_RUNS, &[2], faults)
+}
+
 /// Compares `got` to `golden`, or rewrites `path` when
 /// `CRONO_GOLDEN_UPDATE` is set.
 fn check_or_update(got: &str, golden: &str, path: &str, what: &str) {
@@ -173,7 +189,7 @@ fn check_or_update(got: &str, golden: &str, path: &str, what: &str) {
 #[test]
 fn golden_counters_are_invariant() {
     check_or_update(
-        &fingerprint(&RUNS, None),
+        &golden_fingerprint(None),
         GOLDEN,
         GOLDEN_PATH,
         "BFS/PageRank/SSSP_DIJK/CONN_COMP",
@@ -186,7 +202,7 @@ fn golden_counters_are_invariant() {
 #[test]
 fn task_parallel_defaults_are_invariant() {
     check_or_update(
-        &fingerprint(&TASKPAR_RUNS, None),
+        &fingerprint(&TASKPAR_RUNS, &THREAD_COUNTS, None),
         TASKPAR_GOLDEN,
         TASKPAR_GOLDEN_PATH,
         "the APSP/BETW_CENT/TSP/DFS kernels and their variants",
@@ -200,7 +216,7 @@ fn task_parallel_defaults_are_invariant() {
 #[test]
 fn zero_fault_plan_reproduces_golden() {
     assert_eq!(
-        fingerprint(&RUNS, Some(FaultPlan::zero(42))),
+        golden_fingerprint(Some(FaultPlan::zero(42))),
         GOLDEN,
         "a zero-rate FaultPlan perturbed the simulated counters; the \
          zero-fault path must be timing-invariant"
@@ -221,7 +237,7 @@ fn zero_permanent_fault_plan_reproduces_golden() {
         .with_dead_core(4, u64::MAX)
         .with_dead_dram_ctrl(3, u64::MAX);
     assert_eq!(
-        fingerprint(&RUNS, Some(armed_never)),
+        golden_fingerprint(Some(armed_never)),
         GOLDEN,
         "an armed-but-never-active permanent fault perturbed the \
          simulated counters; permanent faults must be timing-invisible \
