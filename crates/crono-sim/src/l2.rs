@@ -98,12 +98,13 @@ impl L2Slice {
     /// what happened (miss, evictions). The caller handles all timing.
     pub fn prepare(&mut self, line: u64) -> HomeLine<'_> {
         self.accesses += 1;
-        let mut was_miss = false;
         let mut victim = None;
-        if self.cache.peek(line).is_none() {
-            was_miss = true;
+        let max_pointers = self.max_pointers;
+        let (entry, was_miss, evicted) = self
+            .cache
+            .lookup_or_insert(line, || DirEntry::new(max_pointers));
+        if was_miss {
             self.misses += 1;
-            let evicted = self.cache.insert(line, DirEntry::new(self.max_pointers));
             if let Some((vline, ventry)) = evicted {
                 // Inclusive hierarchy: evicting an L2 line evicts every L1
                 // copy. Collect targets for the machine to notify.
@@ -137,7 +138,6 @@ impl L2Slice {
                 });
             }
         }
-        let entry = self.cache.lookup(line).expect("line resident after insert");
         HomeLine {
             entry,
             was_miss,

@@ -61,6 +61,139 @@ fn cache_lookup_after_insert_hits_until_eviction() {
     }
 }
 
+/// The set-associative cache as it was first written, one `Vec` per set:
+/// the oracle the flat-array `SetAssocCache` must match call for call.
+struct VecOfSetsCache<T> {
+    sets: Vec<Vec<(u64, u64, T)>>,
+    associativity: usize,
+    tick: u64,
+}
+
+impl<T> VecOfSetsCache<T> {
+    fn new(num_sets: usize, associativity: usize) -> Self {
+        VecOfSetsCache {
+            sets: (0..num_sets)
+                .map(|_| Vec::with_capacity(associativity))
+                .collect(),
+            associativity,
+            tick: 0,
+        }
+    }
+
+    fn set(&mut self, line: u64) -> &mut Vec<(u64, u64, T)> {
+        let idx = (line % self.sets.len() as u64) as usize;
+        &mut self.sets[idx]
+    }
+
+    fn lookup(&mut self, line: u64) -> Option<&mut T> {
+        self.tick += 1;
+        let tick = self.tick;
+        self.set(line).iter_mut().find(|e| e.0 == line).map(|e| {
+            e.1 = tick;
+            &mut e.2
+        })
+    }
+
+    fn peek(&self, line: u64) -> Option<&T> {
+        let set = &self.sets[(line % self.sets.len() as u64) as usize];
+        set.iter().find(|e| e.0 == line).map(|e| &e.2)
+    }
+
+    fn insert(&mut self, line: u64, payload: T) -> Option<(u64, T)> {
+        self.tick += 1;
+        let (tick, ways) = (self.tick, self.associativity);
+        let set = self.set(line);
+        let evicted = if set.len() == ways {
+            let victim = set
+                .iter()
+                .enumerate()
+                .min_by_key(|(_, e)| e.1)
+                .map(|(i, _)| i)
+                .unwrap();
+            let e = set.swap_remove(victim);
+            Some((e.0, e.2))
+        } else {
+            None
+        };
+        set.push((line, tick, payload));
+        evicted
+    }
+
+    fn remove(&mut self, line: u64) -> Option<T> {
+        let set = self.set(line);
+        set.iter()
+            .position(|e| e.0 == line)
+            .map(|i| set.swap_remove(i).2)
+    }
+
+    fn iter(&self) -> impl Iterator<Item = (u64, &T)> {
+        self.sets.iter().flat_map(|s| s.iter().map(|e| (e.0, &e.2)))
+    }
+}
+
+#[test]
+fn cache_matches_the_vec_of_sets_oracle() {
+    for sets in 1..=7usize {
+        for ways in 1..=8usize {
+            let mut rng = SmallRng::seed_from_u64(0xC500 + (sets * 8 + ways) as u64);
+            let mut cache = SetAssocCache::new(sets, ways);
+            let mut oracle = VecOfSetsCache::new(sets, ways);
+            // Three lines per slot: hits, conflicts and evictions mix.
+            let lines = 3 * (sets * ways) as u64;
+            for step in 0..600u64 {
+                let line = rng.random_range(0..lines);
+                let payload = step * 1000 + line;
+                let op = rng.random_range(0..5u32);
+                let at = format!("{sets}x{ways} step {step} op {op} line {line}");
+                match op {
+                    0 => {
+                        let got = cache.lookup(line).map(|p| {
+                            *p += 1;
+                            *p
+                        });
+                        let want = oracle.lookup(line).map(|p| {
+                            *p += 1;
+                            *p
+                        });
+                        assert_eq!(got, want, "lookup, {at}");
+                    }
+                    1 => assert_eq!(cache.peek(line), oracle.peek(line), "peek, {at}"),
+                    2 => {
+                        // `insert` requires a line that is not resident.
+                        if oracle.peek(line).is_none() {
+                            let got = cache.insert(line, payload);
+                            assert_eq!(got, oracle.insert(line, payload), "insert, {at}");
+                        }
+                    }
+                    3 => assert_eq!(cache.remove(line), oracle.remove(line), "remove, {at}"),
+                    _ => {
+                        // The one-scan path against peek, insert, lookup.
+                        let (got, missed, evicted) = cache.lookup_or_insert(line, || payload);
+                        let got = *got;
+                        let want_missed = oracle.peek(line).is_none();
+                        let want_evicted = if want_missed {
+                            oracle.insert(line, payload)
+                        } else {
+                            None
+                        };
+                        let want = *oracle.lookup(line).unwrap();
+                        assert_eq!(
+                            (got, missed, evicted),
+                            (want, want_missed, want_evicted),
+                            "lookup_or_insert, {at}"
+                        );
+                    }
+                }
+                assert_eq!(cache.len(), oracle.iter().count(), "len, {at}");
+                assert!(
+                    cache.iter().eq(oracle.iter()),
+                    "resident lines or their order, {at}"
+                );
+            }
+        }
+    }
+}
+
 #[test]
 fn sharer_count_is_consistent() {
     for case in 0..CASES {
