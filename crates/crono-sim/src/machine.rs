@@ -308,6 +308,18 @@ struct MissTiming {
 #[derive(Debug)]
 pub struct SimCtx {
     shared: Arc<SimShared>,
+    /// Everything this thread owns. It is a field of its own so that its
+    /// methods can take the shared state as a plain borrow: the miss path
+    /// holds a home slice's lock while it routes and counts, and needs no
+    /// `Arc` clone (two atomic updates of a count every thread shares)
+    /// to do so.
+    t: ThreadState,
+}
+
+/// One simulated thread's private state: its core, clock, L1, miss
+/// window, counters and tracer.
+#[derive(Debug)]
+struct ThreadState {
     tid: usize,
     core: usize,
     clock: u64,
@@ -360,8 +372,7 @@ impl SimCtx {
         let l1 = L1Cache::new(&shared.config);
         let mlp = shared.config.core.max_outstanding_misses();
         let store_buffer = shared.config.core.has_store_buffer();
-        SimCtx {
-            shared,
+        let t = ThreadState {
             tid,
             core,
             clock: 0,
@@ -385,33 +396,43 @@ impl SimCtx {
             fault_counters: FaultCounters::default(),
             last_stall_window: None,
             dying: false,
-        }
-    }
-
-    /// Waits for this thread's deterministic turn before a hook touches
-    /// shared simulator state. A no-op in lax (untraced) mode.
-    #[inline]
-    fn sync_turn(&self) {
-        if let Some(seq) = &self.shared.seq {
-            seq.turn(self.tid, self.clock);
-        }
+        };
+        SimCtx { shared, t }
     }
 
     /// The simulated cycle clock of this thread.
     pub fn clock(&self) -> u64 {
-        self.clock
+        self.t.clock
     }
 
     /// The mesh core this thread is pinned to.
     pub fn core(&self) -> usize {
-        self.core
+        self.t.core
     }
 
-    fn finish(mut self) -> (ThreadReport, MissStats, EnergyCounters, FaultCounters) {
+    fn finish(self) -> (ThreadReport, MissStats, EnergyCounters, FaultCounters) {
+        self.t.finish(&self.shared)
+    }
+}
+
+impl ThreadState {
+    /// Waits for this thread's deterministic turn before a hook touches
+    /// shared simulator state. A no-op in lax (untraced) mode.
+    #[inline]
+    fn sync_turn(&self, shared: &SimShared) {
+        if let Some(seq) = &shared.seq {
+            seq.turn(self.tid, self.clock);
+        }
+    }
+
+    fn finish(
+        mut self,
+        shared: &SimShared,
+    ) -> (ThreadReport, MissStats, EnergyCounters, FaultCounters) {
         self.drain_window();
         // Leave the deterministic rotation first: threads finishing at
         // different simulated times must not stall the still-running ones.
-        if let Some(seq) = &self.shared.seq {
+        if let Some(seq) = &shared.seq {
             seq.done(self.tid);
         }
         self.energy.l1i_accesses = self.instructions;
@@ -434,18 +455,15 @@ impl SimCtx {
     /// private flag, no `Arc` traffic, and a reusable broadcast buffer
     /// instead of a fresh `Vec` (all purely host-side — delivery points
     /// are unchanged, as the golden counter-invariance test enforces).
-    fn drain_coherence(&mut self) {
-        if !self.shared.inboxes.take_notified(self.core) {
+    fn drain_coherence(&mut self, shared: &SimShared) {
+        if !shared.inboxes.take_notified(self.core) {
             return;
         }
-        // `drain` returns the queue by value, so the `self.shared`
-        // borrow ends before `apply_msg` needs `&mut self`.
-        for msg in self.shared.inboxes.drain(self.core) {
+        for msg in shared.inboxes.drain(self.core) {
             self.apply_msg(msg);
         }
         let mut lines = std::mem::take(&mut self.bcast_scratch);
-        self.broadcast_cursor = self
-            .shared
+        self.broadcast_cursor = shared
             .inboxes
             .drain_broadcasts(self.broadcast_cursor, |l| lines.push(l));
         for line in lines.drain(..) {
@@ -468,18 +486,18 @@ impl SimCtx {
     // ------------------------------------------------------------------
     // The memory-access state machine.
 
-    fn mem_op(&mut self, addr: Addr, write: bool, serialize: bool) {
+    fn mem_op(&mut self, shared: &SimShared, addr: Addr, write: bool, serialize: bool) {
         // Stall faults land before the clock is published to the
         // sequencer, so the stalled clock orders the turn-taking.
         self.apply_core_stall();
         self.note_core_death();
         // Inboxes, home slices, the mesh, and DRAM are shared: traced
         // runs serialize here in deterministic `(clock, tid)` order.
-        self.sync_turn();
+        self.sync_turn(shared);
         self.instructions += 1;
         self.misses.l1d_accesses += 1;
-        self.drain_coherence();
-        let l1_lat = self.shared.config.l1d.latency;
+        self.drain_coherence(shared);
+        let l1_lat = shared.config.l1d.latency;
         self.clock += l1_lat;
         self.breakdown.compute += l1_lat;
         let line = addr.line();
@@ -514,8 +532,8 @@ impl SimCtx {
         // served remotely at the home — word-granularity reply, no L1
         // allocation — so low-locality lines never thrash the L1 or join
         // the sharer set. Reuse (any later touch) allocates normally.
-        let remote = self.shared.config.locality_aware && !upgrade && class == MissClass::Cold;
-        let timing = self.transaction(line, write, upgrade, !remote);
+        let remote = shared.config.locality_aware && !upgrade && class == MissClass::Cold;
+        let timing = self.transaction(shared, line, write, upgrade, !remote);
         if upgrade {
             self.l1.promote(line);
         } else if remote {
@@ -530,7 +548,7 @@ impl SimCtx {
             };
             if let Some((vline, vstate)) = self.l1.fill(line, state) {
                 if vstate == L1State::Modified {
-                    self.writeback_victim(vline);
+                    self.writeback_victim(shared, vline);
                 }
             }
         }
@@ -593,13 +611,20 @@ impl SimCtx {
     /// fault plan declares a transient link fault on this traversal, the
     /// message is retransmitted — the retry departs when the corrupted
     /// copy would have arrived, doubling latency and flit traffic.
-    fn route(&mut self, mesh: &Mesh, from: usize, to: usize, depart: u64, flits: u64) -> Traversal {
-        let t = self.routed(mesh, from, to, depart, flits);
+    fn route(
+        &mut self,
+        shared: &SimShared,
+        from: usize,
+        to: usize,
+        depart: u64,
+        flits: u64,
+    ) -> Traversal {
+        let t = self.routed(shared, from, to, depart, flits);
         if let Some(plan) = self.faults {
             if plan.noc_fault(from, to, depart) {
                 // The retry departs after the corrupted copy arrived —
                 // and must dodge a dead link just like the original.
-                let retry = self.routed(mesh, from, to, t.arrival, flits);
+                let retry = self.routed(shared, from, to, t.arrival, flits);
                 self.fault_counters.noc_retransmits += 1;
                 if let Some(tr) = self.tracer.as_mut() {
                     tr.instant("fault", "noc_retransmit", depart, 1);
@@ -623,16 +648,16 @@ impl SimCtx {
     /// [`RunError::Unroutable`], never a hang).
     fn routed(
         &mut self,
-        mesh: &Mesh,
+        shared: &SimShared,
         from: usize,
         to: usize,
         depart: u64,
         flits: u64,
     ) -> Traversal {
-        let t = match mesh.try_traverse(from, to, depart, flits) {
+        let t = match shared.mesh.try_traverse(from, to, depart, flits) {
             Ok(t) => t,
             Err(e) => {
-                let mut slot = self.shared.unroutable.lock();
+                let mut slot = shared.unroutable.lock();
                 if slot.is_none() {
                     *slot = Some((self.tid, e.to_string()));
                 }
@@ -701,8 +726,14 @@ impl SimCtx {
     /// updated synchronously; remote L1 state via inbox messages (lax).
     /// With `allocate == false` the access is served remotely (word
     /// reply, requester not registered in the directory).
-    fn transaction(&mut self, line: u64, write: bool, upgrade: bool, allocate: bool) -> MissTiming {
-        let shared = Arc::clone(&self.shared);
+    fn transaction(
+        &mut self,
+        shared: &SimShared,
+        line: u64,
+        write: bool,
+        upgrade: bool,
+        allocate: bool,
+    ) -> MissTiming {
         let cfg = &shared.config;
         let me = self.core as u16;
         let issue = self.clock;
@@ -717,7 +748,7 @@ impl SimCtx {
         let mut broadcast = false;
         let mut dram_queued: Option<u64> = None;
 
-        let req = self.route(&shared.mesh, self.core, home, issue, ctrl);
+        let req = self.route(shared, self.core, home, issue, ctrl);
 
         let waiting;
         let mut offchip = 0;
@@ -791,7 +822,7 @@ impl SimCtx {
 
             if was_miss {
                 let (c, ccore, rehomed) = shared.dram.controller_for_at(line, t);
-                let go = self.route(&shared.mesh, home, ccore, t, ctrl);
+                let go = self.route(shared, home, ccore, t, ctrl);
                 // A line re-homed off a failed controller pays a one-time
                 // migration surcharge while the window is open, then
                 // settles into (permanently) sharing the survivors.
@@ -828,7 +859,7 @@ impl SimCtx {
                         }
                     }
                 }
-                let back = self.route(&shared.mesh, ccore, home, ready, data);
+                let back = self.route(shared, ccore, home, ready, data);
                 offchip = back.arrival - t;
                 t = back.arrival;
                 self.misses.l2_misses += 1;
@@ -840,8 +871,8 @@ impl SimCtx {
                 // every other copy; requester becomes the owner.
                 if let Some(o) = entry.owner {
                     if o != me {
-                        let go = self.route(&shared.mesh, home, o as usize, t, ctrl);
-                        let back = self.route(&shared.mesh, o as usize, home, go.arrival, data);
+                        let go = self.route(shared, home, o as usize, t, ctrl);
+                        let back = self.route(shared, o as usize, home, go.arrival, data);
                         sharers_time += back.arrival - t;
                         t = back.arrival;
                         shared.inboxes.push(
@@ -862,9 +893,8 @@ impl SimCtx {
                         if !targets.is_empty() {
                             let mut done = t;
                             for tgt in targets {
-                                let go = self.route(&shared.mesh, home, tgt as usize, t, ctrl);
-                                let ack =
-                                    self.route(&shared.mesh, tgt as usize, home, go.arrival, ctrl);
+                                let go = self.route(shared, home, tgt as usize, t, ctrl);
+                                let ack = self.route(shared, tgt as usize, home, go.arrival, ctrl);
                                 done = done.max(ack.arrival);
                                 shared.inboxes.push(
                                     tgt as usize,
@@ -887,7 +917,7 @@ impl SimCtx {
                         // Drain our own pending traffic first so the
                         // broadcast (which includes us) cannot kill the
                         // line we are about to install.
-                        self.drain_coherence();
+                        self.drain_coherence(shared);
                         shared.inboxes.push_broadcast(line);
                         broadcast = true;
                         self.broadcast_cursor += 1;
@@ -902,8 +932,8 @@ impl SimCtx {
                 // Read: downgrade a foreign owner, else grant E when sole.
                 if let Some(o) = entry.owner {
                     if o != me {
-                        let go = self.route(&shared.mesh, home, o as usize, t, ctrl);
-                        let back = self.route(&shared.mesh, o as usize, home, go.arrival, data);
+                        let go = self.route(shared, home, o as usize, t, ctrl);
+                        let back = self.route(shared, o as usize, home, go.arrival, data);
                         sharers_time += back.arrival - t;
                         t = back.arrival;
                         shared.inboxes.push(
@@ -938,7 +968,7 @@ impl SimCtx {
         // Upgrades and remote (word-granularity) accesses reply without
         // the full line.
         let reply_flits = if upgrade || !allocate { ctrl } else { data };
-        let reply = self.route(&shared.mesh, home, self.core, reply_depart, reply_flits);
+        let reply = self.route(shared, home, self.core, reply_depart, reply_flits);
 
         if let Some(tr) = self.tracer.as_mut() {
             let flits = self.energy.router_flit_hops - flits_before;
@@ -988,8 +1018,7 @@ impl SimCtx {
 
     /// Write back a dirty L1 victim to its home (off the critical path:
     /// traffic, DRAM pressure, and directory state; no requester stall).
-    fn writeback_victim(&mut self, vline: u64) {
-        let shared = Arc::clone(&self.shared);
+    fn writeback_victim(&mut self, shared: &SimShared, vline: u64) {
         let home = home_of(vline, shared.config.num_cores);
         let data = shared.config.data_flits();
         self.note_traffic(shared.mesh.hops(self.core, home) * data);
@@ -1005,41 +1034,14 @@ impl SimCtx {
             }
         }
     }
-}
 
-impl ThreadCtx for SimCtx {
-    fn thread_id(&self) -> usize {
-        self.tid
-    }
-
-    fn num_threads(&self) -> usize {
-        self.shared.core_map.len()
-    }
-
-    fn load(&mut self, addr: Addr) {
-        self.mem_op(addr, false, false);
-    }
-
-    fn store(&mut self, addr: Addr) {
-        self.mem_op(addr, true, false);
-    }
-
-    fn rmw(&mut self, addr: Addr) {
-        self.mem_op(addr, true, true);
-    }
-
-    fn compute(&mut self, cycles: u32) {
-        self.instructions += cycles as u64;
-        self.clock += cycles as u64;
-        self.breakdown.compute += cycles as u64;
-    }
-
-    fn lock(&mut self, set: &LockSet, idx: usize) {
+    /// [`ThreadCtx::lock`].
+    fn lock(&mut self, shared: &SimShared, set: &LockSet, idx: usize) {
         self.drain_window();
         // The lock word itself ping-pongs between contenders — model the
         // coherence traffic of the atomic acquire.
-        self.mem_op(set.addr(idx), true, true);
-        let contended = if let Some(seq) = &self.shared.seq {
+        self.mem_op(shared, set.addr(idx), true, true);
+        let contended = if let Some(seq) = &shared.seq {
             // Deterministic mode: spinning would deadlock (the holder
             // cannot take a turn while we hold ours), so yield the turn
             // and park on the lock word until the holder's unlock wakes
@@ -1049,7 +1051,7 @@ impl ThreadCtx for SimCtx {
             let mut contended = false;
             while !set.try_acquire_raw(idx) {
                 contended = true;
-                if self.shared.gate.is_cancelled() {
+                if shared.gate.is_cancelled() {
                     break;
                 }
                 seq.block_on(self.tid, set.addr(idx).raw());
@@ -1058,7 +1060,7 @@ impl ThreadCtx for SimCtx {
         } else {
             // Lax mode: spin, but keep observing cancellation so a
             // panicked holder cannot hang the waiters forever.
-            set.acquire_or_drain(idx, &self.shared.gate)
+            set.acquire_or_drain(idx, &shared.gate)
         };
         let mut wait = 0;
         // Align to the previous holder's release only when the
@@ -1081,7 +1083,7 @@ impl ThreadCtx for SimCtx {
             .booked_hold(idx, epoch)
             .saturating_sub(mine)
             .min(HOME_WAIT_CAP);
-        let overhead = self.shared.config.lock_overhead;
+        let overhead = shared.config.lock_overhead;
         self.breakdown.synchronization += wait + overhead;
         self.clock += wait + overhead;
         if let Some(tr) = self.tracer.as_mut() {
@@ -1090,11 +1092,12 @@ impl ThreadCtx for SimCtx {
         self.held_since.insert(set.addr(idx).raw(), self.clock);
     }
 
-    fn unlock(&mut self, set: &LockSet, idx: usize) {
+    /// [`ThreadCtx::unlock`].
+    fn unlock(&mut self, shared: &SimShared, set: &LockSet, idx: usize) {
         self.drain_window();
-        self.mem_op(set.addr(idx), true, true);
+        self.mem_op(shared, set.addr(idx), true, true);
         if let Some(acquired_at) = self.held_since.remove(&set.addr(idx).raw()) {
-            let hold = self.clock.saturating_sub(acquired_at) + self.shared.config.lock_overhead;
+            let hold = self.clock.saturating_sub(acquired_at) + shared.config.lock_overhead;
             let epoch = acquired_at / crono_runtime::LOCK_EPOCH_CYCLES;
             set.book_hold(idx, epoch, hold);
             let mine = self
@@ -1112,12 +1115,13 @@ impl ThreadCtx for SimCtx {
         }
         set.set_release_clock(idx, self.clock);
         set.release_raw(idx);
-        if let Some(seq) = &self.shared.seq {
+        if let Some(seq) = &shared.seq {
             seq.wake(set.addr(idx).raw());
         }
     }
 
-    fn barrier(&mut self) {
+    /// [`ThreadCtx::barrier`].
+    fn barrier(&mut self, shared: &SimShared) {
         self.drain_window();
         self.note_core_death();
         if self.dying {
@@ -1126,79 +1130,119 @@ impl ThreadCtx for SimCtx {
             // the survivor count — and unwind out of the kernel.
             // `finish()` runs on the way out and completes any pending
             // sequencer rejoin, so nobody is left parked.
-            self.shared.gate.depart();
+            shared.gate.depart();
         }
-        self.sync_turn();
+        self.sync_turn(shared);
         self.instructions += 1;
         let arrive = self.clock;
         let g = self.generation as usize;
         // Rotating slots: zeroing (g+2)%4 is safe — its last readers
         // finished before anyone could reach barrier g, and its next
         // writers cannot arrive until barrier g+1 has fully passed.
-        self.shared.barrier_slots[(g + 2) % 4].store(0, Ordering::Release);
-        self.shared.barrier_slots[g % 4].fetch_max(arrive, Ordering::AcqRel);
+        shared.barrier_slots[(g + 2) % 4].store(0, Ordering::Release);
+        shared.barrier_slots[g % 4].fetch_max(arrive, Ordering::AcqRel);
         // Deterministic mode: release the run token across the
         // rendezvous (the threads still heading here need it to arrive),
         // and rejoin collectively so no thread races ahead of the rest.
-        if let Some(seq) = &self.shared.seq {
+        if let Some(seq) = &shared.seq {
             seq.barrier_wait(self.tid);
         }
-        let synced = self.shared.gate.barrier_wait();
+        let synced = shared.gate.barrier_wait();
         if !synced {
             // Cancelled run: the rendezvous never completed, so the slot
             // holds a meaningless partial max. Keep draining.
             self.generation += 1;
             return;
         }
-        let max_clock = self.shared.barrier_slots[g % 4].load(Ordering::Acquire);
+        let max_clock = shared.barrier_slots[g % 4].load(Ordering::Acquire);
         self.generation += 1;
-        let overhead = self.shared.config.barrier_overhead;
+        let overhead = shared.config.barrier_overhead;
         debug_assert!(max_clock >= arrive);
         self.breakdown.synchronization += (max_clock - arrive) + overhead;
         self.clock = max_clock + overhead;
-        if let Some(seq) = &self.shared.seq {
+        if let Some(seq) = &shared.seq {
             seq.turn(self.tid, self.clock);
         }
         if let Some(tr) = self.tracer.as_mut() {
             tr.complete("sync", "barrier_wait", arrive, self.clock - arrive);
         }
     }
+}
+
+impl ThreadCtx for SimCtx {
+    fn thread_id(&self) -> usize {
+        self.t.tid
+    }
+
+    fn num_threads(&self) -> usize {
+        self.shared.core_map.len()
+    }
+
+    fn load(&mut self, addr: Addr) {
+        self.t.mem_op(&self.shared, addr, false, false);
+    }
+
+    fn store(&mut self, addr: Addr) {
+        self.t.mem_op(&self.shared, addr, true, false);
+    }
+
+    fn rmw(&mut self, addr: Addr) {
+        self.t.mem_op(&self.shared, addr, true, true);
+    }
+
+    fn compute(&mut self, cycles: u32) {
+        self.t.instructions += cycles as u64;
+        self.t.clock += cycles as u64;
+        self.t.breakdown.compute += cycles as u64;
+    }
+
+    fn lock(&mut self, set: &LockSet, idx: usize) {
+        self.t.lock(&self.shared, set, idx);
+    }
+
+    fn unlock(&mut self, set: &LockSet, idx: usize) {
+        self.t.unlock(&self.shared, set, idx);
+    }
+
+    fn barrier(&mut self) {
+        self.t.barrier(&self.shared);
+    }
 
     fn record_active(&mut self, active: u64) {
-        self.active_samples.push((self.clock, active));
+        self.t.active_samples.push((self.t.clock, active));
     }
 
     fn instructions(&self) -> u64 {
-        self.instructions
+        self.t.instructions
     }
 
     fn cycles(&self) -> u64 {
-        self.clock
+        self.t.clock
     }
 
     fn span_begin(&mut self, name: &'static str) {
-        let ts = self.clock;
-        if let Some(tr) = self.tracer.as_mut() {
+        let ts = self.t.clock;
+        if let Some(tr) = self.t.tracer.as_mut() {
             tr.begin("algo", name, ts);
         }
     }
 
     fn span_end(&mut self, name: &'static str) {
-        let ts = self.clock;
-        if let Some(tr) = self.tracer.as_mut() {
+        let ts = self.t.clock;
+        if let Some(tr) = self.t.tracer.as_mut() {
             tr.end("algo", name, ts);
         }
     }
 
     fn trace_instant(&mut self, name: &'static str, value: u64) {
-        let ts = self.clock;
-        if let Some(tr) = self.tracer.as_mut() {
+        let ts = self.t.clock;
+        if let Some(tr) = self.t.tracer.as_mut() {
             tr.instant("algo", name, ts, value);
         }
     }
 
     fn tracing(&self) -> bool {
-        self.tracer.is_some()
+        self.t.tracer.is_some()
     }
 
     #[inline]
@@ -1208,7 +1252,7 @@ impl ThreadCtx for SimCtx {
 
     #[inline]
     fn departed(&self) -> bool {
-        self.dying
+        self.t.dying
     }
 }
 
