@@ -52,6 +52,7 @@ mod budget;
 mod cancel;
 mod ctx;
 mod deque;
+mod epoch;
 mod locks;
 mod machine;
 mod native;
@@ -64,7 +65,8 @@ pub use budget::BudgetCtx;
 pub use cancel::{run_workers, RunGate, Workers};
 pub use ctx::ThreadCtx;
 pub use deque::{Steal, TaskPool, WorkDeque, IDLE_BACKOFF_MAX, IDLE_BACKOFF_MIN};
-pub use locks::{LockSet, LOCK_EPOCH_CYCLES};
+pub use epoch::{AtomicEpochTally, EpochTally};
+pub use locks::LockSet;
 pub use machine::{Machine, RunError, RunOptions, RunOutcome};
 pub use native::{NativeCtx, NativeMachine};
 pub use report::{Breakdown, EnergyCounters, FaultCounters, MissStats, RunReport, ThreadReport};

@@ -1,4 +1,4 @@
-use crate::{alloc_region, Addr, Region, RunGate, LINE_SIZE};
+use crate::{alloc_region, Addr, AtomicEpochTally, Region, RunGate, LINE_SIZE};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 
 /// A test-and-set lock word. [`LockSet::acquire_or_drain`] spins on it;
@@ -51,8 +51,8 @@ impl SpinLock {
 pub struct LockSet {
     locks: Vec<SpinLock>,
     release_clocks: Vec<AtomicU64>,
-    /// Per-lock `(epoch_tag << 32) | booked_hold_cycles`.
-    epoch_busy: Vec<AtomicU64>,
+    /// Simulated hold time booked on each lock, per accounting epoch.
+    holds: Vec<AtomicEpochTally>,
     region: Region,
 }
 
@@ -62,7 +62,7 @@ impl LockSet {
         LockSet {
             locks: (0..n).map(|_| SpinLock::default()).collect(),
             release_clocks: (0..n).map(|_| AtomicU64::new(0)).collect(),
-            epoch_busy: (0..n).map(|_| AtomicU64::new(0)).collect(),
+            holds: (0..n).map(|_| AtomicEpochTally::default()).collect(),
             region: alloc_region((n as u64 * LINE_SIZE).max(1)),
         }
     }
@@ -146,49 +146,21 @@ impl LockSet {
         self.release_clocks[idx].store(clock, Ordering::Release);
     }
 
-    /// Simulated hold-time already booked on lock `idx` within `epoch`
-    /// (see [`LOCK_EPOCH_CYCLES`]). A simulated backend charges an
-    /// acquirer this much queueing delay: with lax per-thread clocks,
-    /// contention must be accounted in epochs of *simulated* time, not
-    /// through the host-level race for the spinlock.
+    /// Simulated hold time already booked on lock `idx` within `epoch`
+    /// (0 once another epoch has claimed the lock's tally). A simulated
+    /// backend charges an acquirer this much queueing delay: with lax
+    /// per-thread clocks, contention must be accounted in epochs of
+    /// *simulated* time, not through the host-level race for the
+    /// spinlock. The backend picks the epoch length.
     pub fn booked_hold(&self, idx: usize, epoch: u64) -> u64 {
-        let (tag, busy) = unpack(self.epoch_busy[idx].load(Ordering::Relaxed));
-        if tag == (epoch & 0xFFFF_FFFF) {
-            busy
-        } else {
-            0
-        }
+        self.holds[idx].booked(epoch)
     }
 
-    /// Books `cycles` of simulated hold time on lock `idx` in `epoch`.
+    /// Books `cycles` of simulated hold time on lock `idx` in `epoch`,
+    /// dropping what another epoch had booked (see [`AtomicEpochTally`]).
     pub fn book_hold(&self, idx: usize, epoch: u64, cycles: u64) {
-        let cell = &self.epoch_busy[idx];
-        let this_tag = epoch & 0xFFFF_FFFF;
-        let mut cur = cell.load(Ordering::Relaxed);
-        loop {
-            let (tag, busy) = unpack(cur);
-            let new = if tag == this_tag {
-                pack(this_tag, busy.saturating_add(cycles))
-            } else {
-                pack(this_tag, cycles)
-            };
-            match cell.compare_exchange_weak(cur, new, Ordering::Relaxed, Ordering::Relaxed) {
-                Ok(_) => return,
-                Err(actual) => cur = actual,
-            }
-        }
+        self.holds[idx].book(epoch, cycles);
     }
-}
-
-/// Simulated cycles per lock-contention accounting epoch.
-pub const LOCK_EPOCH_CYCLES: u64 = 512;
-
-fn pack(epoch_tag: u64, busy: u64) -> u64 {
-    (epoch_tag << 32) | (busy & 0xFFFF_FFFF)
-}
-
-fn unpack(v: u64) -> (u64, u64) {
-    (v >> 32, v & 0xFFFF_FFFF)
 }
 
 #[cfg(test)]

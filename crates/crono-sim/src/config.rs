@@ -1,5 +1,7 @@
 //! Simulator configuration — the architectural parameters of Table II.
 
+use crono_runtime::LINE_SIZE;
+
 /// Core microarchitecture model.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CoreModel {
@@ -58,19 +60,19 @@ pub struct CacheConfig {
 }
 
 impl CacheConfig {
-    /// Number of sets given `line_size`.
+    /// Number of sets of [`LINE_SIZE`]-byte lines.
     ///
     /// # Panics
     ///
     /// Panics if the geometry does not divide evenly or is zero-sized.
-    pub fn num_sets(&self, line_size: u64) -> usize {
+    pub fn num_sets(&self) -> usize {
         assert!(
             self.size_bytes > 0 && self.associativity > 0,
             "cache must have capacity and associativity"
         );
-        let lines = self.size_bytes / line_size;
+        let lines = self.size_bytes / LINE_SIZE;
         assert_eq!(
-            self.size_bytes % line_size,
+            self.size_bytes % LINE_SIZE,
             0,
             "cache size must be a multiple of the line size"
         );
@@ -124,7 +126,8 @@ pub struct DramConfig {
 }
 
 /// Full simulator configuration; [`SimConfig::default`] reproduces
-/// Table II at 256 cores.
+/// Table II at 256 cores. Cache lines are always [`LINE_SIZE`] bytes,
+/// the unit `crono_runtime::Addr::line` cuts addresses into.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SimConfig {
     /// Number of cores (and maximum simulated threads).
@@ -139,8 +142,6 @@ pub struct SimConfig {
     pub l1d: CacheConfig,
     /// Per-core L2 slice (shared NUCA, inclusive).
     pub l2: CacheConfig,
-    /// Cache-line size in bytes.
-    pub line_size: u64,
     /// ACKWise precise sharer pointers before falling back to broadcast
     /// (Table II: ACKWise-4).
     pub ackwise_pointers: usize,
@@ -182,7 +183,6 @@ impl Default for SimConfig {
                 associativity: 8,
                 latency: 8,
             },
-            line_size: 64,
             ackwise_pointers: 4,
             mesh: MeshConfig {
                 hop_latency: 2,
@@ -238,12 +238,12 @@ impl SimConfig {
     /// (serialization at the configured bandwidth).
     pub fn dram_service_cycles(&self) -> u64 {
         let bytes_per_cycle = self.dram.bandwidth_gbps / self.freq_ghz;
-        (self.line_size as f64 / bytes_per_cycle).ceil() as u64
+        (LINE_SIZE as f64 / bytes_per_cycle).ceil() as u64
     }
 
     /// Flits in a data-bearing message: one header flit plus the line.
     pub fn data_flits(&self) -> u64 {
-        1 + self.line_size * 8 / self.mesh.flit_bits
+        1 + LINE_SIZE * 8 / self.mesh.flit_bits
     }
 
     /// Flits in a control message.
@@ -260,8 +260,8 @@ impl SimConfig {
     pub fn validate(&self) {
         assert!(self.num_cores > 0, "need at least one core");
         assert!(self.freq_ghz > 0.0, "clock frequency must be positive");
-        let _ = self.l1d.num_sets(self.line_size);
-        let _ = self.l2.num_sets(self.line_size);
+        let _ = self.l1d.num_sets();
+        let _ = self.l2.num_sets();
         assert!(
             self.l2.size_bytes >= self.l1d.size_bytes,
             "inclusive L2 slice must be at least as large as the L1-D"
@@ -280,8 +280,8 @@ mod tests {
         let c = SimConfig::default();
         c.validate();
         assert_eq!(c.num_cores, 256);
-        assert_eq!(c.l1d.num_sets(c.line_size), 128);
-        assert_eq!(c.l2.num_sets(c.line_size), 512);
+        assert_eq!(c.l1d.num_sets(), 128);
+        assert_eq!(c.l2.num_sets(), 512);
         assert_eq!(c.dram_latency_cycles(), 100);
         assert_eq!(c.dram_service_cycles(), 13); // 64 B / 5 B-per-cycle
         assert_eq!(c.data_flits(), 9);
@@ -312,7 +312,7 @@ mod tests {
             associativity: 4,
             latency: 1,
         }
-        .num_sets(64);
+        .num_sets();
     }
 
     #[test]

@@ -1,13 +1,14 @@
 //! Off-chip memory: 8 controllers with finite per-controller bandwidth
 //! (Table II: 5 GBps each, 100 ns latency). As with the NoC, queueing is
 //! modeled with skew-tolerant epoch utilization counters rather than
-//! absolute reservations (see `noc` module docs): a line access pays
-//! queueing delay when its controller's epoch already holds more line
-//! transfers than the bandwidth allows.
+//! absolute reservations (see `noc` module docs): each controller books
+//! line transfers in one [`AtomicEpochTally`] per (controller, epoch)
+//! slot, and a line access pays queueing delay when its epoch already
+//! holds more line transfers than the bandwidth allows.
 
 use crate::config::SimConfig;
 use crate::fault::DeadDramCtrl;
-use std::sync::atomic::{AtomicU64, Ordering};
+use crono_runtime::AtomicEpochTally;
 
 /// Simulated cycles per DRAM accounting epoch.
 pub const DRAM_EPOCH_CYCLES: u64 = 512;
@@ -34,14 +35,13 @@ pub struct DramAccess {
 pub struct Dram {
     /// Core index each controller is attached to (spread over the mesh).
     ctrl_cores: Vec<usize>,
-    /// `slots[ctrl * DRAM_EPOCH_SLOTS + epoch % SLOTS]` packs
-    /// `(epoch_tag << 32) | line_count`.
-    slots: Vec<AtomicU64>,
+    /// `slots[ctrl * DRAM_EPOCH_SLOTS + epoch % DRAM_EPOCH_SLOTS]`
+    /// tallies the line transfers booked in `epoch` on controller `ctrl`.
+    slots: Vec<AtomicEpochTally>,
     latency: u64,
     service: u64,
     /// Lines one controller can stream per epoch.
     lines_per_epoch: u64,
-    accesses: AtomicU64,
     /// Permanently failed controller, if armed (active once an access's
     /// cycle reaches its `at_cycle`).
     dead_ctrl: Option<DeadDramCtrl>,
@@ -56,12 +56,11 @@ impl Dram {
         Dram {
             ctrl_cores: (0..n).map(|i| i * stride).collect(),
             slots: (0..n * DRAM_EPOCH_SLOTS)
-                .map(|_| AtomicU64::new(0))
+                .map(|_| AtomicEpochTally::default())
                 .collect(),
             latency: config.dram_latency_cycles(),
             service,
             lines_per_epoch: (DRAM_EPOCH_CYCLES / service).max(1),
-            accesses: AtomicU64::new(0),
             dead_ctrl: None,
         }
     }
@@ -143,34 +142,15 @@ impl Dram {
     /// As [`Dram::access`], additionally reporting the queueing delay the
     /// access paid (for tracing).
     pub fn access_timed(&self, ctrl: usize, arrive: u64) -> DramAccess {
-        self.accesses.fetch_add(1, Ordering::Relaxed);
         let epoch = arrive / DRAM_EPOCH_CYCLES;
-        let cell = &self.slots[ctrl * DRAM_EPOCH_SLOTS + (epoch as usize % DRAM_EPOCH_SLOTS)];
-        let this_tag = epoch & 0xFFFF_FFFF;
-        let mut cur = cell.load(Ordering::Relaxed);
-        let occupied = loop {
-            let (tag, count) = (cur >> 32, cur & 0xFFFF_FFFF);
-            let (new, occupied) = if tag == this_tag {
-                ((this_tag << 32) | (count + 1), count)
-            } else {
-                ((this_tag << 32) | 1, 0)
-            };
-            match cell.compare_exchange_weak(cur, new, Ordering::Relaxed, Ordering::Relaxed) {
-                Ok(_) => break occupied,
-                Err(actual) => cur = actual,
-            }
-        };
+        let occupied = self.slots[ctrl * DRAM_EPOCH_SLOTS + (epoch as usize % DRAM_EPOCH_SLOTS)]
+            .book(epoch, 1);
         let over_lines = (occupied + 1).saturating_sub(self.lines_per_epoch);
         let delay = (over_lines * self.service).min(MAX_QUEUE_DELAY);
         DramAccess {
             ready: arrive + delay + self.latency,
             queued: delay,
         }
-    }
-
-    /// Total line transfers so far.
-    pub fn total_accesses(&self) -> u64 {
-        self.accesses.load(Ordering::Relaxed)
     }
 }
 
@@ -204,7 +184,6 @@ mod tests {
         }
         // 45 lines into a 39-line epoch: 6 lines of overload.
         assert_eq!(last, 6 * 13 + 100);
-        assert_eq!(d.total_accesses(), 45);
     }
 
     #[test]
@@ -214,6 +193,18 @@ mod tests {
             d.access(0, 0);
         }
         assert_eq!(d.access(1, 0), 100, "other controller unqueued");
+    }
+
+    #[test]
+    fn epochs_sharing_a_ring_slot_drop_the_earlier_booking() {
+        let d = dram();
+        // Epochs 0 and DRAM_EPOCH_SLOTS map to the same ring slot.
+        let later = DRAM_EPOCH_SLOTS as u64 * DRAM_EPOCH_CYCLES;
+        for _ in 0..45 {
+            d.access(0, 0);
+        }
+        assert_eq!(d.access(0, later), later + 100, "claim starts from 0");
+        assert_eq!(d.access(0, 0), 100, "epoch 0's 45 lines were dropped");
     }
 
     #[test]

@@ -49,13 +49,13 @@ pub struct L1Cache {
 impl L1Cache {
     /// Builds the L1-D described by `config`.
     pub fn new(config: &SimConfig) -> Self {
-        Self::with_geometry(&config.l1d, config.line_size)
+        Self::with_geometry(&config.l1d)
     }
 
     /// Builds an L1 with explicit geometry (used by tests).
-    pub fn with_geometry(cache: &CacheConfig, line_size: u64) -> Self {
+    pub fn with_geometry(cache: &CacheConfig) -> Self {
         L1Cache {
-            cache: SetAssocCache::new(cache.num_sets(line_size), cache.associativity),
+            cache: SetAssocCache::new(cache.num_sets(), cache.associativity),
             ever_seen: HashSet::new(),
             coherence_lost: HashSet::new(),
         }
@@ -165,14 +165,11 @@ mod tests {
     use super::*;
 
     fn tiny() -> L1Cache {
-        L1Cache::with_geometry(
-            &CacheConfig {
-                size_bytes: 256, // 4 lines
-                associativity: 2,
-                latency: 1,
-            },
-            64,
-        )
+        L1Cache::with_geometry(&CacheConfig {
+            size_bytes: 256, // 4 lines
+            associativity: 2,
+            latency: 1,
+        })
     }
 
     #[test]

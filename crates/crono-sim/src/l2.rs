@@ -6,6 +6,7 @@
 use crate::cache::SetAssocCache;
 use crate::config::SimConfig;
 use crate::sharer::SharerSet;
+use crono_runtime::EpochTally;
 
 /// Directory entry stored with each L2 line.
 #[derive(Debug, Clone)]
@@ -16,14 +17,11 @@ pub struct DirEntry {
     pub owner: Option<u16>,
     /// Whether the L2 copy is newer than DRAM.
     pub dirty: bool,
-    /// Service-queue accounting epoch (requester cycles /
-    /// [`HOME_EPOCH_CYCLES`]). Requests to one line serialize at the
-    /// home ("L2Home-Waiting"); with lax thread clocks this must be
-    /// tracked per epoch, like NoC link contention.
-    pub queue_epoch: u64,
-    /// Home-side service cycles already queued on this line within
-    /// `queue_epoch`.
-    pub queue_busy: u64,
+    /// Home-side service cycles queued on this line, per accounting
+    /// epoch (requester cycles / [`HOME_EPOCH_CYCLES`]). Requests to one
+    /// line serialize at the home ("L2Home-Waiting"); with lax thread
+    /// clocks this must be tracked per epoch, like NoC link contention.
+    pub queue: EpochTally,
 }
 
 /// Simulated cycles per home-serialization accounting epoch.
@@ -35,8 +33,7 @@ impl DirEntry {
             sharers: SharerSet::new(max_pointers),
             owner: None,
             dirty: false,
-            queue_epoch: 0,
-            queue_busy: 0,
+            queue: EpochTally::default(),
         }
     }
 }
@@ -83,10 +80,7 @@ impl L2Slice {
     /// Builds the slice described by `config`.
     pub fn new(config: &SimConfig) -> Self {
         L2Slice {
-            cache: SetAssocCache::new(
-                config.l2.num_sets(config.line_size),
-                config.l2.associativity,
-            ),
+            cache: SetAssocCache::new(config.l2.num_sets(), config.l2.associativity),
             max_pointers: config.ackwise_pointers,
             accesses: 0,
             misses: 0,
@@ -193,11 +187,13 @@ mod tests {
         {
             let h = s.prepare(7);
             h.entry.sharers.add(3);
-            h.entry.queue_busy = 99;
+            h.entry.queue.book(5, 99);
         }
         let e = s.peek(7).unwrap();
         assert_eq!(e.sharers.count(), 1);
-        assert_eq!(e.queue_busy, 99);
+        assert_eq!(e.queue.booked(5), 99);
+        assert_eq!(s.prepare(7).entry.queue.book(5, 1), 99);
+        assert_eq!(s.peek(7).unwrap().queue.booked(5), 100);
     }
 
     #[test]

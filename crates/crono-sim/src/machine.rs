@@ -25,8 +25,8 @@ use crate::noc::{Mesh, Traversal};
 use crate::sequencer::Sequencer;
 use crono_runtime::Mutex;
 use crono_runtime::{
-    run_workers, Addr, Breakdown, EnergyCounters, FaultCounters, LockSet, Machine, MissStats,
-    RunError, RunGate, RunOptions, RunOutcome, RunReport, ThreadCtx, ThreadReport,
+    run_workers, Addr, Breakdown, EnergyCounters, EpochTally, FaultCounters, LockSet, Machine,
+    MissStats, RunError, RunGate, RunOptions, RunOutcome, RunReport, ThreadCtx, ThreadReport,
 };
 use crono_trace::{ThreadTracer, TraceConfig};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -288,6 +288,9 @@ impl SimShared {
 /// (bounds queueing behind a hot line at several epochs of backlog).
 const HOME_WAIT_CAP: u64 = 4096;
 
+/// Simulated cycles per lock-contention accounting epoch.
+const LOCK_EPOCH_CYCLES: u64 = 512;
+
 /// One outstanding miss in the out-of-order window.
 #[derive(Debug, Clone, Copy)]
 struct PendingMiss {
@@ -339,9 +342,9 @@ struct ThreadState {
     /// Acquire clocks of currently-held locks, keyed by lock-word
     /// address (for booking hold times at unlock).
     held_since: std::collections::HashMap<u64, u64>,
-    /// This thread's own `(epoch, cycles)` bookings per lock word, so it
-    /// never queues behind itself.
-    my_bookings: std::collections::HashMap<u64, (u64, u64)>,
+    /// This thread's own hold-time bookings per lock word, so it never
+    /// queues behind itself.
+    my_bookings: std::collections::HashMap<u64, EpochTally>,
     active_samples: Vec<(u64, u64)>,
     tracer: Option<ThreadTracer>,
     /// Emit per-router `noc_route` geometry instants (from
@@ -766,13 +769,11 @@ impl ThreadState {
             // queues behind the service time already booked on the line
             // within its own accounting epoch (skew-tolerant — see the
             // `noc` module docs for why absolute timestamps cannot work
-            // under lax thread clocks).
+            // under lax thread clocks). The read books 0 cycles, so every
+            // request, serializing or not, claims the line's tally for
+            // its epoch and drops another epoch's backlog.
             let epoch = req.arrival / crate::l2::HOME_EPOCH_CYCLES;
-            if entry.queue_epoch != epoch {
-                entry.queue_epoch = epoch;
-                entry.queue_busy = 0;
-            }
-            waiting = entry.queue_busy.min(HOME_WAIT_CAP);
+            waiting = entry.queue.book(epoch, 0).min(HOME_WAIT_CAP);
             let serve = req.arrival + waiting;
             let mut t = serve + cfg.l2.latency;
             // Clean shared-read hits pipeline at the home; only fills and
@@ -960,7 +961,7 @@ impl ThreadState {
                 }
             }
             if serializes {
-                entry.queue_busy += t - serve;
+                entry.queue.book(epoch, t - serve);
             }
             reply_depart = t;
         }
@@ -1074,11 +1075,11 @@ impl ThreadState {
         }
         // Plus the hold time *other* threads booked on this lock in our
         // accounting epoch (skew-tolerant contention; see `noc` docs).
-        let epoch = self.clock / crono_runtime::LOCK_EPOCH_CYCLES;
-        let mine = match self.my_bookings.get(&set.addr(idx).raw()) {
-            Some(&(e, cycles)) if e == epoch => cycles,
-            _ => 0,
-        };
+        let epoch = self.clock / LOCK_EPOCH_CYCLES;
+        let mine = self
+            .my_bookings
+            .get(&set.addr(idx).raw())
+            .map_or(0, |t| t.booked(epoch));
         wait += set
             .booked_hold(idx, epoch)
             .saturating_sub(mine)
@@ -1098,17 +1099,12 @@ impl ThreadState {
         self.mem_op(shared, set.addr(idx), true, true);
         if let Some(acquired_at) = self.held_since.remove(&set.addr(idx).raw()) {
             let hold = self.clock.saturating_sub(acquired_at) + shared.config.lock_overhead;
-            let epoch = acquired_at / crono_runtime::LOCK_EPOCH_CYCLES;
+            let epoch = acquired_at / LOCK_EPOCH_CYCLES;
             set.book_hold(idx, epoch, hold);
-            let mine = self
-                .my_bookings
+            self.my_bookings
                 .entry(set.addr(idx).raw())
-                .or_insert((epoch, 0));
-            if mine.0 == epoch {
-                mine.1 += hold;
-            } else {
-                *mine = (epoch, hold);
-            }
+                .or_default()
+                .book(epoch, hold);
             if let Some(tr) = self.tracer.as_mut() {
                 tr.complete("sync", "lock_hold", acquired_at, self.clock - acquired_at);
             }

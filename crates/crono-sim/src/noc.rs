@@ -5,14 +5,15 @@
 //! Because simulated thread clocks advance independently (Graphite's lax
 //! synchronization), contention cannot be modeled with absolute
 //! reservations — a thread simulated far ahead would poison every link
-//! for threads behind it. Instead each link tracks flit counts in
-//! fixed-size *epochs* of simulated time: a message pays queueing delay
-//! only when its own epoch's utilization exceeds the link's capacity
-//! (1 flit/cycle), which is skew-tolerant and converges to the same
-//! utilization-driven delays.
+//! for threads behind it. Instead each link books flits in fixed-size
+//! *epochs* of simulated time, one [`AtomicEpochTally`] per (link, epoch)
+//! slot: a message pays queueing delay only when its own epoch's
+//! utilization exceeds the link's capacity (1 flit/cycle), which is
+//! skew-tolerant and converges to the same utilization-driven delays.
 
 use crate::config::{MeshConfig, RoutingPolicy};
 use crate::fault::{DeadLink, LinkDir};
+use crono_runtime::AtomicEpochTally;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Simulated cycles per contention-accounting epoch.
@@ -83,10 +84,9 @@ pub struct Mesh {
     rows: usize,
     config: MeshConfig,
     /// `slots[(dir * cores + core) * EPOCH_SLOTS + (epoch % EPOCH_SLOTS)]`
-    /// packs `(epoch_tag << 32) | flit_count` for the outgoing link of
-    /// `core` in direction `dir`. Directions: 0=east, 1=west, 2=south,
-    /// 3=north.
-    slots: Vec<AtomicU64>,
+    /// tallies the flits booked in `epoch` on the outgoing link of `core`
+    /// in direction `dir`. Directions: 0=east, 1=west, 2=south, 3=north.
+    slots: Vec<AtomicEpochTally>,
     /// Per-core totals over all destinations, for analytic broadcast
     /// timing/traffic: `(sum of hops, max hops)`.
     hop_totals: Vec<(u64, u64)>,
@@ -111,14 +111,6 @@ fn dir_index(dir: LinkDir) -> usize {
     }
 }
 
-fn pack(epoch: u64, count: u64) -> u64 {
-    ((epoch & 0xFFFF_FFFF) << 32) | (count & 0xFFFF_FFFF)
-}
-
-fn unpack(v: u64) -> (u64, u64) {
-    (v >> 32, v & 0xFFFF_FFFF)
-}
-
 impl Mesh {
     /// Builds a mesh for `num_cores` cores, as square as possible.
     ///
@@ -130,7 +122,7 @@ impl Mesh {
         let cols = (num_cores as f64).sqrt().ceil() as usize;
         let rows = num_cores.div_ceil(cols);
         let slots = (0..4 * cols * rows * EPOCH_SLOTS)
-            .map(|_| AtomicU64::new(0))
+            .map(|_| AtomicEpochTally::default())
             .collect();
         let mut mesh = Mesh {
             cols,
@@ -400,23 +392,7 @@ impl Mesh {
         let delay = if self.config.link_contention {
             let epoch = t / EPOCH_CYCLES;
             let base = (dir * self.cols * self.rows + core) * EPOCH_SLOTS;
-            let cell = &self.slots[base + (epoch as usize % EPOCH_SLOTS)];
-            let mut cur = cell.load(Ordering::Relaxed);
-            let occupied = loop {
-                let (tag, count) = unpack(cur);
-                let this_tag = epoch & 0xFFFF_FFFF;
-                let (new, occupied) = if tag == this_tag {
-                    (pack(this_tag, count + flits), count)
-                } else {
-                    // The slot belonged to a different (older or very
-                    // future) epoch: claim it for ours.
-                    (pack(this_tag, flits), 0)
-                };
-                match cell.compare_exchange_weak(cur, new, Ordering::Relaxed, Ordering::Relaxed) {
-                    Ok(_) => break occupied,
-                    Err(actual) => cur = actual,
-                }
-            };
+            let occupied = self.slots[base + (epoch as usize % EPOCH_SLOTS)].book(epoch, flits);
             // Link capacity is 1 flit/cycle: overload in this epoch queues.
             (occupied + flits)
                 .saturating_sub(EPOCH_CYCLES)

@@ -298,14 +298,11 @@ fn l1_miss_classification_is_total() {
     for case in 0..CASES {
         let mut rng = SmallRng::seed_from_u64(0xC800 + case);
         let count = rng.random_range(1..200usize);
-        let mut l1 = L1Cache::with_geometry(
-            &CacheConfig {
-                size_bytes: 512,
-                associativity: 2,
-                latency: 1,
-            },
-            64,
-        );
+        let mut l1 = L1Cache::with_geometry(&CacheConfig {
+            size_bytes: 512,
+            associativity: 2,
+            latency: 1,
+        });
         let mut seen: HashSet<u64> = HashSet::new();
         for _ in 0..count {
             let line = rng.random_range(0..32u64);

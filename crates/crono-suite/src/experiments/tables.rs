@@ -4,6 +4,7 @@
 use crate::report::Table;
 use crono_algos::Benchmark;
 use crono_graph::gen::catalog::Dataset;
+use crono_runtime::LINE_SIZE;
 use crono_sim::{CoreModel, SimConfig};
 
 /// Table I: benchmarks and parallelizations used for evaluation.
@@ -74,7 +75,7 @@ pub fn table2(config: &SimConfig) -> Table {
             config.l2.latency
         ),
     );
-    kv("Cache Line Size", format!("{} bytes", config.line_size));
+    kv("Cache Line Size", format!("{LINE_SIZE} bytes"));
     kv(
         "Directory Protocol",
         format!(
