@@ -14,10 +14,13 @@
 //! generation-counting barrier whose waiters are *also* released when
 //! the run is cancelled (by a contained worker panic or by the watchdog
 //! timeout), so surviving workers drain out at their next barrier or
-//! iteration boundary instead of hanging. After cancellation every
-//! `barrier_wait` returns immediately with `false`; results of a
-//! cancelled run are discarded by the caller, so the post-cancellation
-//! execution only needs to terminate, not to stay meaningful.
+//! iteration boundary instead of hanging. Each arrival passes a clock,
+//! and every waiter of a generation leaves with the largest one, which
+//! is how the simulator aligns its threads' cycle clocks. After
+//! cancellation every `barrier_wait` returns `None` at once; results of
+//! a cancelled run are discarded by the caller, so the
+//! post-cancellation execution only needs to terminate, not to stay
+//! meaningful.
 
 use crate::{AddressSpace, RunError, RunOptions, RunOutcome, RunReport};
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
@@ -39,6 +42,12 @@ struct GateState {
     cause: Option<CancelCause>,
     arrived: usize,
     generation: u64,
+    /// Largest clock an arrival of the open generation passed.
+    max_clock: u64,
+    /// Largest arrival clock of the last released generation, which its
+    /// waiters return. The next generation cannot be released before
+    /// they read it: it needs their arrivals too.
+    released_clock: u64,
     /// Workers the barrier currently waits for. Starts at the run's
     /// thread count; a permanently departed worker ([`RunGate::depart`])
     /// shrinks it, re-sizing every subsequent barrier to the survivors.
@@ -69,6 +78,8 @@ impl RunGate {
                 cause: None,
                 arrived: 0,
                 generation: 0,
+                max_clock: 0,
+                released_clock: 0,
                 expected: threads,
                 done: false,
             }),
@@ -107,44 +118,51 @@ impl RunGate {
         true
     }
 
-    /// Waits until all currently-expected workers arrive (returns
-    /// `true`) or the run is cancelled (returns `false`, immediately
-    /// once cancelled). A departed worker no longer counts toward the
-    /// barrier.
-    pub fn barrier_wait(&self) -> bool {
+    /// Waits until all currently-expected workers arrive and returns the
+    /// largest `clock` that any arrival of this generation passed, or
+    /// returns `None` when the run is cancelled (immediately once
+    /// cancelled). A departed worker no longer counts toward the
+    /// barrier. The simulator passes each thread's cycle clock; the
+    /// native backend, which has none, passes 0.
+    pub fn barrier_wait(&self, clock: u64) -> Option<u64> {
         let mut s = self.lock();
         if s.cause.is_some() {
-            return false;
+            return None;
         }
         s.arrived += 1;
+        s.max_clock = s.max_clock.max(clock);
         if s.arrived >= s.expected {
-            s.arrived = 0;
-            s.generation += 1;
-            self.cv.notify_all();
-            return true;
+            self.release(&mut s);
+            return Some(s.released_clock);
         }
         let gen = s.generation;
         while s.generation == gen && s.cause.is_none() {
             s = self.cv.wait(s).unwrap_or_else(|e| e.into_inner());
         }
-        s.cause.is_none()
+        s.cause.is_none().then_some(s.released_clock)
+    }
+
+    /// Releases the open generation's waiters with its largest clock.
+    fn release(&self, s: &mut GateState) {
+        s.released_clock = std::mem::take(&mut s.max_clock);
+        s.arrived = 0;
+        s.generation += 1;
+        self.cv.notify_all();
     }
 
     /// Permanently removes the calling worker from the barrier
     /// population (a disabled core) and unwinds it out of the run.
     /// Every subsequent barrier waits only for the survivors, and a
     /// generation whose last missing arrival was this worker is released
-    /// immediately. Unlike a panic, departing cancels nothing:
-    /// [`run_workers`] records the worker as departed and the survivors
-    /// keep computing. The unwind skips the panic hook, so nothing is
-    /// printed.
+    /// immediately, with the survivors' largest clock. Unlike a panic,
+    /// departing cancels nothing: [`run_workers`] records the worker as
+    /// departed and the survivors keep computing. The unwind skips the
+    /// panic hook, so nothing is printed.
     pub fn depart(&self) -> ! {
         let mut s = self.lock();
         s.expected = s.expected.saturating_sub(1);
         if s.expected > 0 && s.arrived >= s.expected {
-            s.arrived = 0;
-            s.generation += 1;
-            self.cv.notify_all();
+            self.release(&mut s);
         }
         drop(s);
         resume_unwind(Box::new(Departed))
@@ -348,26 +366,38 @@ mod tests {
     #[test]
     fn barrier_synchronizes_all_threads() {
         let gate = Arc::new(RunGate::new(4));
-        let passed: Vec<bool> = std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..4)
-                .map(|_| {
+        let passed: Vec<[Option<u64>; 2]> = std::thread::scope(|scope| {
+            let handles: Vec<_> = (0..4u64)
+                .map(|tid| {
                     let gate = Arc::clone(&gate);
-                    scope.spawn(move || gate.barrier_wait())
+                    // Distinct clocks; the second generation's are all
+                    // smaller than the first's, and another thread's is
+                    // the largest.
+                    scope.spawn(move || {
+                        [
+                            gate.barrier_wait(100 + 7 * tid),
+                            gate.barrier_wait(10 - tid),
+                        ]
+                    })
                 })
                 .collect();
             handles.into_iter().map(|h| h.join().unwrap()).collect()
         });
-        assert_eq!(passed, vec![true; 4]);
+        assert_eq!(
+            passed,
+            vec![[Some(121), Some(10)]; 4],
+            "every arrival leaves with its own generation's largest clock"
+        );
     }
 
     #[test]
     fn cancel_releases_parked_waiters() {
         let gate = Arc::new(RunGate::new(3));
-        let results: Vec<bool> = std::thread::scope(|scope| {
+        let results: Vec<Option<u64>> = std::thread::scope(|scope| {
             let waiters: Vec<_> = (0..2)
                 .map(|_| {
                     let gate = Arc::clone(&gate);
-                    scope.spawn(move || gate.barrier_wait())
+                    scope.spawn(move || gate.barrier_wait(5))
                 })
                 .collect();
             // The third thread never arrives — it "panicked".
@@ -375,43 +405,49 @@ mod tests {
             gate.cancel(CancelCause::WorkerPanic);
             waiters.into_iter().map(|h| h.join().unwrap()).collect()
         });
-        assert_eq!(results, vec![false, false]);
+        assert_eq!(results, vec![None, None]);
         // Subsequent waits return immediately.
-        assert!(!gate.barrier_wait());
+        assert_eq!(gate.barrier_wait(5), None);
         assert_eq!(gate.cause(), Some(CancelCause::WorkerPanic));
     }
 
     #[test]
     fn depart_resizes_the_barrier_to_survivors() {
         let gate = Arc::new(RunGate::new(3));
-        let results: Vec<bool> = std::thread::scope(|scope| {
-            let waiters: Vec<_> = (0..2)
-                .map(|_| {
+        let results: Vec<Option<u64>> = std::thread::scope(|scope| {
+            let waiters: Vec<_> = [5, 9]
+                .map(|clock| {
                     let gate = Arc::clone(&gate);
-                    scope.spawn(move || gate.barrier_wait())
+                    scope.spawn(move || gate.barrier_wait(clock))
                 })
+                .into_iter()
                 .collect();
             // The third worker dies permanently instead of arriving: the
-            // two parked survivors must be released with `true`.
+            // two parked survivors must be released with their largest
+            // clock.
             std::thread::sleep(Duration::from_millis(10));
             depart_quietly(&gate);
             waiters.into_iter().map(|h| h.join().unwrap()).collect()
         });
-        assert_eq!(results, vec![true, true], "survivors pass, not cancel");
+        assert_eq!(
+            results,
+            vec![Some(9), Some(9)],
+            "survivors pass, not cancel"
+        );
         assert_eq!(gate.lock().expected, 2);
         // Subsequent barriers need only the two survivors.
-        let passed: Vec<bool> = std::thread::scope(|scope| {
+        let passed: Vec<Option<u64>> = std::thread::scope(|scope| {
             (0..2)
                 .map(|_| {
                     let gate = Arc::clone(&gate);
-                    scope.spawn(move || gate.barrier_wait())
+                    scope.spawn(move || gate.barrier_wait(1))
                 })
                 .collect::<Vec<_>>()
                 .into_iter()
                 .map(|h| h.join().unwrap())
                 .collect()
         });
-        assert_eq!(passed, vec![true, true]);
+        assert_eq!(passed, vec![Some(1), Some(1)]);
     }
 
     #[test]
@@ -420,8 +456,8 @@ mod tests {
         depart_quietly(&gate);
         assert_eq!(gate.lock().expected, 1);
         // The lone survivor sails through every barrier.
-        assert!(gate.barrier_wait());
-        assert!(gate.barrier_wait());
+        assert_eq!(gate.barrier_wait(4), Some(4));
+        assert_eq!(gate.barrier_wait(2), Some(2));
     }
 
     #[test]

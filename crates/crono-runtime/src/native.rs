@@ -195,11 +195,11 @@ impl ThreadCtx for NativeCtx {
         self.instructions += 1;
         if let Some(tr) = self.tracer.as_mut() {
             let t0 = nanos_since(self.start);
-            self.gate.barrier_wait();
+            self.gate.barrier_wait(0);
             let dur = nanos_since(self.start).saturating_sub(t0);
             tr.complete("sync", "barrier_wait", t0, dur);
         } else {
-            self.gate.barrier_wait();
+            self.gate.barrier_wait(0);
         }
     }
 

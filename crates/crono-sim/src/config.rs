@@ -136,9 +136,8 @@ pub struct SimConfig {
     pub freq_ghz: f64,
     /// Core microarchitecture.
     pub core: CoreModel,
-    /// Private L1 instruction cache.
-    pub l1i: CacheConfig,
-    /// Private L1 data cache.
+    /// Private L1 data cache. The model has no instruction cache: each
+    /// instruction counts one L1-I access, for the energy model only.
     pub l1d: CacheConfig,
     /// Per-core L2 slice (shared NUCA, inclusive).
     pub l2: CacheConfig,
@@ -168,11 +167,6 @@ impl Default for SimConfig {
             num_cores: 256,
             freq_ghz: 1.0,
             core: CoreModel::InOrder,
-            l1i: CacheConfig {
-                size_bytes: 32 * 1024,
-                associativity: 4,
-                latency: 1,
-            },
             l1d: CacheConfig {
                 size_bytes: 32 * 1024,
                 associativity: 4,

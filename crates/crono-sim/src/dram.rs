@@ -133,15 +133,10 @@ impl Dram {
     }
 
     /// Services one line access arriving at the controller at cycle
-    /// `arrive`; returns the cycle data is available at the controller.
-    /// Epoch overload models the 5 GBps bandwidth limit.
-    pub fn access(&self, ctrl: usize, arrive: u64) -> u64 {
-        self.access_timed(ctrl, arrive).ready
-    }
-
-    /// As [`Dram::access`], additionally reporting the queueing delay the
-    /// access paid (for tracing).
-    pub fn access_timed(&self, ctrl: usize, arrive: u64) -> DramAccess {
+    /// `arrive`: the cycle data is available at the controller, and the
+    /// queueing delay the access paid. Epoch overload models the 5 GBps
+    /// bandwidth limit.
+    pub fn access(&self, ctrl: usize, arrive: u64) -> DramAccess {
         let epoch = arrive / DRAM_EPOCH_CYCLES;
         let occupied = self.slots[ctrl * DRAM_EPOCH_SLOTS + (epoch as usize % DRAM_EPOCH_SLOTS)]
             .book(epoch, 1);
@@ -165,7 +160,7 @@ mod tests {
     #[test]
     fn latency_without_queueing() {
         let d = dram();
-        assert_eq!(d.access(0, 1000), 1100);
+        assert_eq!(d.access(0, 1000).ready, 1100);
     }
 
     #[test]
@@ -180,7 +175,7 @@ mod tests {
         let d = dram();
         let mut last = 0;
         for _ in 0..45 {
-            last = d.access(0, 0);
+            last = d.access(0, 0).ready;
         }
         // 45 lines into a 39-line epoch: 6 lines of overload.
         assert_eq!(last, 6 * 13 + 100);
@@ -192,7 +187,7 @@ mod tests {
         for _ in 0..100 {
             d.access(0, 0);
         }
-        assert_eq!(d.access(1, 0), 100, "other controller unqueued");
+        assert_eq!(d.access(1, 0).ready, 100, "other controller unqueued");
     }
 
     #[test]
@@ -203,8 +198,8 @@ mod tests {
         for _ in 0..45 {
             d.access(0, 0);
         }
-        assert_eq!(d.access(0, later), later + 100, "claim starts from 0");
-        assert_eq!(d.access(0, 0), 100, "epoch 0's 45 lines were dropped");
+        assert_eq!(d.access(0, later).ready, later + 100, "claim starts from 0");
+        assert_eq!(d.access(0, 0).ready, 100, "epoch 0's 45 lines were dropped");
     }
 
     #[test]
@@ -213,7 +208,7 @@ mod tests {
         for _ in 0..100 {
             d.access(0, 1_000_000);
         }
-        assert_eq!(d.access(0, 0), 100, "earlier epoch unaffected");
+        assert_eq!(d.access(0, 0).ready, 100, "earlier epoch unaffected");
     }
 
     #[test]
@@ -222,7 +217,7 @@ mod tests {
         for _ in 0..100_000 {
             d.access(0, 0);
         }
-        assert!(d.access(0, 0) <= 4 * DRAM_EPOCH_CYCLES + 100);
+        assert!(d.access(0, 0).ready <= 4 * DRAM_EPOCH_CYCLES + 100);
     }
 
     #[test]

@@ -9,10 +9,14 @@
 //! Precise invalidations go to per-core inboxes; ACKWise broadcast
 //! invalidations go to a shared append-only log every core scans from its
 //! own cursor (pushing 255 messages per broadcast would dominate run
-//! time).
+//! time). Every push arms a per-core notify flag, the one probe a core
+//! reads per memory op; a core drains its queue and the log only when
+//! its flag was armed. A writer appends its own broadcast under the same
+//! log lock that applies the entries it has not seen, so another core's
+//! broadcast can never hide behind the writer's cursor.
 
 use crono_runtime::{CachePadded, Mutex, RwLock};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 
 /// One coherence message.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -27,7 +31,6 @@ pub struct CoherenceMsg {
 #[derive(Debug)]
 pub struct Inboxes {
     queues: Vec<Mutex<Vec<CoherenceMsg>>>,
-    pending: Vec<CachePadded<AtomicUsize>>,
     /// Per-core "something may be waiting" flags, armed by senders on
     /// every push (including broadcasts) and cleared by the owning core
     /// in [`Inboxes::take_notified`]. The per-memory-op probe then reads
@@ -36,6 +39,8 @@ pub struct Inboxes {
     /// `take_notified` for why `Relaxed` is sound here.
     notify: Vec<CachePadded<AtomicBool>>,
     broadcast_log: RwLock<Vec<u64>>,
+    /// The log's length, so a notified drain with nothing new to read
+    /// stays off the log's lock.
     broadcast_len: AtomicU64,
 }
 
@@ -44,9 +49,6 @@ impl Inboxes {
     pub fn new(num_cores: usize) -> Self {
         Inboxes {
             queues: (0..num_cores).map(|_| Mutex::new(Vec::new())).collect(),
-            pending: (0..num_cores)
-                .map(|_| CachePadded::new(AtomicUsize::new(0)))
-                .collect(),
             notify: (0..num_cores)
                 .map(|_| CachePadded::new(AtomicBool::new(false)))
                 .collect(),
@@ -58,19 +60,39 @@ impl Inboxes {
     /// Queues `msg` for `core`.
     pub fn push(&self, core: usize, msg: CoherenceMsg) {
         self.queues[core].lock().push(msg);
-        self.pending[core].fetch_add(1, Ordering::Release);
         self.notify[core].store(true, Ordering::Relaxed);
     }
 
     /// Records a broadcast invalidation of `line` (every core must drop
     /// it).
     pub fn push_broadcast(&self, line: u64) {
-        {
-            let mut log = self.broadcast_log.write();
-            log.push(line);
-            self.broadcast_len
-                .store(log.len() as u64, Ordering::Release);
+        self.append_broadcast(&mut self.broadcast_log.write(), line);
+    }
+
+    /// A writer's own broadcast invalidation of `line`, which the writer
+    /// must not apply to itself: under one write lock of the log, calls
+    /// `f` for every line recorded after `broadcast_cursor`, appends
+    /// `line`, and returns the cursor past it. Appending and skipping in
+    /// one step keeps a line another core recorded after the writer's
+    /// last drain from being skipped in place of the writer's own.
+    pub fn push_own_broadcast(
+        &self,
+        line: u64,
+        broadcast_cursor: u64,
+        mut f: impl FnMut(u64),
+    ) -> u64 {
+        let mut log = self.broadcast_log.write();
+        for &missed in &log[broadcast_cursor as usize..] {
+            f(missed);
         }
+        self.append_broadcast(&mut log, line);
+        log.len() as u64
+    }
+
+    fn append_broadcast(&self, log: &mut Vec<u64>, line: u64) {
+        log.push(line);
+        self.broadcast_len
+            .store(log.len() as u64, Ordering::Release);
         for flag in &self.notify {
             flag.store(true, Ordering::Relaxed);
         }
@@ -96,26 +118,9 @@ impl Inboxes {
         }
     }
 
-    /// Exact check: does `core` have anything to drain beyond
-    /// `broadcast_cursor`? Superseded on the hot path by the advisory
-    /// [`Inboxes::take_notified`] flag; kept as the precise oracle the
-    /// tests compare against.
-    #[cfg_attr(not(test), allow(dead_code))]
-    #[inline]
-    pub fn has_pending(&self, core: usize, broadcast_cursor: u64) -> bool {
-        self.pending[core].load(Ordering::Acquire) != 0
-            || self.broadcast_len.load(Ordering::Acquire) > broadcast_cursor
-    }
-
     /// Takes all queued precise messages for `core`.
     pub fn drain(&self, core: usize) -> Vec<CoherenceMsg> {
-        if self.pending[core].load(Ordering::Acquire) == 0 {
-            return Vec::new();
-        }
-        let mut q = self.queues[core].lock();
-        let msgs = std::mem::take(&mut *q);
-        self.pending[core].store(0, Ordering::Release);
-        msgs
+        std::mem::take(&mut *self.queues[core].lock())
     }
 
     /// Calls `f` for every broadcast line recorded after
@@ -140,7 +145,7 @@ mod tests {
     #[test]
     fn push_and_drain() {
         let ib = Inboxes::new(2);
-        assert!(!ib.has_pending(0, 0));
+        assert!(ib.drain(0).is_empty());
         ib.push(
             0,
             CoherenceMsg {
@@ -148,12 +153,12 @@ mod tests {
                 downgrade: false,
             },
         );
-        assert!(ib.has_pending(0, 0));
-        assert!(!ib.has_pending(1, 0));
+        assert!(ib.take_notified(0));
+        assert!(!ib.take_notified(1));
+        assert!(ib.drain(1).is_empty(), "the message went to core 0 only");
         let msgs = ib.drain(0);
         assert_eq!(msgs.len(), 1);
         assert_eq!(msgs[0].line, 7);
-        assert!(!ib.has_pending(0, 0));
         assert!(ib.drain(0).is_empty());
     }
 
@@ -169,11 +174,28 @@ mod tests {
         // Second drain from the new cursor sees nothing.
         let cur2 = ib.drain_broadcasts(cur, |_| panic!("nothing new"));
         assert_eq!(cur2, 2);
-        // A fresh core (cursor 0) still sees both.
-        assert!(ib.has_pending(3, 0));
+        // A fresh core (cursor 0) is notified and still sees both.
+        assert!(ib.take_notified(3));
         let mut seen2 = Vec::new();
         ib.drain_broadcasts(0, |l| seen2.push(l));
         assert_eq!(seen2, vec![10, 11]);
+    }
+
+    #[test]
+    fn own_broadcast_applies_what_landed_before_it() {
+        let ib = Inboxes::new(2);
+        // The writer (core 0) has drained the log up to cursor 0; core
+        // 1's broadcast lands before the writer appends its own.
+        ib.push_broadcast(5);
+        let mut applied = Vec::new();
+        let cur = ib.push_own_broadcast(9, 0, |l| applied.push(l));
+        assert_eq!(applied, vec![5], "the other core's line is applied");
+        assert_eq!(cur, 2, "the cursor skips only the writer's own line");
+        assert_eq!(ib.drain_broadcasts(cur, |_| panic!("nothing new")), 2);
+        let mut seen = Vec::new();
+        ib.drain_broadcasts(0, |l| seen.push(l));
+        assert_eq!(seen, vec![5, 9], "a fresh cursor sees both");
+        assert!(ib.take_notified(1), "the own broadcast arms the others");
     }
 
     #[test]

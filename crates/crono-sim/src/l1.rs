@@ -153,11 +153,6 @@ impl L1Cache {
     pub fn state(&self, line: u64) -> Option<L1State> {
         self.cache.peek(line).copied()
     }
-
-    /// Number of resident lines.
-    pub fn resident(&self) -> usize {
-        self.cache.len()
-    }
 }
 
 #[cfg(test)]

@@ -38,18 +38,13 @@ impl DirEntry {
     }
 }
 
-/// One L2 slice plus its slice-local statistics. Wrapped in a mutex by
-/// the machine; each slice is an independent lock domain.
+/// One L2 slice. Wrapped in a mutex by the machine; each slice is an
+/// independent lock domain. Its accesses, misses and DRAM traffic are
+/// counted by the requesting thread (`MissStats`, `EnergyCounters`).
 #[derive(Debug)]
 pub struct L2Slice {
     cache: SetAssocCache<DirEntry>,
     max_pointers: usize,
-    /// Accesses served by this slice.
-    pub accesses: u64,
-    /// Misses that went off-chip.
-    pub misses: u64,
-    /// Writebacks and fills exchanged with DRAM (traffic accounting).
-    pub dram_writebacks: u64,
 }
 
 /// An L2 line evicted to make room (inclusive hierarchy: its L1 copies
@@ -82,23 +77,18 @@ impl L2Slice {
         L2Slice {
             cache: SetAssocCache::new(config.l2.num_sets(), config.l2.associativity),
             max_pointers: config.ackwise_pointers,
-            accesses: 0,
-            misses: 0,
-            dram_writebacks: 0,
         }
     }
 
     /// Ensures `line` is resident and returns its directory entry plus
     /// what happened (miss, evictions). The caller handles all timing.
     pub fn prepare(&mut self, line: u64) -> HomeLine<'_> {
-        self.accesses += 1;
         let mut victim = None;
         let max_pointers = self.max_pointers;
         let (entry, was_miss, evicted) = self
             .cache
             .lookup_or_insert(line, || DirEntry::new(max_pointers));
         if was_miss {
-            self.misses += 1;
             if let Some((vline, ventry)) = evicted {
                 // Inclusive hierarchy: evicting an L2 line evicts every L1
                 // copy. Collect targets for the machine to notify.
@@ -122,9 +112,6 @@ impl L2Slice {
                 // Dirty in L2, or dirty in some owner's L1 (conservatively
                 // written back on the invalidate): one DRAM writeback.
                 let writeback = ventry.dirty || ventry.owner.is_some();
-                if writeback {
-                    self.dram_writebacks += 1;
-                }
                 victim = Some(VictimInfo {
                     line: vline,
                     invalidate,
@@ -149,11 +136,6 @@ impl L2Slice {
     pub fn lookup_resident(&mut self, line: u64) -> Option<&mut DirEntry> {
         self.cache.lookup(line)
     }
-
-    /// Number of resident lines.
-    pub fn resident(&self) -> usize {
-        self.cache.len()
-    }
 }
 
 /// Home slice of `line` among `num_cores` slices (multiplicative hash so
@@ -177,8 +159,6 @@ mod tests {
         assert!(h.was_miss);
         let h = s.prepare(100);
         assert!(!h.was_miss);
-        assert_eq!(s.accesses, 2);
-        assert_eq!(s.misses, 1);
     }
 
     #[test]
@@ -230,7 +210,6 @@ mod tests {
         }
         let h = s.prepare(4 * 16);
         assert!(h.victim.expect("victim evicted").writeback);
-        assert_eq!(s.dram_writebacks, 1);
     }
 
     #[test]

@@ -29,7 +29,6 @@ use crono_runtime::{
     MissStats, RunError, RunGate, RunOptions, RunOutcome, RunReport, ThreadCtx, ThreadReport,
 };
 use crono_trace::{ThreadTracer, TraceConfig};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// The Graphite-style simulated multicore backend (paper §IV-B).
@@ -54,9 +53,8 @@ pub struct SimMachine {
     threads: usize,
     trace: Option<TraceConfig>,
     faults: Option<FaultPlan>,
-    /// Run under the deterministic sequencer even without a tracer
-    /// attached (fault-injection experiments need reproducible runs but
-    /// not necessarily traces).
+    /// Run under the deterministic sequencer. Set by a tracer, a fault
+    /// plan, or [`SimMachine::deterministic`].
     deterministic: bool,
 }
 
@@ -98,6 +96,7 @@ impl SimMachine {
     pub fn with_tracing(config: SimConfig, threads: usize, trace: TraceConfig) -> Self {
         let mut m = Self::new(config, threads);
         m.trace = Some(trace);
+        m.deterministic = true;
         m
     }
 
@@ -176,7 +175,7 @@ impl Machine for SimMachine {
         let shared = Arc::new(SimShared::new(
             &self.config,
             self.threads,
-            self.trace.is_some() || self.deterministic,
+            self.deterministic,
             self.faults.as_ref(),
         ));
         let mut workers = run_workers(
@@ -236,10 +235,9 @@ struct SimShared {
     shards: Vec<Mutex<L2Slice>>,
     inboxes: Inboxes,
     /// Run barrier + cancellation token + watchdog hook: releases its
-    /// waiters when a worker panics or the run times out.
+    /// waiters when a worker panics or the run times out, and hands
+    /// every barrier arrival the generation's largest arrival clock.
     gate: RunGate,
-    /// Sense-rotating barrier clock slots (see `SimCtx::barrier`).
-    barrier_slots: [AtomicU64; 4],
     /// Core index each thread is pinned to.
     core_map: Vec<usize>,
     /// Deterministic turn-taking for traced/fault runs (`None` ⇒ lax
@@ -276,7 +274,6 @@ impl SimShared {
                 .collect(),
             inboxes: Inboxes::new(config.num_cores),
             gate: RunGate::new(threads),
-            barrier_slots: Default::default(),
             core_map: (0..threads).map(|t| t * stride).collect(),
             seq: sequenced.then(|| Sequencer::new(threads)),
             unroutable: Mutex::new(None),
@@ -334,11 +331,7 @@ struct ThreadState {
     window: Vec<PendingMiss>,
     mlp: usize,
     store_buffer: bool,
-    generation: u64,
     broadcast_cursor: u64,
-    /// Reusable buffer for draining broadcast invalidations (hoisted out
-    /// of `drain_coherence`, which runs once per simulated memory op).
-    bcast_scratch: Vec<u64>,
     /// Acquire clocks of currently-held locks, keyed by lock-word
     /// address (for booking hold times at unlock).
     held_since: std::collections::HashMap<u64, u64>,
@@ -387,9 +380,7 @@ impl SimCtx {
             window: Vec::new(),
             mlp,
             store_buffer,
-            generation: 0,
             broadcast_cursor: 0,
-            bcast_scratch: Vec::new(),
             held_since: std::collections::HashMap::new(),
             my_bookings: std::collections::HashMap::new(),
             active_samples: Vec::new(),
@@ -455,35 +446,26 @@ impl ThreadState {
 
     /// Runs once per simulated memory op, so the fast path must stay
     /// allocation- and refcount-free: one `Relaxed` load of a core-
-    /// private flag, no `Arc` traffic, and a reusable broadcast buffer
-    /// instead of a fresh `Vec` (all purely host-side — delivery points
-    /// are unchanged, as the golden counter-invariance test enforces).
+    /// private flag and no `Arc` traffic (all purely host-side —
+    /// delivery points are unchanged, as the golden counter-invariance
+    /// test enforces).
     fn drain_coherence(&mut self, shared: &SimShared) {
         if !shared.inboxes.take_notified(self.core) {
             return;
         }
         for msg in shared.inboxes.drain(self.core) {
-            self.apply_msg(msg);
+            if msg.downgrade {
+                self.l1.coherence_downgrade(msg.line);
+            } else {
+                self.l1.coherence_invalidate(msg.line);
+            }
         }
-        let mut lines = std::mem::take(&mut self.bcast_scratch);
+        let l1 = &mut self.l1;
         self.broadcast_cursor = shared
             .inboxes
-            .drain_broadcasts(self.broadcast_cursor, |l| lines.push(l));
-        for line in lines.drain(..) {
-            self.apply_msg(CoherenceMsg {
-                line,
-                downgrade: false,
+            .drain_broadcasts(self.broadcast_cursor, |line| {
+                l1.coherence_invalidate(line);
             });
-        }
-        self.bcast_scratch = lines;
-    }
-
-    fn apply_msg(&mut self, msg: CoherenceMsg) {
-        if msg.downgrade {
-            self.l1.coherence_downgrade(msg.line);
-        } else {
-            self.l1.coherence_invalidate(msg.line);
-        }
     }
 
     // ------------------------------------------------------------------
@@ -790,10 +772,7 @@ impl ThreadState {
                     match targets {
                         Some(list) => {
                             for tgt in list {
-                                self.energy.router_flit_hops +=
-                                    shared.mesh.hops(home, tgt as usize) * ctrl;
-                                self.energy.link_flit_hops +=
-                                    shared.mesh.hops(home, tgt as usize) * ctrl;
+                                self.note_traffic(shared.mesh.hops(home, tgt as usize) * ctrl);
                                 shared.inboxes.push(
                                     tgt as usize,
                                     CoherenceMsg {
@@ -834,7 +813,7 @@ impl ThreadState {
                         tr.instant("fault", "dram_rehomed", go.arrival, 1 + surcharge);
                     }
                 }
-                let acc = shared.dram.access_timed(c, go.arrival + surcharge);
+                let acc = shared.dram.access(c, go.arrival + surcharge);
                 dram_queued = Some(acc.queued);
                 let mut ready = acc.ready;
                 self.energy.dram_accesses += 1;
@@ -850,7 +829,7 @@ impl ThreadState {
                             }
                         }
                         EccOutcome::Detected => {
-                            let retry = shared.dram.access_timed(c, ready);
+                            let retry = shared.dram.access(c, ready);
                             ready = retry.ready;
                             self.energy.dram_accesses += 1;
                             self.fault_counters.dram_ecc_detected += 1;
@@ -915,13 +894,19 @@ impl ThreadState {
                         let (sum, max_hops) = shared.mesh.broadcast_hops(home);
                         let rt = 2 * max_hops * cfg.mesh.hop_latency;
                         self.note_traffic(2 * sum * ctrl);
-                        // Drain our own pending traffic first so the
-                        // broadcast (which includes us) cannot kill the
-                        // line we are about to install.
+                        // Drain our own pending traffic first, and skip
+                        // our own broadcast (which includes us) so that
+                        // it cannot kill the line we are about to install.
                         self.drain_coherence(shared);
-                        shared.inboxes.push_broadcast(line);
+                        let l1 = &mut self.l1;
+                        self.broadcast_cursor = shared.inboxes.push_own_broadcast(
+                            line,
+                            self.broadcast_cursor,
+                            |missed| {
+                                l1.coherence_invalidate(missed);
+                            },
+                        );
                         broadcast = true;
-                        self.broadcast_cursor += 1;
                         sharers_time += rt;
                         t += rt;
                     }
@@ -1131,27 +1116,16 @@ impl ThreadState {
         self.sync_turn(shared);
         self.instructions += 1;
         let arrive = self.clock;
-        let g = self.generation as usize;
-        // Rotating slots: zeroing (g+2)%4 is safe — its last readers
-        // finished before anyone could reach barrier g, and its next
-        // writers cannot arrive until barrier g+1 has fully passed.
-        shared.barrier_slots[(g + 2) % 4].store(0, Ordering::Release);
-        shared.barrier_slots[g % 4].fetch_max(arrive, Ordering::AcqRel);
         // Deterministic mode: release the run token across the
         // rendezvous (the threads still heading here need it to arrive),
         // and rejoin collectively so no thread races ahead of the rest.
         if let Some(seq) = &shared.seq {
             seq.barrier_wait(self.tid);
         }
-        let synced = shared.gate.barrier_wait();
-        if !synced {
-            // Cancelled run: the rendezvous never completed, so the slot
-            // holds a meaningless partial max. Keep draining.
-            self.generation += 1;
+        // A cancelled run never completes the rendezvous: keep draining.
+        let Some(max_clock) = shared.gate.barrier_wait(arrive) else {
             return;
-        }
-        let max_clock = shared.barrier_slots[g % 4].load(Ordering::Acquire);
-        self.generation += 1;
+        };
         let overhead = shared.config.barrier_overhead;
         debug_assert!(max_clock >= arrive);
         self.breakdown.synchronization += (max_clock - arrive) + overhead;

@@ -365,20 +365,6 @@ impl Mesh {
         Err(route_error())
     }
 
-    /// Infallible [`Mesh::try_traverse`] for healthy meshes (and armed
-    /// meshes whose policy can always detour).
-    ///
-    /// # Panics
-    ///
-    /// Panics with the [`RouteError`] message when the message is
-    /// undeliverable.
-    pub fn traverse(&self, from: usize, to: usize, depart: u64, flits: u64) -> Traversal {
-        match self.try_traverse(from, to, depart, flits) {
-            Ok(t) => t,
-            Err(e) => panic!("{e}"),
-        }
-    }
-
     /// Uncontended latency for a `flits`-flit message over `hops` hops.
     pub fn ideal_latency(&self, hops: u64, flits: u64) -> u64 {
         if hops == 0 {
@@ -430,7 +416,7 @@ mod tests {
     #[test]
     fn local_delivery_is_free() {
         let m = mesh(16, true);
-        let t = m.traverse(3, 3, 100, 9);
+        let t = m.try_traverse(3, 3, 100, 9).unwrap();
         assert_eq!(t.arrival, 100);
         assert_eq!(t.flit_hops, 0);
     }
@@ -439,31 +425,31 @@ mod tests {
     fn uncontended_latency_matches_ideal() {
         let m = mesh(16, true);
         // core 0 = (0,0), core 15 = (3,3): 6 hops.
-        let t = m.traverse(0, 15, 0, 1);
+        let t = m.try_traverse(0, 15, 0, 1).unwrap();
         assert_eq!(m.hops(0, 15), 6);
         assert_eq!(t.arrival, m.ideal_latency(6, 1));
         assert_eq!(t.flit_hops, 6);
 
         // 9-flit data message: serialization adds flits-1.
-        let t = m.traverse(0, 15, 0, 9);
+        let t = m.try_traverse(0, 15, 0, 9).unwrap();
         assert_eq!(t.arrival, 6 * 2 + 8);
     }
 
     #[test]
     fn light_load_sees_no_contention() {
         let m = mesh(16, true);
-        let a = m.traverse(0, 1, 0, 9);
-        let b = m.traverse(0, 1, 0, 9);
+        let a = m.try_traverse(0, 1, 0, 9).unwrap();
+        let b = m.try_traverse(0, 1, 0, 9).unwrap();
         assert_eq!(a.arrival, b.arrival, "two messages fit one epoch");
     }
 
     #[test]
     fn saturating_an_epoch_queues_messages() {
         let m = mesh(16, true);
-        let ideal = m.traverse(4, 5, 100_000, 9).arrival; // warm a far epoch
+        let ideal = m.try_traverse(4, 5, 100_000, 9).unwrap().arrival; // warm a far epoch
         let mut last = 0;
         for _ in 0..40 {
-            last = m.traverse(0, 1, 0, 9).arrival;
+            last = m.try_traverse(0, 1, 0, 9).unwrap().arrival;
         }
         // 40 × 9 = 360 flits into a 128-cycle epoch: the tail queues.
         assert!(
@@ -476,10 +462,10 @@ mod tests {
     fn contention_is_per_epoch() {
         let m = mesh(16, true);
         for _ in 0..40 {
-            m.traverse(0, 1, 0, 9);
+            m.try_traverse(0, 1, 0, 9).unwrap();
         }
         // A message in a different epoch is unaffected.
-        let far = m.traverse(0, 1, 10 * EPOCH_CYCLES, 9);
+        let far = m.try_traverse(0, 1, 10 * EPOCH_CYCLES, 9).unwrap();
         assert_eq!(far.arrival, 10 * EPOCH_CYCLES + 2 + 8);
     }
 
@@ -488,10 +474,10 @@ mod tests {
         let m = mesh(16, true);
         // A thread far ahead in simulated time hammers the link...
         for _ in 0..100 {
-            m.traverse(0, 1, 1_000_000, 9);
+            m.try_traverse(0, 1, 1_000_000, 9).unwrap();
         }
         // ...but a thread at an earlier simulated time is unaffected.
-        let early = m.traverse(0, 1, 0, 9);
+        let early = m.try_traverse(0, 1, 0, 9).unwrap();
         assert_eq!(early.arrival, 2 + 8);
     }
 
@@ -499,9 +485,9 @@ mod tests {
     fn no_contention_mode_ignores_load() {
         let m = mesh(16, false);
         for _ in 0..100 {
-            m.traverse(0, 1, 0, 9);
+            m.try_traverse(0, 1, 0, 9).unwrap();
         }
-        assert_eq!(m.traverse(0, 1, 0, 9).arrival, 2 + 8);
+        assert_eq!(m.try_traverse(0, 1, 0, 9).unwrap().arrival, 2 + 8);
     }
 
     #[test]
@@ -509,7 +495,7 @@ mod tests {
         let m = mesh(64, false);
         for from in [0usize, 9, 17, 63] {
             for to in [0usize, 7, 56, 63] {
-                let t = m.traverse(from, to, 0, 1);
+                let t = m.try_traverse(from, to, 0, 1).unwrap();
                 assert_eq!(t.flit_hops, m.hops(from, to));
             }
         }
@@ -519,9 +505,9 @@ mod tests {
     fn delay_is_capped() {
         let m = mesh(16, true);
         for _ in 0..10_000 {
-            m.traverse(0, 1, 0, 9);
+            m.try_traverse(0, 1, 0, 9).unwrap();
         }
-        let worst = m.traverse(0, 1, 0, 9);
+        let worst = m.try_traverse(0, 1, 0, 9).unwrap();
         assert!(worst.arrival <= 2 + 8 + MAX_HOP_DELAY);
     }
 
@@ -657,8 +643,8 @@ mod tests {
         };
         for (from, to) in [(0usize, 15usize), (4, 7), (15, 0), (3, 12)] {
             for _ in 0..20 {
-                let a = healthy.traverse(from, to, 64, 9);
-                let b = armed.traverse(from, to, 64, 9);
+                let a = healthy.try_traverse(from, to, 64, 9).unwrap();
+                let b = armed.try_traverse(from, to, 64, 9).unwrap();
                 assert_eq!(a, b);
             }
         }

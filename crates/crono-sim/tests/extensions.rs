@@ -21,7 +21,7 @@ fn o1turn_spreads_load_over_both_route_families() {
     let worst = |routing| {
         let mesh = Mesh::new(64, mesh_cfg(routing));
         (0..64)
-            .map(|_| mesh.traverse(0, 63, 0, 9).arrival)
+            .map(|_| mesh.try_traverse(0, 63, 0, 9).unwrap().arrival)
             .max()
             .unwrap()
     };
@@ -34,7 +34,7 @@ fn o1turn_spreads_load_over_both_route_families() {
 fn o1turn_preserves_hop_counts() {
     let mesh = Mesh::new(64, mesh_cfg(RoutingPolicy::O1Turn));
     for (from, to) in [(0usize, 63usize), (7, 56), (12, 34)] {
-        let t = mesh.traverse(from, to, 1_000_000, 1);
+        let t = mesh.try_traverse(from, to, 1_000_000, 1).unwrap();
         assert_eq!(t.flit_hops, mesh.hops(from, to), "minimal routes only");
     }
 }

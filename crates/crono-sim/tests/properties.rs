@@ -239,7 +239,7 @@ fn mesh_traversal_is_minimal_and_monotonic() {
         let to = rng.random_range(0..64usize);
         let depart = rng.random_range(0..10_000u64);
         let flits = rng.random_range(1..10u64);
-        let t = mesh.traverse(from, to, depart, flits);
+        let t = mesh.try_traverse(from, to, depart, flits).unwrap();
         assert_eq!(t.flit_hops, mesh.hops(from, to) * flits);
         assert!(t.arrival >= depart);
         assert_eq!(
@@ -257,7 +257,7 @@ fn o1turn_routes_are_also_minimal() {
         let from = rng.random_range(0..64usize);
         let to = rng.random_range(0..64usize);
         let depart = rng.random_range(0..10_000u64);
-        let t = mesh.traverse(from, to, depart, 1);
+        let t = mesh.try_traverse(from, to, depart, 1).unwrap();
         assert_eq!(t.flit_hops, mesh.hops(from, to));
     }
 }
@@ -273,8 +273,8 @@ fn contention_only_adds_delay() {
             let from = rng.random_range(0..16usize);
             let to = rng.random_range(0..16usize);
             let depart = rng.random_range(0..2_000u64);
-            let a = contended.traverse(from, to, depart, 9);
-            let b = ideal.traverse(from, to, depart, 9);
+            let a = contended.try_traverse(from, to, depart, 9).unwrap();
+            let b = ideal.try_traverse(from, to, depart, 9).unwrap();
             assert!(a.arrival >= b.arrival);
             assert_eq!(a.flit_hops, b.flit_hops);
         }

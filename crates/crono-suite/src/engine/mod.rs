@@ -35,10 +35,9 @@
 //!   cost is amortized over the batch's queries of that kind — snapshot
 //!   construction shows up in modeled p50/p99 instead of being free
 //!   host work.
-//! * **Result cache.** Answers are memoized by `(kind, vertex, epoch)`
-//!   with LRU eviction (a hit re-stamps the entry); installing a new
-//!   graph bumps the epoch, which invalidates every cached entry
-//!   without a scan.
+//! * **Result cache.** Answers are memoized by `(kind, vertex)` with
+//!   LRU eviction (a hit re-stamps the entry). The cache only ever holds
+//!   answers on the installed graph: installing a new one clears it.
 //! * **Admission control.** The submit queue is bounded; a full queue
 //!   rejects with [`AdmitError::QueueFull`] instead of growing without
 //!   bound, so a closed-loop client observes backpressure.
@@ -358,7 +357,7 @@ pub fn checksum(values: &[u32]) -> u64 {
     h
 }
 
-type CacheKey = (QueryKind, VertexId, u64);
+type CacheKey = (QueryKind, VertexId);
 
 /// What one task-pool plan computes: either a single query, or one
 /// multi-source sweep (BFS or delta-stepping SSSP) shared by several.
@@ -496,9 +495,8 @@ impl<M: Machine> ServeEngine<M> {
         self.stats
     }
 
-    /// Replaces the served graph. Bumps the epoch, which invalidates
-    /// every cached answer and snapshot at once — no scan, the old
-    /// entries just become unreachable keys (and are dropped here).
+    /// Replaces the served graph. Bumps the epoch and drops every cached
+    /// answer and snapshot, all of which were computed on the old graph.
     pub fn install_graph(&mut self, graph: CsrGraph) {
         self.graph = graph;
         self.epoch += 1;
@@ -533,7 +531,7 @@ impl<M: Machine> ServeEngine<M> {
     /// pops from the front, skipping stale records) sees it as the
     /// youngest entry.
     fn cache_get(&mut self, kind: QueryKind, vertex: VertexId) -> Option<Answer> {
-        let key = (kind, vertex, self.epoch);
+        let key = (kind, vertex);
         let (answer, stamp) = self.cache.get_mut(&key)?;
         self.cache_stamp += 1;
         *stamp = self.cache_stamp;
@@ -547,7 +545,7 @@ impl<M: Machine> ServeEngine<M> {
         if self.opts.cache_capacity == 0 {
             return;
         }
-        let key = (kind, vertex, self.epoch);
+        let key = (kind, vertex);
         self.cache_stamp += 1;
         self.cache.insert(key, (answer, self.cache_stamp));
         self.cache_order.push_back((key, self.cache_stamp));
@@ -1095,19 +1093,19 @@ mod tests {
         let (_, Ok(second_r)) = &second.outcomes[0] else {
             panic!("second query failed");
         };
-        assert!(second_r.cached, "same (kind, vertex, epoch) must hit");
+        assert!(second_r.cached, "same (kind, vertex) must hit");
         assert_eq!(second_r.cost, CACHE_HIT_COST);
         assert_eq!(second_r.answer, first.answer);
         assert_eq!(engine.stats().cache_hits, 1);
 
-        // Installing a graph bumps the epoch: the same key misses.
+        // Installing a graph clears the cache: the same key misses.
         engine.install_graph(uniform_random(256, 1024, 8, 43));
         engine.submit(Query::new(QueryKind::Bfs, 9)).unwrap();
         let third = engine.run_batch();
         let (_, Ok(third)) = &third.outcomes[0] else {
             panic!("third query failed");
         };
-        assert!(!third.cached, "epoch bump must invalidate");
+        assert!(!third.cached, "a new graph must invalidate");
         assert_ne!(
             third.answer, first.answer,
             "different graph, different answer (checksums differ)"

@@ -229,8 +229,8 @@ pub fn generate(
                 Ok::<_, Infallible>([
                     base.misses.sharing_misses,
                     opt.misses.sharing_misses,
-                    base.energy.router_flit_hops + base.energy.link_flit_hops,
-                    opt.energy.router_flit_hops + opt.energy.link_flit_hops,
+                    base.energy.router_flit_hops,
+                    opt.energy.router_flit_hops,
                 ])
             });
             cells.push(c);

@@ -106,7 +106,7 @@ fn link_contention_costs_cycles_under_load() {
             for _ in 0..4 {
                 s.spawn(|| {
                     for _ in 0..32 {
-                        let t = mesh.traverse(0, 3, 0, 9);
+                        let t = mesh.try_traverse(0, 3, 0, 9).unwrap();
                         worst.fetch_max(t.arrival, std::sync::atomic::Ordering::Relaxed);
                     }
                 });
