@@ -12,7 +12,7 @@ use crate::graph_view::{chunk, SharedGraph};
 use crate::{costs, AlgoOutcome};
 use crono_graph::{CsrGraph, VertexId};
 use crono_runtime::{LockSet, Machine, SharedF64s, SharedU32s, SharedU64s, ThreadCtx};
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 
 /// Result of a community-detection run.
 #[derive(Debug, Clone, PartialEq)]
@@ -59,6 +59,10 @@ pub fn parallel<M: Machine>(
         let tid = ctx.thread_id();
         let nthreads = ctx.num_threads();
         let mut round = 0usize;
+        // Neighbour-community weights of the current vertex, in the order
+        // the communities were first seen, and each one's place in it.
+        let mut weights: Vec<(u32, u64)> = Vec::new();
+        let mut place: BTreeMap<u32, usize> = BTreeMap::new();
         loop {
             if ctx.cancelled() {
                 break;
@@ -80,11 +84,16 @@ pub fn parallel<M: Machine>(
                 }
                 let cur = community.get(ctx, v);
                 // Tally edge weight from v into each neighbor community.
-                let mut weights: HashMap<u32, u64> = HashMap::new();
+                weights.clear();
+                place.clear();
                 for e in shared.edge_range(ctx, v as VertexId) {
                     let (u, w) = shared.edge(ctx, e);
                     let cu = community.get(ctx, u as usize);
-                    *weights.entry(cu).or_insert(0) += w as u64;
+                    let i = *place.entry(cu).or_insert_with(|| {
+                        weights.push((cu, 0));
+                        weights.len() - 1
+                    });
+                    weights[i].1 += w as u64;
                 }
                 // Gain of joining community c (Louvain one-level):
                 //   w(v, c) / m  −  deg(v) · tot(c) / (2 m²)
@@ -101,10 +110,12 @@ pub fn parallel<M: Machine>(
                     }
                     w_vc as f64 / m2 as f64 - (vd as f64) * tot / (m2 as f64 * m2 as f64)
                 };
-                let stay = gain(ctx, cur, weights.get(&cur).copied().unwrap_or(0), &totals);
+                let w_cur = place.get(&cur).map_or(0, |&i| weights[i].1);
+                let stay = gain(ctx, cur, w_cur, &totals);
                 let mut best_c = cur;
                 let mut best_gain = stay;
-                for (&c, &w_vc) in &weights {
+                // First-seen order breaks ties between equal gains.
+                for &(c, w_vc) in &weights {
                     if c == cur {
                         continue;
                     }
@@ -184,29 +195,29 @@ pub fn sequential<M: Machine>(
 /// Newman modularity of a partition (untracked oracle):
 /// `Q = Σ_c [ w_in(c)/2m − (tot(c)/2m)² ]`, where `w_in` sums the
 /// directed intra-community edge weights and `tot` the community's
-/// weighted degree.
+/// weighted degree. The sum runs in ascending community id, so the
+/// result does not depend on the process.
 pub fn modularity(graph: &CsrGraph, community: &[u32]) -> f64 {
     let m2 = graph.total_weight() as f64;
     if m2 == 0.0 {
         return 0.0;
     }
     let n = graph.num_vertices();
-    let mut tot: HashMap<u32, f64> = HashMap::new();
-    let mut w_in: HashMap<u32, f64> = HashMap::new();
+    // `(tot, w_in)` per community id (a vertex id); a community with no
+    // edge adds 0.
+    let mut sums = vec![(0.0f64, 0.0f64); n];
     for v in 0..n as VertexId {
         let c = community[v as usize];
+        let (tot, w_in) = &mut sums[c as usize];
         for (u, w) in graph.neighbors(v) {
-            *tot.entry(c).or_insert(0.0) += w as f64;
+            *tot += w as f64;
             if c == community[u as usize] {
-                *w_in.entry(c).or_insert(0.0) += w as f64;
+                *w_in += w as f64;
             }
         }
     }
-    tot.iter()
-        .map(|(c, t)| {
-            let win = w_in.get(c).copied().unwrap_or(0.0);
-            win / m2 - (t / m2) * (t / m2)
-        })
+    sums.iter()
+        .map(|&(t, win)| win / m2 - (t / m2) * (t / m2))
         .sum()
 }
 

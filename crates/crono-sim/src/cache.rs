@@ -1,14 +1,38 @@
 //! A generic set-associative cache array with true-LRU replacement, used
 //! for both the private L1s and the L2 slices.
 
+/// A set's place in the pools: where its ways start, how many it has,
+/// and how many of them hold a line.
+#[derive(Debug, Clone, Copy, Default)]
+struct SetWays {
+    /// The set's first way in the pools (meaningless while `ways` is 0).
+    first: u32,
+    /// Resident lines, packed at the front of the set's ways.
+    len: u16,
+    /// Ways the set owns: 0 until its first fill, 1 until its second,
+    /// then the associativity.
+    ways: u16,
+}
+
 /// Set-associative cache with LRU replacement.
 ///
-/// The set index is the line number modulo the number of sets. Each set
-/// owns `associativity` consecutive slots of three flat arrays — lines,
-/// LRU ticks and payloads — and keeps its resident lines packed at the
-/// front of its slots, so a lookup scans one short run of tags.
+/// The set index is the line number modulo the number of sets. A set
+/// owns no storage until its first fill, which appends one way to three
+/// flat pools — lines, LRU ticks and payloads; its second fill moves its
+/// line to `associativity` fresh consecutive ways, which the set keeps
+/// from then on (emptied or not). Resident lines stay packed at the
+/// front of the set's ways, so a lookup scans one short run of tags.
+///
+/// The cache thus holds storage for the lines a run brings in rather
+/// than for its whole geometry. The one-way step is there because most
+/// touched sets of an L2 slice hold a single line: `home_of` hashes the
+/// lines that share a set index over distinct slices. A set that grows
+/// leaves its one-way block behind, at most one way per
+/// `associativity + 1`.
 #[derive(Debug, Clone)]
 pub struct SetAssocCache<T> {
+    /// Each set's ways, indexed by set.
+    sets: Vec<SetWays>,
     /// The line in each slot.
     tags: Vec<u64>,
     /// The tick of each slot's last use. Every use draws a fresh tick, so
@@ -16,36 +40,54 @@ pub struct SetAssocCache<T> {
     lru: Vec<u64>,
     /// Each slot's payload: `Some` exactly in the resident slots.
     payloads: Vec<Option<T>>,
-    /// The number of resident lines in each set.
-    set_len: Vec<usize>,
     associativity: usize,
     tick: u64,
 }
 
 impl<T> SetAssocCache<T> {
-    /// Creates a cache with `num_sets` sets of `associativity` ways.
+    /// Creates a cache with `num_sets` sets of `associativity` ways. No
+    /// set has storage yet.
     ///
     /// # Panics
     ///
-    /// Panics if either dimension is zero.
+    /// Panics if either dimension is zero, if `associativity` exceeds
+    /// `u16::MAX`, or if the pools could outgrow a `u32` index.
     pub fn new(num_sets: usize, associativity: usize) -> Self {
         assert!(num_sets > 0 && associativity > 0, "degenerate cache");
-        let slots = num_sets * associativity;
+        assert!(
+            associativity <= u16::MAX as usize,
+            "associativity above u16::MAX"
+        );
+        assert!(
+            num_sets
+                .checked_mul(associativity + 1)
+                .is_some_and(|ways| ways <= u32::MAX as usize),
+            "cache has more ways than a u32 indexes"
+        );
+        // Room for one way per set, what a run whose sets each hold one
+        // line fills: such a run never regrows the pools, and capacity it
+        // does not fill is never written.
         SetAssocCache {
-            tags: vec![0; slots],
-            lru: vec![0; slots],
-            payloads: (0..slots).map(|_| None).collect(),
-            set_len: vec![0; num_sets],
+            sets: vec![SetWays::default(); num_sets],
+            tags: Vec::with_capacity(num_sets),
+            lru: Vec::with_capacity(num_sets),
+            payloads: Vec::with_capacity(num_sets),
             associativity,
             tick: 0,
         }
     }
 
+    /// The number of sets that have storage: those filled at least once.
+    pub fn sets_with_storage(&self) -> usize {
+        self.sets.iter().filter(|s| s.ways > 0).count()
+    }
+
     /// The set `line` maps to, and the slot holding `line` if resident.
     fn find(&self, line: u64) -> (usize, Option<usize>) {
-        let set = (line % self.set_len.len() as u64) as usize;
-        let base = set * self.associativity;
-        let slot = self.tags[base..base + self.set_len[set]]
+        let set = (line % self.sets.len() as u64) as usize;
+        let SetWays { first, len, .. } = self.sets[set];
+        let base = first as usize;
+        let slot = self.tags[base..base + len as usize]
             .iter()
             .position(|&l| l == line)
             .map(|i| base + i);
@@ -66,13 +108,40 @@ impl<T> SetAssocCache<T> {
         self.payloads.swap(a, b);
     }
 
+    /// Gives `set`, whose ways are all resident, fresh ways at the end of
+    /// the pools — one on its first fill, `associativity` after that —
+    /// and moves its lines there in order.
+    fn grow(&mut self, set: usize) {
+        let SetWays { first, len, ways } = self.sets[set];
+        let ways = if ways == 0 { 1 } else { self.associativity };
+        let (from, to) = (first as usize, self.tags.len());
+        let end = to + ways;
+        self.tags.resize(end, 0);
+        self.lru.resize(end, 0);
+        self.payloads.resize_with(end, || None);
+        for i in 0..len as usize {
+            self.tags[to + i] = self.tags[from + i];
+            self.lru[to + i] = self.lru[from + i];
+            self.payloads[to + i] = self.payloads[from + i].take();
+        }
+        self.sets[set] = SetWays {
+            first: to as u32,
+            len,
+            ways: ways as u16,
+        };
+    }
+
     /// Installs `line`, which is not resident, in `set`, evicting the
     /// set's LRU line if the set is full. Returns the slot `line` went to
     /// and the evicted `(line, payload)`.
     fn fill(&mut self, set: usize, line: u64, payload: T) -> (usize, Option<(u64, T)>) {
         self.tick += 1;
-        let base = set * self.associativity;
-        let len = self.set_len[set];
+        let SetWays { len, ways, .. } = self.sets[set];
+        if len == ways && (ways as usize) < self.associativity {
+            self.grow(set);
+        }
+        let base = self.sets[set].first as usize;
+        let len = len as usize;
         let (slot, evicted) = if len == self.associativity {
             let ticks = &self.lru[base..base + len];
             let victim = (0..len)
@@ -85,7 +154,7 @@ impl<T> SetAssocCache<T> {
             let evicted = self.payloads[last].take().map(|p| (self.tags[last], p));
             (last, evicted)
         } else {
-            self.set_len[set] += 1;
+            self.sets[set].len += 1;
             (base + len, None)
         };
         self.tags[slot] = line;
@@ -149,16 +218,17 @@ impl<T> SetAssocCache<T> {
     pub fn remove(&mut self, line: u64) -> Option<T> {
         let (set, slot) = self.find(line);
         let slot = slot?;
-        // The set's last line fills the gap.
-        let last = set * self.associativity + self.set_len[set] - 1;
+        // The set's last line fills the gap; the set keeps its ways.
+        let SetWays { first, len, .. } = self.sets[set];
+        let last = first as usize + len as usize - 1;
         self.swap(slot, last);
-        self.set_len[set] -= 1;
+        self.sets[set].len -= 1;
         self.payloads[last].take()
     }
 
     /// Number of resident lines.
     pub fn len(&self) -> usize {
-        self.set_len.iter().sum()
+        self.sets.iter().map(|s| s.len as usize).sum()
     }
 
     /// Whether the cache is empty.
@@ -166,12 +236,16 @@ impl<T> SetAssocCache<T> {
         self.len() == 0
     }
 
-    /// Iterates over resident `(line, payload)` pairs in arbitrary order.
+    /// Iterates over resident `(line, payload)` pairs, set by set in set
+    /// order, each set's lines in their resident order.
     pub fn iter(&self) -> impl Iterator<Item = (u64, &T)> {
-        self.tags
+        self.sets
             .iter()
-            .zip(&self.payloads)
-            .filter_map(|(&line, p)| p.as_ref().map(|p| (line, p)))
+            .flat_map(|s| s.first as usize..s.first as usize + s.len as usize)
+            .map(|slot| {
+                let payload = self.payloads[slot].as_ref().expect("resident slot");
+                (self.tags[slot], payload)
+            })
     }
 }
 
@@ -225,6 +299,39 @@ mod tests {
         c.peek(0); // must NOT refresh line 0
         let evicted = c.insert(2, ());
         assert_eq!(evicted, Some((0, ())), "peek left line 0 as LRU");
+    }
+
+    #[test]
+    fn sets_get_storage_on_first_fill_only() {
+        // Table II's L2 slice geometry.
+        let mut c = SetAssocCache::new(512, 8);
+        assert_eq!(c.sets_with_storage(), 0);
+        assert_eq!(c.lookup(3), None);
+        assert_eq!(c.peek(3), None);
+        assert_eq!(c.remove(3), None);
+        assert_eq!(c.sets_with_storage(), 0, "misses allocate nothing");
+        // Two lines in each of k = 5 distinct sets.
+        let sets = [0u64, 7, 100, 256, 511];
+        for (k, &set) in sets.iter().enumerate() {
+            c.insert(set, ());
+            c.insert(set + 512, ());
+            assert_eq!(c.sets_with_storage(), k + 1);
+        }
+        assert_eq!(c.len(), 10);
+        // Each set took one way for its first line, then eight for its
+        // second, leaving the one-way block behind.
+        assert_eq!(c.tags.len(), sets.len() * (1 + 8));
+        // An emptied set keeps its ways, so refilling it takes none.
+        assert_eq!(c.remove(7), Some(()));
+        assert_eq!(c.remove(7 + 512), Some(()));
+        c.insert(7 + 1024, ());
+        assert_eq!(c.sets_with_storage(), sets.len());
+        assert_eq!(c.tags.len(), sets.len() * (1 + 8));
+        assert_eq!(c.len(), 9);
+        // A set's first line takes one way.
+        c.insert(42, ());
+        assert_eq!(c.sets_with_storage(), sets.len() + 1);
+        assert_eq!(c.tags.len(), sets.len() * (1 + 8) + 1);
     }
 
     #[test]

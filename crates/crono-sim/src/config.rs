@@ -1,5 +1,6 @@
 //! Simulator configuration — the architectural parameters of Table II.
 
+use crate::sharer::MAX_ACKWISE_POINTERS;
 use crono_runtime::LINE_SIZE;
 
 /// Core microarchitecture model.
@@ -142,7 +143,7 @@ pub struct SimConfig {
     /// Per-core L2 slice (shared NUCA, inclusive).
     pub l2: CacheConfig,
     /// ACKWise precise sharer pointers before falling back to broadcast
-    /// (Table II: ACKWise-4).
+    /// (Table II: ACKWise-4); 1 to [`MAX_ACKWISE_POINTERS`].
     pub ackwise_pointers: usize,
     /// Mesh network parameters.
     pub mesh: MeshConfig,
@@ -250,7 +251,8 @@ impl SimConfig {
     /// # Panics
     ///
     /// Panics on degenerate configurations (zero cores, cache geometry
-    /// that does not divide, L2 slice smaller than L1).
+    /// that does not divide, L2 slice smaller than L1, an ACKWise pointer
+    /// count outside 1 to [`MAX_ACKWISE_POINTERS`]).
     pub fn validate(&self) {
         assert!(self.num_cores > 0, "need at least one core");
         assert!(self.freq_ghz > 0.0, "clock frequency must be positive");
@@ -262,6 +264,12 @@ impl SimConfig {
         );
         assert!(self.dram.controllers > 0, "need at least one controller");
         assert!(self.ackwise_pointers > 0, "ackwise needs pointers");
+        assert!(
+            self.ackwise_pointers <= MAX_ACKWISE_POINTERS,
+            "ackwise_pointers is {}, but a directory entry holds at most \
+             {MAX_ACKWISE_POINTERS} sharer pointers",
+            self.ackwise_pointers
+        );
     }
 }
 
@@ -307,6 +315,16 @@ mod tests {
             latency: 1,
         }
         .num_sets();
+    }
+
+    #[test]
+    #[should_panic(expected = "ackwise_pointers is 5, but a directory entry holds at most 4")]
+    fn ackwise_pointers_above_the_inline_maximum_rejected() {
+        SimConfig {
+            ackwise_pointers: MAX_ACKWISE_POINTERS + 1,
+            ..SimConfig::default()
+        }
+        .validate();
     }
 
     #[test]

@@ -3,7 +3,7 @@
 
 use crate::cache::SetAssocCache;
 use crate::config::{CacheConfig, SimConfig};
-use std::collections::HashSet;
+use crate::fast_hash::U64Set;
 
 /// MESI states an L1 line can be in (Invalid = not resident).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
@@ -42,8 +42,8 @@ pub enum L1Lookup {
 #[derive(Debug)]
 pub struct L1Cache {
     cache: SetAssocCache<L1State>,
-    ever_seen: HashSet<u64>,
-    coherence_lost: HashSet<u64>,
+    ever_seen: U64Set,
+    coherence_lost: U64Set,
 }
 
 impl L1Cache {
@@ -56,8 +56,8 @@ impl L1Cache {
     pub fn with_geometry(cache: &CacheConfig) -> Self {
         L1Cache {
             cache: SetAssocCache::new(cache.num_sets(), cache.associativity),
-            ever_seen: HashSet::new(),
-            coherence_lost: HashSet::new(),
+            ever_seen: U64Set::default(),
+            coherence_lost: U64Set::default(),
         }
     }
 

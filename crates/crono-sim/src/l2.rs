@@ -226,6 +226,14 @@ mod tests {
     }
 
     #[test]
+    fn directory_entry_is_32_bytes_and_its_pointers_inline() {
+        // The L2 stores `Option<DirEntry>` per way; the ACKWise pointers
+        // sit in the entry, so a fill allocates nothing.
+        assert_eq!(std::mem::size_of::<DirEntry>(), 32);
+        assert_eq!(std::mem::size_of::<Option<DirEntry>>(), 32);
+    }
+
+    #[test]
     fn home_hash_is_balanced() {
         let mut counts = vec![0usize; 16];
         for line in 0..16_000u64 {

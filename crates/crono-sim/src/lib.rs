@@ -47,6 +47,7 @@
 mod cache;
 mod config;
 mod dram;
+mod fast_hash;
 mod fault;
 mod inbox;
 mod l1;
@@ -64,4 +65,4 @@ pub use l1::{L1Cache, L1Lookup, L1State, MissClass};
 pub use l2::{home_of, DirEntry, HomeLine, L2Slice, VictimInfo, HOME_EPOCH_CYCLES};
 pub use machine::{SimCtx, SimMachine};
 pub use noc::{Mesh, RouteError, Traversal};
-pub use sharer::SharerSet;
+pub use sharer::{SharerSet, MAX_ACKWISE_POINTERS};

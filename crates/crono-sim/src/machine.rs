@@ -17,6 +17,7 @@
 
 use crate::config::SimConfig;
 use crate::dram::Dram;
+use crate::fast_hash::U64Map;
 use crate::fault::{EccOutcome, FaultPlan};
 use crate::inbox::{CoherenceMsg, Inboxes};
 use crate::l1::{L1Cache, L1Lookup, L1State, MissClass};
@@ -334,10 +335,10 @@ struct ThreadState {
     broadcast_cursor: u64,
     /// Acquire clocks of currently-held locks, keyed by lock-word
     /// address (for booking hold times at unlock).
-    held_since: std::collections::HashMap<u64, u64>,
+    held_since: U64Map<u64>,
     /// This thread's own hold-time bookings per lock word, so it never
     /// queues behind itself.
-    my_bookings: std::collections::HashMap<u64, EpochTally>,
+    my_bookings: U64Map<EpochTally>,
     active_samples: Vec<(u64, u64)>,
     tracer: Option<ThreadTracer>,
     /// Emit per-router `noc_route` geometry instants (from
@@ -381,8 +382,8 @@ impl SimCtx {
             mlp,
             store_buffer,
             broadcast_cursor: 0,
-            held_since: std::collections::HashMap::new(),
-            my_bookings: std::collections::HashMap::new(),
+            held_since: U64Map::default(),
+            my_bookings: U64Map::default(),
             active_samples: Vec::new(),
             tracer: trace.map(|c| ThreadTracer::from_config(&c)),
             noc_geometry: trace.is_some_and(|c| c.noc_geometry),

@@ -5,11 +5,20 @@
 //! more, it degrades to a broadcast entry that only counts sharers, and an
 //! invalidation must be broadcast to every core.
 
+/// The most precise pointers a [`SharerSet`] holds: ACKWise-4, the
+/// Table II directory. They sit inline in the set, so a directory entry
+/// allocates nothing.
+pub const MAX_ACKWISE_POINTERS: usize = 4;
+
 /// Sharer set with `K` precise pointers and a broadcast fallback.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SharerSet {
-    precise: Vec<u16>,
-    max_pointers: usize,
+    /// The precise sharers in `precise[..len]`, in the order they were
+    /// added, except that a removal moves the last one into the gap.
+    /// Slots past `len` hold 0.
+    precise: [u16; MAX_ACKWISE_POINTERS],
+    len: u8,
+    max_pointers: u8,
     broadcast: bool,
     count: u32,
 }
@@ -19,15 +28,25 @@ impl SharerSet {
     ///
     /// # Panics
     ///
-    /// Panics if `max_pointers == 0`.
+    /// Panics if `max_pointers` is 0 or above [`MAX_ACKWISE_POINTERS`].
     pub fn new(max_pointers: usize) -> Self {
         assert!(max_pointers > 0, "ackwise needs at least one pointer");
+        assert!(
+            max_pointers <= MAX_ACKWISE_POINTERS,
+            "ackwise holds at most {MAX_ACKWISE_POINTERS} pointers, not {max_pointers}"
+        );
         SharerSet {
-            precise: Vec::with_capacity(max_pointers),
-            max_pointers,
+            precise: [0; MAX_ACKWISE_POINTERS],
+            len: 0,
+            max_pointers: max_pointers as u8,
             broadcast: false,
             count: 0,
         }
+    }
+
+    /// The precisely tracked sharers.
+    fn pointers(&self) -> &[u16] {
+        &self.precise[..self.len as usize]
     }
 
     /// Number of sharers currently tracked.
@@ -55,16 +74,17 @@ impl SharerSet {
             self.count += 1;
             return;
         }
-        if self.precise.contains(&core) {
+        if self.pointers().contains(&core) {
             return;
         }
-        if self.precise.len() < self.max_pointers {
-            self.precise.push(core);
+        if self.len < self.max_pointers {
+            self.precise[self.len as usize] = core;
+            self.len += 1;
             self.count += 1;
         } else {
             // Pointer overflow: degrade to broadcast.
             self.broadcast = true;
-            self.precise.clear();
+            self.clear_pointers();
             self.count += 1;
         }
     }
@@ -82,17 +102,27 @@ impl SharerSet {
                     self.broadcast = false;
                 }
             }
-        } else if let Some(pos) = self.precise.iter().position(|&c| c == core) {
-            self.precise.swap_remove(pos);
+        } else if let Some(pos) = self.pointers().iter().position(|&c| c == core) {
+            // The last pointer fills the gap.
+            let last = self.len as usize - 1;
+            self.precise[pos] = self.precise[last];
+            self.precise[last] = 0;
+            self.len -= 1;
             self.count -= 1;
         }
     }
 
     /// Empties the set (after a full invalidation round).
     pub fn clear(&mut self) {
-        self.precise.clear();
+        self.clear_pointers();
         self.broadcast = false;
         self.count = 0;
+    }
+
+    /// Drops every precise pointer.
+    fn clear_pointers(&mut self) {
+        self.precise = [0; MAX_ACKWISE_POINTERS];
+        self.len = 0;
     }
 
     /// The cores an invalidation must be sent to: `Some(list)` of precise
@@ -101,7 +131,7 @@ impl SharerSet {
         if self.broadcast {
             None
         } else {
-            Some(&self.precise)
+            Some(self.pointers())
         }
     }
 
@@ -111,13 +141,13 @@ impl SharerSet {
         if self.broadcast {
             self.count > 0
         } else {
-            self.precise.contains(&core)
+            self.pointers().contains(&core)
         }
     }
 
     /// The single sharer, if exactly one is precisely tracked.
     pub fn sole_sharer(&self) -> Option<u16> {
-        if !self.broadcast && self.precise.len() == 1 {
+        if !self.broadcast && self.len == 1 {
             Some(self.precise[0])
         } else {
             None

@@ -7,7 +7,7 @@
 use crono_graph::rng::SmallRng;
 use crono_sim::{
     home_of, CacheConfig, L1Cache, L1Lookup, L1State, Mesh, MeshConfig, RoutingPolicy,
-    SetAssocCache, SharerSet,
+    SetAssocCache, SharerSet, MAX_ACKWISE_POINTERS,
 };
 use std::collections::HashSet;
 
@@ -131,6 +131,75 @@ impl<T> VecOfSetsCache<T> {
     }
 }
 
+/// Makes the same call on `cache` and `oracle` and asserts equal
+/// results, then equal resident lines in equal order. `op` 0–4 is one
+/// of lookup, peek, insert, remove and `lookup_or_insert`; 5 empties
+/// `line`'s set one removal at a time.
+fn same_call(
+    cache: &mut SetAssocCache<u64>,
+    oracle: &mut VecOfSetsCache<u64>,
+    op: u32,
+    line: u64,
+    payload: u64,
+    at: &str,
+) {
+    match op {
+        0 => {
+            let got = cache.lookup(line).map(|p| {
+                *p += 1;
+                *p
+            });
+            let want = oracle.lookup(line).map(|p| {
+                *p += 1;
+                *p
+            });
+            assert_eq!(got, want, "lookup, {at}");
+        }
+        1 => assert_eq!(cache.peek(line), oracle.peek(line), "peek, {at}"),
+        2 => {
+            // `insert` requires a line that is not resident.
+            if oracle.peek(line).is_none() {
+                let got = cache.insert(line, payload);
+                assert_eq!(got, oracle.insert(line, payload), "insert, {at}");
+            }
+        }
+        3 => assert_eq!(cache.remove(line), oracle.remove(line), "remove, {at}"),
+        4 => {
+            // The one-scan path against peek, insert, lookup.
+            let (got, missed, evicted) = cache.lookup_or_insert(line, || payload);
+            let got = *got;
+            let want_missed = oracle.peek(line).is_none();
+            let want_evicted = if want_missed {
+                oracle.insert(line, payload)
+            } else {
+                None
+            };
+            let want = *oracle.lookup(line).unwrap();
+            assert_eq!(
+                (got, missed, evicted),
+                (want, want_missed, want_evicted),
+                "lookup_or_insert, {at}"
+            );
+        }
+        _ => {
+            let sets = oracle.sets.len() as u64;
+            let resident: Vec<u64> = oracle
+                .iter()
+                .map(|(l, _)| l)
+                .filter(|l| l % sets == line % sets)
+                .collect();
+            for l in resident {
+                assert_eq!(cache.remove(l), oracle.remove(l), "emptying, {at}");
+            }
+        }
+    }
+    assert_eq!(cache.len(), oracle.iter().count(), "len, {at}");
+    assert!(
+        cache.iter().eq(oracle.iter()),
+        "resident lines or their order, {at}"
+    );
+}
+
 #[test]
 fn cache_matches_the_vec_of_sets_oracle() {
     for sets in 1..=7usize {
@@ -145,50 +214,139 @@ fn cache_matches_the_vec_of_sets_oracle() {
                 let payload = step * 1000 + line;
                 let op = rng.random_range(0..5u32);
                 let at = format!("{sets}x{ways} step {step} op {op} line {line}");
-                match op {
-                    0 => {
-                        let got = cache.lookup(line).map(|p| {
-                            *p += 1;
-                            *p
-                        });
-                        let want = oracle.lookup(line).map(|p| {
-                            *p += 1;
-                            *p
-                        });
-                        assert_eq!(got, want, "lookup, {at}");
-                    }
-                    1 => assert_eq!(cache.peek(line), oracle.peek(line), "peek, {at}"),
-                    2 => {
-                        // `insert` requires a line that is not resident.
-                        if oracle.peek(line).is_none() {
-                            let got = cache.insert(line, payload);
-                            assert_eq!(got, oracle.insert(line, payload), "insert, {at}");
-                        }
-                    }
-                    3 => assert_eq!(cache.remove(line), oracle.remove(line), "remove, {at}"),
-                    _ => {
-                        // The one-scan path against peek, insert, lookup.
-                        let (got, missed, evicted) = cache.lookup_or_insert(line, || payload);
-                        let got = *got;
-                        let want_missed = oracle.peek(line).is_none();
-                        let want_evicted = if want_missed {
-                            oracle.insert(line, payload)
-                        } else {
-                            None
-                        };
-                        let want = *oracle.lookup(line).unwrap();
-                        assert_eq!(
-                            (got, missed, evicted),
-                            (want, want_missed, want_evicted),
-                            "lookup_or_insert, {at}"
-                        );
-                    }
+                same_call(&mut cache, &mut oracle, op, line, payload, &at);
+            }
+        }
+    }
+}
+
+/// The oracle at Table II's L2 slice geometry, on lines drawn from a few
+/// scattered sets, as a run's footprint leaves most sets untouched: sets
+/// get storage on their first fill only, and sets emptied by removals
+/// refill in place.
+#[test]
+fn cache_matches_the_oracle_at_table_ii_geometry_with_sparse_sets() {
+    const SETS: usize = 512;
+    const WAYS: usize = 8;
+    for case in 0..8u64 {
+        let mut rng = SmallRng::seed_from_u64(0xC600 + case);
+        let mut cache = SetAssocCache::new(SETS, WAYS);
+        let mut oracle = VecOfSetsCache::new(SETS, WAYS);
+        let hot: Vec<u64> = (0..12).map(|_| rng.random_range(0..SETS as u64)).collect();
+        let mut filled = HashSet::new();
+        for step in 0..3000u64 {
+            // Three lines per way of a hot set: its evictions mix with
+            // hits, and an emptied set sees refills.
+            let set = hot[rng.random_range(0..hot.len())];
+            let line = set + SETS as u64 * rng.random_range(0..3 * WAYS as u64);
+            let payload = step * 1000 + line;
+            let op = rng.random_range(0..6u32);
+            let at = format!("case {case} step {step} op {op} line {line}");
+            same_call(&mut cache, &mut oracle, op, line, payload, &at);
+            if oracle.peek(line).is_some() {
+                filled.insert(set);
+            }
+            assert_eq!(cache.sets_with_storage(), filled.len(), "storage, {at}");
+        }
+        assert!(filled.len() <= hot.len() && filled.len() < SETS / 8);
+    }
+}
+
+/// `SharerSet` as it was first written, its pointers in a `Vec`: the
+/// oracle the inline pointers must match call for call.
+struct VecSharerSet {
+    precise: Vec<u16>,
+    max_pointers: usize,
+    broadcast: bool,
+    count: u32,
+}
+
+impl VecSharerSet {
+    fn new(max_pointers: usize) -> Self {
+        VecSharerSet {
+            precise: Vec::with_capacity(max_pointers),
+            max_pointers,
+            broadcast: false,
+            count: 0,
+        }
+    }
+
+    fn add(&mut self, core: u16) {
+        if self.broadcast {
+            self.count += 1;
+            return;
+        }
+        if self.precise.contains(&core) {
+            return;
+        }
+        if self.precise.len() < self.max_pointers {
+            self.precise.push(core);
+        } else {
+            self.broadcast = true;
+            self.precise.clear();
+        }
+        self.count += 1;
+    }
+
+    fn remove(&mut self, core: u16) {
+        if self.broadcast {
+            self.count = self.count.saturating_sub(1);
+            if self.count == 0 {
+                self.broadcast = false;
+            }
+        } else if let Some(pos) = self.precise.iter().position(|&c| c == core) {
+            self.precise.swap_remove(pos);
+            self.count -= 1;
+        }
+    }
+
+    fn clear(&mut self) {
+        self.precise.clear();
+        self.broadcast = false;
+        self.count = 0;
+    }
+}
+
+#[test]
+fn sharer_set_matches_the_vec_oracle() {
+    for case in 0..CASES {
+        let mut rng = SmallRng::seed_from_u64(0xC700 + case);
+        let max_pointers = rng.random_range(1..MAX_ACKWISE_POINTERS + 1);
+        let mut set = SharerSet::new(max_pointers);
+        let mut oracle = VecSharerSet::new(max_pointers);
+        for step in 0..400 {
+            // Few enough cores that sets overflow, empty and refill.
+            let core = rng.random_range(0..8u32) as u16;
+            let op = rng.random_range(0..20u32);
+            match op {
+                0 => {
+                    set.clear();
+                    oracle.clear();
                 }
-                assert_eq!(cache.len(), oracle.iter().count(), "len, {at}");
-                assert!(
-                    cache.iter().eq(oracle.iter()),
-                    "resident lines or their order, {at}"
-                );
+                1..=10 => {
+                    set.add(core);
+                    oracle.add(core);
+                }
+                _ => {
+                    set.remove(core);
+                    oracle.remove(core);
+                }
+            }
+            let at = format!("case {case} (max {max_pointers}) step {step} op {op} core {core}");
+            let want = (!oracle.broadcast).then_some(&oracle.precise[..]);
+            assert_eq!(set.invalidation_targets(), want, "targets, {at}");
+            assert_eq!(set.count(), oracle.count, "count, {at}");
+            assert_eq!(set.is_broadcast(), oracle.broadcast, "broadcast, {at}");
+            assert_eq!(set.is_empty(), oracle.count == 0, "empty, {at}");
+            let sole = (!oracle.broadcast && oracle.precise.len() == 1).then(|| oracle.precise[0]);
+            assert_eq!(set.sole_sharer(), sole, "sole sharer, {at}");
+            for c in 0..8u16 {
+                let may = if oracle.broadcast {
+                    oracle.count > 0
+                } else {
+                    oracle.precise.contains(&c)
+                };
+                assert_eq!(set.may_contain(c), may, "may_contain({c}), {at}");
             }
         }
     }

@@ -27,14 +27,14 @@
 //!   traffic the way the BFS sweep shares its frontier. A batch's SSSP
 //!   misses are cut into sweeps of at least 8 lanes, so a batch of 16 or
 //!   more keeps two cores busy, and every sweep walks the light and
-//!   heavy halves of the graph split once per epoch.
+//!   heavy halves of the graph split once per installed graph.
 //! * **On-pool snapshots.** The PageRank and centrality snapshots the
 //!   point-reads consume are built by parallel kernels on the engine's
 //!   machine (`pagerank::parallel_pull`, `betweenness::parallel_pipelined`)
-//!   the first time an epoch needs them, and their deterministic build
-//!   cost is amortized over the batch's queries of that kind — snapshot
-//!   construction shows up in modeled p50/p99 instead of being free
-//!   host work.
+//!   the first time the installed graph needs them, and their
+//!   deterministic build cost is amortized over the batch's queries of
+//!   that kind — snapshot construction shows up in modeled p50/p99
+//!   instead of being free host work.
 //! * **Result cache.** Answers are memoized by `(kind, vertex)` with
 //!   LRU eviction (a hit re-stamps the entry). The cache only ever holds
 //!   answers on the installed graph: installing a new one clears it.
@@ -364,9 +364,9 @@ type CacheKey = (QueryKind, VertexId);
 enum Plan {
     Single(usize),
     MultiBfs(Vec<usize>),
-    /// One `sssp::run_multi_delta` sweep over the epoch's light/heavy
-    /// split: a contiguous run of the batch's deadline-free SSSP misses,
-    /// cut by `sssp_sweeps`.
+    /// One `sssp::run_multi_delta` sweep over the installed graph's
+    /// light/heavy split: a contiguous run of the batch's deadline-free
+    /// SSSP misses, cut by `sssp_sweeps`.
     MultiSssp(Vec<usize>),
 }
 
@@ -431,7 +431,6 @@ type SnapshotBuild = Option<Result<u64, String>>;
 pub struct ServeEngine<M: Machine> {
     machine: M,
     graph: CsrGraph,
-    epoch: u64,
     queue: VecDeque<Query>,
     /// Answers stamped with their last-use tick; `cache_order` holds
     /// `(key, stamp)` pairs, oldest first, and eviction skips entries
@@ -441,7 +440,7 @@ pub struct ServeEngine<M: Machine> {
     cache_stamp: u64,
     ranks: Option<Vec<f64>>,
     centrality: Option<Vec<u64>>,
-    /// The current epoch's delta-stepping set-up (bucket width and
+    /// The installed graph's delta-stepping set-up (bucket width and
     /// light/heavy halves), built on the first SSSP sweep (it is a pure
     /// function of the installed graph).
     split: Option<sssp::DeltaSplit>,
@@ -456,7 +455,6 @@ impl<M: Machine> ServeEngine<M> {
         ServeEngine {
             machine,
             graph,
-            epoch: 0,
             queue: VecDeque::new(),
             cache: HashMap::new(),
             cache_order: VecDeque::new(),
@@ -475,11 +473,6 @@ impl<M: Machine> ServeEngine<M> {
         &self.graph
     }
 
-    /// The current graph epoch (bumped by [`ServeEngine::install_graph`]).
-    pub fn epoch(&self) -> u64 {
-        self.epoch
-    }
-
     /// Worker threads answering queries.
     pub fn num_threads(&self) -> usize {
         self.machine.num_threads()
@@ -495,11 +488,11 @@ impl<M: Machine> ServeEngine<M> {
         self.stats
     }
 
-    /// Replaces the served graph. Bumps the epoch and drops every cached
-    /// answer and snapshot, all of which were computed on the old graph.
+    /// Replaces the served graph and drops every cached answer, snapshot
+    /// and delta-stepping split, all of which were computed on the old
+    /// graph.
     pub fn install_graph(&mut self, graph: CsrGraph) {
         self.graph = graph;
-        self.epoch += 1;
         self.cache.clear();
         self.cache_order.clear();
         self.ranks = None;
@@ -771,8 +764,8 @@ impl<M: Machine> ServeEngine<M> {
                 plans.push(Plan::Single(i));
             }
         }
-        // The sweeps' light/heavy split is a pure per-epoch function of
-        // the graph; build it once, on first use.
+        // The sweeps' light/heavy split is a pure function of the
+        // installed graph; build it once, on first use.
         let sweeps = plans.iter().any(|p| matches!(p, Plan::MultiSssp(_)));
         if sweeps && self.split.is_none() {
             self.split = Some(sssp::DeltaSplit::new(&self.graph));
@@ -899,7 +892,8 @@ impl<M: Machine> ServeEngine<M> {
     }
 }
 
-/// Tracked views of the epoch's [`sssp::DeltaSplit`] for one batch.
+/// Tracked views of the installed graph's [`sssp::DeltaSplit`] for one
+/// batch.
 struct SplitViews<'a> {
     light: SharedGraph<'a>,
     heavy: SharedGraph<'a>,
@@ -1079,7 +1073,7 @@ mod tests {
     }
 
     #[test]
-    fn cache_hits_on_repeat_and_misses_after_epoch_bump() {
+    fn cache_hits_on_repeat_and_misses_after_install_graph() {
         let mut engine = test_engine(2);
         engine.submit(Query::new(QueryKind::Bfs, 9)).unwrap();
         let first = engine.run_batch();

@@ -14,7 +14,8 @@
 //!   serving engine's snapshot kernel, which no ablation reaches), all
 //!   at 1, 4 and 16 threads; then BFS, PageRank and SSSP_DIJK at 2
 //!   threads, the only pinned runs that fit a 2-core host, where the
-//!   sequencer spins for the run token instead of parking;
+//!   sequencer spins for the run token instead of parking; then COMM,
+//!   TRI_CNT and the default CONN_COMP at 1, 4 and 16 threads;
 //! - `tests/golden_counters_taskpar.txt`: the task-parallel defaults
 //!   (APSP, BETW_CENT, TSP, DFS), which the opt-in work-stealing
 //!   variants must leave bit-identical, then those variants themselves
@@ -67,6 +68,12 @@ const TWO_THREAD_RUNS: [Run; 3] = [
     Suite(Benchmark::Bfs, None),
     Suite(Benchmark::PageRank, None),
     Suite(Benchmark::SsspDijk, None),
+];
+/// Runs pinned after the two-thread block, at `THREAD_COUNTS`.
+const LATER_RUNS: [Run; 3] = [
+    Suite(Benchmark::Comm, None),
+    Suite(Benchmark::TriCnt, None),
+    Suite(Benchmark::ConnComp, None),
 ];
 const RUNS: [Run; 10] = [
     Suite(Benchmark::Bfs, None),
@@ -165,9 +172,11 @@ fn fingerprint(runs: &[Run], thread_counts: &[usize], faults: Option<FaultPlan>)
 }
 
 /// The `golden_counters.txt` fingerprint: `RUNS` at 1/4/16 threads,
-/// then `TWO_THREAD_RUNS` at 2.
+/// then `TWO_THREAD_RUNS` at 2, then `LATER_RUNS` at 1/4/16.
 fn golden_fingerprint(faults: Option<FaultPlan>) -> String {
-    fingerprint(&RUNS, &THREAD_COUNTS, faults) + &fingerprint(&TWO_THREAD_RUNS, &[2], faults)
+    fingerprint(&RUNS, &THREAD_COUNTS, faults)
+        + &fingerprint(&TWO_THREAD_RUNS, &[2], faults)
+        + &fingerprint(&LATER_RUNS, &THREAD_COUNTS, faults)
 }
 
 /// Compares `got` to `golden`, or rewrites `path` when
@@ -192,7 +201,7 @@ fn golden_counters_are_invariant() {
         &golden_fingerprint(None),
         GOLDEN,
         GOLDEN_PATH,
-        "BFS/PageRank/SSSP_DIJK/CONN_COMP",
+        "BFS/PageRank/SSSP_DIJK/CONN_COMP/COMM/TRI_CNT",
     );
 }
 

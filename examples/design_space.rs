@@ -52,9 +52,9 @@ fn main() {
         16,
     );
     run(
-        "full-map directory",
+        "ACKWise-1 directory",
         SimConfig {
-            ackwise_pointers: 256,
+            ackwise_pointers: 1,
             ..SimConfig::default()
         },
         16,
